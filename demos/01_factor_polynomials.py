@@ -63,10 +63,6 @@ def main():
         peak = max(abs(e) for e in value.entries())
         print(f"   i = {i}: max |entry| = {peak:.3e}  "
               f"({'zero' if is_zero(value) else 'NOT zero'})")
-    print("\nThe alternative 'plus-cos' convention kills neither:")
-    for i in (1, 2):
-        value = quadratic_factor_eval(r1, 4, -1, i, variant="plus-cos")
-        print(f"   i = {i}: max |entry| = {max(abs(e) for e in value.entries()):.3e}")
 
     print("\nSanity: R^4 really is -I:",
           [f"{e:+.3f}" for e in mat_pow(r1, 4).entries()])

@@ -67,6 +67,7 @@ from .theorems import (
     Verdict,
     VerdictMode,
     decide,
+    evaluate,
     generate_candidates,
     is_quarantined,
     minus_identity_root_exists,

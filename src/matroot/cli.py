@@ -24,22 +24,9 @@ import sys
 from fractions import Fraction
 
 from .core import (
-    DEFAULT_TOLERANCE,
-    Matrix,
-    Tolerance,
-    is_zero,
-    mat_eq,
-    mat_pow,
-    matrix_from_json,
-    matrix_to_json,
-    scalar_matrix_like,
+    DEFAULT_TOLERANCE, Matrix, Tolerance, is_zero, matrix_from_json, matrix_to_json
 )
-from .factors import (
-    QUADRATIC_VARIANTS,
-    RootConvention,
-    geometric_factor_sum,
-    quadratic_factor_eval,
-)
+from .factors import RootConvention, geometric_factor_sum, quadratic_factor_eval
 from .constructions import (
     CaseTag,
     Witness,
@@ -53,6 +40,7 @@ from .constructions import (
 from .instances import ProblemInstance, Regime, classify_regime
 from .theorems import (
     decide,
+    evaluate,
     minus_identity_root_exists,
     search_counterexample,
     verdict_to_json,
@@ -159,36 +147,19 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     m = _load_matrix(args.matrix_file)
-    a = _parse_real(args.a)
-    inst = ProblemInstance(args.k, args.n, a)
-    if m.order != inst.k:
-        raise ValueError(f"matrix order {m.order} does not match --k {inst.k}")
-    tol = _tolerance(args)
-    equation = mat_eq(mat_pow(m, inst.n), scalar_matrix_like(a, m), tol)
-    report: dict = {"equation_satisfied": equation}
-    if inst.sentence2_applicable:
-        zero_indices = [
-            i
-            for i in range(1, inst.n // 2 + 1)
-            if is_zero(quadratic_factor_eval(m, inst.n, a, i), tol)
-        ]
-        report["is_simple_root"] = False  # no real linear factor exists here
-        report["quadratic_zero_indices"] = zero_indices
-        sentence = (not equation) or bool(zero_indices)
+    inst = ProblemInstance(args.k, args.n, _parse_real(args.a))
+    clauses = evaluate(m, inst, _tolerance(args))
+    report: dict = {
+        "equation_satisfied": clauses.equation,
+        "is_simple_root": clauses.simple_root,
+    }
+    if clauses.sentence == 2:
+        report["quadratic_zero_indices"] = list(clauses.zero_quadratics())
     else:
-        conv = RootConvention.real(inst.n, a)
-        if m.backend == "rational" and conv.exact_root is None:
-            simple = False
-        else:
-            root = conv.exact_root if m.backend == "rational" else conv.root
-            simple = mat_eq(m, scalar_matrix_like(root, m), tol)
-        factor_zero = is_zero(geometric_factor_sum(m, inst.n, conv), tol)
-        report["is_simple_root"] = simple
-        report["factor_sum_zero"] = factor_zero
-        sentence = (not equation) or simple or factor_zero
-    report["sentence_value"] = sentence
+        report["factor_sum_zero"] = clauses.factor_sum_zero
+    report["sentence_value"] = clauses.holds
     _emit(report, args.output)
-    return EXIT_HOLDS if sentence else EXIT_REFUTED
+    return EXIT_HOLDS if clauses.holds else EXIT_REFUTED
 
 
 def _cmd_search(args) -> int:
@@ -218,7 +189,7 @@ def _cmd_factor(args) -> int:
         factors = []
         zero_indices = []
         for i in range(1, args.n // 2 + 1):
-            value = quadratic_factor_eval(m, args.n, a, i, variant=args.variant)
+            value = quadratic_factor_eval(m, args.n, a, i)
             zero = is_zero(value, tol)
             factors.append({"i": i, "matrix": matrix_to_json(value), "is_zero": zero})
             if zero:
@@ -226,18 +197,13 @@ def _cmd_factor(args) -> int:
         _emit(
             {
                 "sentence": 2,
-                "variant": args.variant,
+                "variant": "minus-2cos",  # the only form; kept for the wire format
                 "factors": factors,
                 "zero_indices": zero_indices,
             },
             args.output,
         )
     else:
-        if args.variant != "minus-2cos":
-            raise ValueError(
-                "--variant applies only to the quadratic factors of the "
-                "negative-a even-n regime"
-            )
         conv = RootConvention.real(args.n, a)
         value = geometric_factor_sum(m, args.n, conv)
         _emit(
@@ -311,12 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix_file", help="matrix or witness JSON file")
     p.add_argument("--n", type=int, required=True, help="exponent (>= 2)")
     p.add_argument("--a", required=True, help="rational or decimal literal")
-    p.add_argument(
-        "--variant",
-        choices=list(QUADRATIC_VARIANTS),
-        default="minus-2cos",
-        help="sign convention for the quadratic factors",
-    )
     p.add_argument("--tol", type=float, help="absolute tolerance override")
     _add_output(p)
     p.set_defaults(func=_cmd_factor)

@@ -39,9 +39,6 @@ from .core import (
     scalar_mul,
 )
 
-QUADRATIC_VARIANTS = ("minus-2cos", "plus-cos")
-
-
 class ConventionError(ValueError):
     """Raised when (n, a) admits no root of the requested kind."""
 
@@ -177,26 +174,16 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     return acc
 
 
-def quadratic_factor_eval(
-    x: Matrix,
-    n: int,
-    a,
-    i: int,
-    variant: str = "minus-2cos",
-) -> Matrix:
+def quadratic_factor_eval(x: Matrix, n: int, a, i: int) -> Matrix:
     """Evaluate the i-th real quadratic factor of X^n - a*I (n even, a < 0).
 
-    With b = (-a)^(1/n) and theta_i = (2i-1)*pi/n the default ``minus-2cos``
-    variant returns
+    With b = (-a)^(1/n) and theta_i = (2i-1)*pi/n this is
 
         X^2 - 2*b*cos(theta_i)*X + b^2*I,
 
     the quadratic that the rotation block by theta_i satisfies (its
     characteristic polynomial, by Cayley-Hamilton); the product of these
-    n/2 quadratics reconstructs X^n - a*I.  The ``plus-cos`` variant returns
-    X^2 + b*cos(theta_i)*X + b^2*I, an alternative sign/scale convention
-    kept for side-by-side comparison; its product does NOT multiply out to
-    X^n - a*I.
+    n/2 quadratics reconstructs X^n - a*I.
     """
     if n < 2 or n % 2 != 0:
         raise ConventionError(f"quadratic factors need even n >= 2, got {n}")
@@ -205,11 +192,9 @@ def quadratic_factor_eval(
     half = n // 2
     if not 1 <= i <= half:
         raise ValueError(f"factor index i must be in [1, {half}], got {i}")
-    if variant not in QUADRATIC_VARIANTS:
-        raise ValueError(f"variant must be one of {QUADRATIC_VARIANTS}, got {variant!r}")
     b = (-float(a)) ** (1.0 / n)
     cos_t = math.cos((2 * i - 1) * math.pi / n)
-    lin = -2.0 * b * cos_t if variant == "minus-2cos" else b * cos_t
+    lin = -2.0 * b * cos_t
     backend = COMPLEX if x.backend == COMPLEX else REAL
     xx = as_backend(x, backend)
     x2 = mat_mul(xx, xx)

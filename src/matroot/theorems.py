@@ -12,6 +12,9 @@ in closed form:
   True exactly when k is odd (vacuously: no real root of a*I exists, by a
   determinant parity argument) or k is even with n = 2.
 
+``evaluate`` gives both sentences' clause values at a single matrix; the
+sentence predicates, ``verify_witness`` and the command line all read it.
+
 Every "false" verdict carries a concrete witness that is re-verified before
 being returned.  A budget-bounded randomized search over structured block
 direct sums (conjugated by random unimodular shears) cross-checks the
@@ -35,7 +38,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import (
-    COMPLEX,
     DEFAULT_TOLERANCE,
     RATIONAL,
     REAL,
@@ -48,7 +50,6 @@ from .core import (
     mat_mul,
     mat_pow,
     rotation,
-    scalar_matrix,
     scalar_matrix_like,
     scalar_mul,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "VerdictMode",
     "classify_regime",
     "decide",
+    "evaluate",
     "generate_candidates",
     "is_quarantined",
     "minus_identity_root_exists",
@@ -125,12 +127,16 @@ def verdict_to_json(v: Verdict) -> dict:
     }
 
 
+_NOT_APPLICABLE = {
+    1: "sentence 1 is undefined for a < 0 with even n (no real linear factor)",
+    2: "sentence 2 applies only to a < 0 with even n",
+}
+
+
 def theorem1_holds(inst: ProblemInstance) -> bool:
     """Closed form for sentence 1: (a != 0, k = 2, n odd) or (a = 0, n >= k+1)."""
     if not inst.sentence1_applicable:
-        raise ApplicabilityError(
-            "sentence 1 is undefined for a < 0 with even n (no real linear factor)"
-        )
+        raise ApplicabilityError(_NOT_APPLICABLE[1])
     if inst.a == 0:
         return inst.n >= inst.k + 1
     return inst.k == 2 and inst.n % 2 == 1
@@ -139,7 +145,7 @@ def theorem1_holds(inst: ProblemInstance) -> bool:
 def theorem2_holds(inst: ProblemInstance) -> bool:
     """Closed form for sentence 2: k odd, or k even with n = 2."""
     if not inst.sentence2_applicable:
-        raise ApplicabilityError("sentence 2 applies only to a < 0 with even n")
+        raise ApplicabilityError(_NOT_APPLICABLE[2])
     return inst.k % 2 == 1 or inst.n == 2
 
 
@@ -163,17 +169,83 @@ def is_quarantined(inst: ProblemInstance) -> bool:
     return inst.regime is Regime.NEGATIVE_EVEN_N and inst.k == 2 and inst.n >= 4
 
 
-def _target(x: Matrix, a) -> Matrix:
-    return scalar_matrix_like(a, x)
+class _lazy:
+    """A lock-free cached_property: computed on first access, then a plain attribute."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
-def _is_simple_root(x: Matrix, conv: RootConvention, tol: Tolerance) -> bool:
-    if x.backend == RATIONAL:
-        if conv.exact_root is not None:
-            return mat_eq(x, scalar_matrix(conv.exact_root, x.order, RATIONAL))
-        return False  # a rational matrix never equals an irrational multiple of I
-    root = complex(conv.root) if x.backend == COMPLEX else float(conv.root)
-    return mat_eq(x, scalar_matrix(root, x.order, x.backend), tol)
+class Clauses:
+    """Clause values of the applicable sentence (``sentence``, 1 or 2) at one
+    matrix, each computed on first use; ``holds`` computes only what the
+    implication needs, so a non-root never reaches a factor polynomial and
+    sentence 2 stops at its first vanishing quadratic.  Sentence 2 has no real
+    linear factor, so its ``simple_root`` is False."""
+
+    def __init__(self, x: Matrix, n: int, a, sentence: int, tol: Tolerance) -> None:
+        self.x, self.n, self.a, self.sentence, self.tol = x, n, a, sentence, tol
+
+    @_lazy
+    def conv(self) -> RootConvention:
+        if isinstance(self.a, complex):
+            return RootConvention.principal(self.n, self.a)
+        return RootConvention.real(self.n, self.a)
+
+    @_lazy
+    def _tail(self) -> Matrix:
+        return mat_pow(self.x, self.n - 1)
+
+    @_lazy
+    def equation(self) -> bool:
+        x = self.x
+        if self.a == 0:
+            # share the power: X^n = X * X^(n-1), and the factor sum is X^(n-1)
+            return is_zero(mat_mul(x, self._tail), self.tol)
+        return mat_eq(mat_pow(x, self.n), scalar_matrix_like(self.a, x), self.tol)
+
+    @_lazy
+    def simple_root(self) -> bool:
+        x, rational = self.x, self.x.backend == RATIONAL
+        if self.a == 0:
+            return is_zero(x, self.tol)
+        if self.sentence == 2 or (rational and self.conv.exact_root is None):
+            return False  # no real linear factor, or no rational root for a rational X
+        root = self.conv.exact_root if rational else self.conv.root
+        return mat_eq(x, scalar_matrix_like(root, x), self.tol)
+
+    @_lazy
+    def factor_sum_zero(self) -> bool:
+        if self.a == 0:
+            return is_zero(self._tail, self.tol)
+        return is_zero(geometric_factor_sum(self.x, self.n, self.conv), self.tol)
+
+    def zero_quadratics(self) -> Iterator[int]:
+        """The indices i whose quadratic factor vanishes at X, in order."""
+        for i in range(1, self.n // 2 + 1):
+            if is_zero(quadratic_factor_eval(self.x, self.n, self.a, i), self.tol):
+                yield i
+
+    @property
+    def holds(self) -> bool:
+        if self.sentence == 2:
+            return not self.equation or next(self.zero_quadratics(), None) is not None
+        return not self.equation or self.simple_root or self.factor_sum_zero
+
+
+def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
+    """The clauses at x of the sentence that applies to ``inst``, a
+    ProblemInstance or a Witness: sentence 2 when a < 0 and n is even, else
+    sentence 1 with the real root convention, or with the principal root
+    when a is complex (the complex variant of sentence 1)."""
+    if x.order != inst.k:
+        raise DimensionMismatch(f"matrix order {x.order} != k = {inst.k}")
+    negative_even = not isinstance(inst.a, complex) and inst.a < 0 and inst.n % 2 == 0
+    return Clauses(x, inst.n, inst.a, 2 if negative_even else 1, tol)
 
 
 def sentence1_holds_for(
@@ -184,26 +256,8 @@ def sentence1_holds_for(
         X^n = a*I and X != a^(1/n)*I  =>  geometric factor sum of X is O.
     """
     if not inst.sentence1_applicable:
-        raise ApplicabilityError(
-            "sentence 1 is undefined for a < 0 with even n (no real linear factor)"
-        )
-    if x.order != inst.k:
-        raise DimensionMismatch(f"matrix order {x.order} != k = {inst.k}")
-    n = inst.n
-    conv = RootConvention.real(n, inst.a)
-    if conv.is_zero:
-        # share the power: X^n = X * X^(n-1), and the factor sum is X^(n-1)
-        tail = mat_pow(x, n - 1)
-        if not mat_eq(mat_mul(x, tail), _target(x, 0), tol):
-            return True
-        if is_zero(x, tol):
-            return True  # x is the simple root 0*I
-        return is_zero(tail, tol)
-    if not mat_eq(mat_pow(x, n), _target(x, inst.a), tol):
-        return True
-    if _is_simple_root(x, conv, tol):
-        return True
-    return is_zero(geometric_factor_sum(x, n, conv), tol)
+        raise ApplicabilityError(_NOT_APPLICABLE[1])
+    return evaluate(x, inst, tol).holds
 
 
 def sentence2_holds_for(
@@ -216,15 +270,8 @@ def sentence2_holds_for(
     with the existential checked exhaustively over all n/2 factor indices.
     """
     if not inst.sentence2_applicable:
-        raise ApplicabilityError("sentence 2 applies only to a < 0 with even n")
-    if x.order != inst.k:
-        raise DimensionMismatch(f"matrix order {x.order} != k = {inst.k}")
-    if not mat_eq(mat_pow(x, inst.n), _target(x, inst.a), tol):
-        return True
-    return any(
-        is_zero(quadratic_factor_eval(x, inst.n, inst.a, i), tol)
-        for i in range(1, inst.n // 2 + 1)
-    )
+        raise ApplicabilityError(_NOT_APPLICABLE[2])
+    return evaluate(x, inst, tol).holds
 
 
 def _unit_case_tag(inst: ProblemInstance) -> CaseTag:
@@ -398,21 +445,16 @@ def search_counterexample(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if inst.sentence1_applicable:
-        checker, sentence = sentence1_holds_for, 1
-    else:
-        checker, sentence = sentence2_holds_for, 2
-    trials = 0
-    for cand in generate_candidates(inst, budget, seed):
-        trials += 1
-        if not checker(cand, inst, tol):
+    for trials, cand in enumerate(generate_candidates(inst, budget, seed), 1):
+        clauses = evaluate(cand, inst, tol)
+        if not clauses.holds:
             w = Witness(
                 matrix=cand,
                 tag=None,
                 k=inst.k,
                 n=inst.n,
                 a=inst.a,
-                refutes_sentence=sentence,
+                refutes_sentence=clauses.sentence,
             )
             return Verdict(
                 holds=False, mode=VerdictMode.WITNESS_FOUND, witness=w, trials=trials
@@ -428,18 +470,9 @@ def verify_witness(w: Witness, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     X^n = a*I must hold.  Complex-scalar witnesses are checked against the
     complex variant of sentence 1 (principal root convention).
     """
-    x, n = w.matrix, w.n
-    if isinstance(w.a, complex):
-        conv = RootConvention.principal(n, w.a)
-        equation = mat_eq(mat_pow(x, n), _target(x, w.a), tol)
-        if w.refutes_sentence is None:
-            return equation
-        simple = mat_eq(x, scalar_matrix(complex(conv.root), x.order, COMPLEX), tol)
-        factor_zero = is_zero(geometric_factor_sum(x, n, conv), tol)
-        return equation and not simple and not factor_zero
-    inst = w.instance
-    if w.refutes_sentence == 1:
-        return not sentence1_holds_for(x, inst, tol)
-    if w.refutes_sentence == 2:
-        return not sentence2_holds_for(x, inst, tol)
-    return mat_eq(mat_pow(x, n), _target(x, w.a), tol)
+    clauses = evaluate(w.matrix, w, tol)
+    if w.refutes_sentence is None:
+        return clauses.equation
+    if w.refutes_sentence != clauses.sentence:
+        raise ApplicabilityError(_NOT_APPLICABLE[w.refutes_sentence])
+    return not clauses.holds

@@ -310,18 +310,6 @@ def test_factor_quadratics_report_zero_indices(capsys, tmp_path):
     assert [f["is_zero"] for f in report["factors"]] == [True, False]
 
 
-def test_factor_plus_cos_variant_zeros_nothing(capsys, tmp_path):
-    from matroot import rotation
-    import math
-
-    path = write_matrix(tmp_path, rotation(math.pi / 4.0))
-    code, out, _ = run_cli(
-        capsys, "factor", path, "--n", "4", "--a", "-1", "--variant", "plus-cos"
-    )
-    assert code == 0
-    assert parse_line(out)["zero_indices"] == []
-
-
 def test_factor_geometric_sum_at_identity(capsys, tmp_path):
     path = write_matrix(tmp_path, identity(2, "rational"))
     code, out, _ = run_cli(capsys, "factor", path, "--n", "3", "--a", "1")
@@ -339,14 +327,6 @@ def test_factor_zero_a_reports_top_power(capsys, tmp_path):
     report = parse_line(out)
     assert report["is_zero"] is False
     assert matrix_from_json(report["factor_sum"]) == mat_pow(a, 3)
-
-
-def test_factor_variant_outside_negative_even_regime_exits_two(capsys, tmp_path):
-    path = write_matrix(tmp_path, identity(2, "rational"))
-    code, _, err = run_cli(
-        capsys, "factor", path, "--n", "3", "--a", "1", "--variant", "plus-cos"
-    )
-    assert code == 2 and "variant" in err
 
 
 # --- packaging ---------------------------------------------------------------------

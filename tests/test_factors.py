@@ -176,37 +176,18 @@ def test_quadratic_factor_at_zero_matrix_is_identity_for_n_two():
     assert mat_eq(value, identity(2, "real"), Tolerance(1e-15, 0.0))
 
 
-def test_plus_cos_variant_coefficient():
-    r1 = rotation(math.pi / 4.0)
-    value = quadratic_factor_eval(r1, 4, -1, 1, variant="plus-cos")
-    # oracle: X^2 + b*cos(pi/4)*X + I computed from scratch
-    b = 1.0
-    expected = mat_add(
-        mat_add(mat_mul(r1, r1), scalar_mul(b * math.cos(math.pi / 4.0), r1)),
-        identity(2, "real"),
-    )
-    assert mat_eq(value, expected, Tolerance(1e-14, 1e-14))
-    assert not is_zero(value, Tolerance(1e-3, 1e-3))
-
-
 def test_minus_2cos_products_reconstruct_x_n_minus_a():
-    # prod_i (X^2 - 2 b cos theta_i X + b^2 I) == X^n - a I; the plus-cos
-    # product does not. This is the discriminating fact between variants.
+    # prod_i (X^2 - 2 b cos theta_i X + b^2 I) == X^n - a I
     rng = np.random.default_rng(41)
     tol = Tolerance(1e-8, 1e-8)
     for n, a in [(2, -1), (4, -1), (6, -2.0), (8, -0.5)]:
         x = Matrix(rng.uniform(-1.5, 1.5, size=(2, 2)))
-        prod = {"minus-2cos": None, "plus-cos": None}
-        for variant in prod:
-            acc = None
-            for i in range(1, n // 2 + 1):
-                f = quadratic_factor_eval(x, n, a, i, variant=variant)
-                acc = f if acc is None else mat_mul(acc, f)
-            prod[variant] = acc
+        acc = None
+        for i in range(1, n // 2 + 1):
+            f = quadratic_factor_eval(x, n, a, i)
+            acc = f if acc is None else mat_mul(acc, f)
         rhs = mat_sub(mat_pow(x, n), scalar_matrix(float(a), 2, "real"))
-        assert mat_eq(prod["minus-2cos"], rhs, tol)
-        if n >= 4:  # at n = 2 both variants degenerate to X^2 + b^2 I
-            assert not mat_eq(prod["plus-cos"], rhs, Tolerance(1e-3, 1e-3))
+        assert mat_eq(acc, rhs, tol)
 
 
 def test_quadratic_factor_argument_validation():
@@ -219,8 +200,6 @@ def test_quadratic_factor_argument_validation():
         quadratic_factor_eval(r, 3, -1, 1)
     with pytest.raises(ConventionError):
         quadratic_factor_eval(r, 4, 1, 1)
-    with pytest.raises(ValueError):
-        quadratic_factor_eval(r, 4, -1, 1, variant="cos")
 
 
 # --- odd factorization ------------------------------------------------------------
