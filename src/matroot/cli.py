@@ -24,7 +24,8 @@ import sys
 from fractions import Fraction
 
 from .core import (
-    DEFAULT_TOLERANCE, Matrix, Tolerance, is_zero, matrix_from_json, matrix_to_json
+    COMPLEX, DEFAULT_TOLERANCE, Matrix, Tolerance, as_backend, is_zero, matrix_from_json,
+    matrix_to_json,
 )
 from .factors import RootConvention, geometric_factor_sum, quadratic_factor_eval
 from .constructions import (
@@ -147,7 +148,13 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     m = _load_matrix(args.matrix_file)
-    inst = ProblemInstance(args.k, args.n, _parse_real(args.a))
+    a = _parse_scalar(args.a)
+    if isinstance(a, complex):
+        # the complex variant of sentence 1, as verify_witness checks a complex witness
+        m = as_backend(m, COMPLEX)
+        inst = Witness(m, tag=None, k=args.k, n=args.n, a=a, refutes_sentence=None)
+    else:
+        inst = ProblemInstance(args.k, args.n, a)
     clauses = evaluate(m, inst, _tolerance(args))
     report: dict = {
         "equation_satisfied": clauses.equation,
@@ -259,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="evaluate the applicable sentence at a matrix")
     p.add_argument("matrix_file", help="matrix or witness JSON file")
     _add_kn(p)
-    p.add_argument("--a", required=True, help="rational or decimal literal")
+    p.add_argument("--a", required=True, help="rational, decimal or complex literal")
     p.add_argument("--tol", type=float, help="absolute tolerance override")
     _add_output(p)
     p.set_defaults(func=_cmd_verify)

@@ -287,7 +287,6 @@ def conjugate_with_rng(m: Matrix, rng: np.random.Generator) -> Matrix:
     k = m.order
     if k < 2:
         return m
-    rows = m.rows()
     if m.backend == RATIONAL:
         count = _RATIONAL_SHEARS_PER_ORDER * k
         coeffs = rng.integers(-2, 3, size=count)
@@ -295,18 +294,16 @@ def conjugate_with_rng(m: Matrix, rng: np.random.Generator) -> Matrix:
         count = _FLOAT_SHEARS
         coeffs = rng.choice((-1, 1), size=count)
     pairs = rng.integers(0, k, size=(count, 2))
-    for (i, j), c in zip(pairs, coeffs):
-        i, j = int(i), int(j)
-        c = int(c)
+    arr = m.array.copy()
+    # tolist() gives Python ints, so rational entries stay ints and Fractions
+    for (i, j), c in zip(pairs.tolist(), coeffs.tolist()):
         if i == j or c == 0:
             continue
         # conjugate by the unimodular shear I + c*E[i,j]:
         # row i += c * row j, then column j -= c * column i
-        row_j = rows[j]
-        rows[i] = [x + c * y for x, y in zip(rows[i], row_j)]
-        for r in rows:
-            r[j] = r[j] - c * r[i]
-    return Matrix(rows, backend=m.backend)
+        arr[i] += c * arr[j]
+        arr[:, j] -= c * arr[:, i]
+    return Matrix._wrap(arr, m.backend)
 
 
 def conjugate_matrix(m: Matrix, seed: int) -> Matrix:

@@ -3,7 +3,8 @@
 Everything downstream (factor polynomials, witness constructions, decision
 procedures) works with one matrix type that carries its scalar backend:
 
-* ``rational`` -- exact arithmetic with Python ints / ``fractions.Fraction``,
+* ``rational`` -- exact arithmetic with Python ints / ``fractions.Fraction``
+  (a coerced integral value is stored as an ``int``),
 * ``real``     -- IEEE double precision,
 * ``complex``  -- pairs of IEEE doubles.
 
@@ -22,7 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -73,7 +74,7 @@ DEFAULT_TOLERANCE = Tolerance()
 
 def _coerce_rational(value) -> RationalScalar:
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise BackendMismatch(
@@ -100,17 +101,6 @@ def _coerce_complex(value) -> complex:
 _COERCE = {RATIONAL: _coerce_rational, REAL: _coerce_real, COMPLEX: _coerce_complex}
 
 
-def infer_backend(entries: Iterable) -> str:
-    """Pick the narrowest backend that holds every entry."""
-    rank = 0
-    for e in entries:
-        if isinstance(e, (complex, np.complexfloating)) and not isinstance(e, (float, np.floating)):
-            return COMPLEX
-        if isinstance(e, (float, np.floating)):
-            rank = max(rank, 1)
-    return (RATIONAL, REAL, COMPLEX)[rank]
-
-
 class Matrix:
     """Immutable dense square matrix over a single scalar backend."""
 
@@ -122,30 +112,27 @@ class Matrix:
         if k < 1 or any(len(r) != k for r in data):
             raise DimensionMismatch("matrix must be square with order >= 1")
         flat = [e for r in data for e in r]
-        if backend is None:
-            backend = infer_backend(flat)
+        if backend is None:  # the narrowest backend that holds every entry
+            backend = BACKENDS[max(_BACKEND_RANK[scalar_kind(e)] for e in flat)]
         if backend not in BACKENDS:
             raise MatrixError(f"unknown backend {backend!r}")
         coerce = _COERCE[backend]
-        arr = np.empty((k, k), dtype=_BACKEND_DTYPE[backend])
-        for i in range(k):
-            for j in range(k):
-                arr[i, j] = coerce(data[i][j])
+        arr = np.array([coerce(e) for e in flat], dtype=_BACKEND_DTYPE[backend]).reshape(k, k)
         arr.flags.writeable = False
         self.backend = backend
         self._arr = arr
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, backend: str) -> "Matrix":
-        # Internal fast path: trusted, already-coerced square array.  Float
-        # backends still honour the no-NaN/inf invariant (overflow in an
-        # operation must fail loudly, not poison later comparisons).
+        # Internal fast path: trusted, already-coerced square array.  The
+        # caller hands over ownership of a fresh array that nothing else
+        # references; it is frozen in place, not copied.  Float backends still
+        # honour the no-NaN/inf invariant (overflow in an operation must fail
+        # loudly, not poison later comparisons).
         if backend != RATIONAL and not np.isfinite(arr).all():
             raise MatrixError("operation produced non-finite entries")
+        arr.flags.writeable = False
         m = object.__new__(cls)
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.flags.writeable = False
         object.__setattr__(m, "backend", backend)
         object.__setattr__(m, "_arr", arr)
         return m
@@ -185,36 +172,26 @@ class Matrix:
         return f"Matrix({self.rows()!r}, backend={self.backend!r})"
 
 
-def identity(k: int, backend: str = RATIONAL) -> Matrix:
-    """k x k identity over the given backend."""
+def _zero_array(k: int, backend: str) -> np.ndarray:
+    """A fresh k x k array of exact zeros (int 0 on the rational backend)."""
     if k < 1:
         raise DimensionMismatch("order must be >= 1")
-    if backend == RATIONAL:
-        arr = np.full((k, k), 0, dtype=object)
-        for i in range(k):
-            arr[i, i] = 1
-    else:
-        arr = np.eye(k, dtype=_BACKEND_DTYPE[backend])
-    return Matrix._wrap(arr, backend)
+    return np.full((k, k), 0, dtype=_BACKEND_DTYPE[backend])
+
+
+def identity(k: int, backend: str = RATIONAL) -> Matrix:
+    """k x k identity over the given backend."""
+    return scalar_matrix(1, k, backend)
 
 
 def zeros(k: int, backend: str = RATIONAL) -> Matrix:
-    if k < 1:
-        raise DimensionMismatch("order must be >= 1")
-    if backend == RATIONAL:
-        arr = np.full((k, k), 0, dtype=object)
-    else:
-        arr = np.zeros((k, k), dtype=_BACKEND_DTYPE[backend])
-    return Matrix._wrap(arr, backend)
+    return Matrix._wrap(_zero_array(k, backend), backend)
 
 
 def scalar_matrix(c: Scalar, k: int, backend: str) -> Matrix:
     """c * I_k over the given backend."""
-    m = zeros(k, backend)
-    arr = m.array.copy()
-    c = _COERCE[backend](c)
-    for i in range(k):
-        arr[i, i] = c
+    arr = _zero_array(k, backend)
+    np.fill_diagonal(arr, _COERCE[backend](c))
     return Matrix._wrap(arr, backend)
 
 
@@ -273,11 +250,8 @@ def as_backend(m: Matrix, backend: str) -> Matrix:
         return m
     if _BACKEND_RANK[backend] < _BACKEND_RANK[m.backend]:
         raise BackendMismatch(f"cannot narrow {m.backend} matrix to {backend}")
-    if backend == REAL:
-        arr = np.array([[float(e) for e in row] for row in m.array], dtype=np.float64)
-    else:
-        arr = np.array([[complex(e) for e in row] for row in m.array], dtype=np.complex128)
-    return Matrix._wrap(arr, backend)
+    # astype calls float() / complex() per rational entry: huge ints raise OverflowError
+    return Matrix._wrap(m.array.astype(_BACKEND_DTYPE[backend]), backend)
 
 
 def common_backend(m: Matrix, c: Scalar) -> str:
@@ -314,15 +288,19 @@ def mat_eq(a: Matrix, b: Matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Entrywise comparison. Exact on the rational backend, tolerance-aware
     on float backends: |x - y| <= absolute + relative * max(|x|, |y|)."""
     _check_pair(a, b)
-    if a.backend == RATIONAL:
-        return bool((a.array == b.array).all())
-    x, y = a.array, b.array
-    bound = tol.absolute + tol.relative * np.maximum(np.abs(x), np.abs(y))
-    return bool((np.abs(x - y) <= bound).all())
+    return _entries_close(a.array, b.array, a.backend, tol)
 
 
 def is_zero(m: Matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    return mat_eq(m, zeros(m.order, m.backend), tol)
+    """mat_eq against the zero matrix, broadcasting the scalar 0."""
+    return _entries_close(m.array, 0, m.backend, tol)
+
+
+def _entries_close(x: np.ndarray, y, backend: str, tol: Tolerance) -> bool:
+    if backend == RATIONAL:
+        return bool((x == y).all())
+    bound = tol.absolute + tol.relative * np.maximum(np.abs(x), np.abs(y))
+    return bool((np.abs(x - y) <= bound).all())
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
@@ -334,7 +312,7 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
     if any(b.backend != backend for b in blocks):
         raise BackendMismatch("all blocks must share one backend")
     total = sum(b.order for b in blocks)
-    out = zeros(total, backend).array.copy()
+    out = _zero_array(total, backend)
     at = 0
     for b in blocks:
         k = b.order

@@ -13,6 +13,8 @@ from matroot import (
     scalar_matrix,
     shift_nilpotent,
     swap_block,
+    verify_witness,
+    witness_from_json,
 )
 from matroot.cli import main
 
@@ -224,6 +226,21 @@ def test_verify_negative_even_reports_quadratic_indices(capsys, tmp_path):
     report = parse_line(out)
     assert report["quadratic_zero_indices"] == [1]
     assert report["sentence_value"] is True
+
+
+def test_verify_complex_witness_against_its_own_a(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    kn = ("--k", "3", "--n", "4")
+    code, _, _ = run_cli(
+        capsys, "construct", "--tag", "complex-ce", *kn, "--a", "2+1j", "--output", str(path)
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", str(path), *kn, "--a", "2+1j")
+    assert code == 3  # refuted: the complex variant of sentence 1 fails here
+    report = parse_line(out)
+    assert report["equation_satisfied"] is True
+    assert report["sentence_value"] is False
+    assert verify_witness(witness_from_json(json.loads(path.read_text())))
 
 
 def test_verify_order_mismatch_exits_two(capsys, tmp_path):

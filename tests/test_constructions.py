@@ -38,6 +38,8 @@ from matroot import (
     zeros,
 )
 
+from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER
+
 TOL = Tolerance(1e-9, 1e-9)
 
 
@@ -299,6 +301,58 @@ def test_conjugated_complex_witness_still_refutes():
     w = complex_counterexample(3, 3, 2 - 1j)
     for seed in (0, 4, 9):
         assert verify_witness(conjugate_random(w, seed), Tolerance(1e-7, 1e-7))
+
+
+def _list_shear_conjugate(m, seed):
+    """Reference for conjugate_matrix: the same draws, with each shear done
+    entry by entry on Python lists; returns the conjugated rows."""
+    rng = np.random.default_rng(seed)
+    k, rows = m.order, m.rows()
+    if k < 2:
+        return rows
+    if m.backend == "rational":
+        count = _RATIONAL_SHEARS_PER_ORDER * k
+        coeffs = rng.integers(-2, 3, size=count)
+    else:
+        count = _FLOAT_SHEARS
+        coeffs = rng.choice((-1, 1), size=count)
+    pairs = rng.integers(0, k, size=(count, 2))
+    for (i, j), c in zip(pairs, coeffs):
+        i, j, c = int(i), int(j), int(c)
+        if i == j or c == 0:
+            continue
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        for r in rows:
+            r[j] = r[j] - c * r[i]
+    return rows
+
+
+def _random_matrix(backend, k, rng):
+    if backend == "rational":
+        pick = lambda: Fraction(int(rng.integers(-9, 10)), int(rng.choice((1, 1, 2, 3))))
+    elif backend == "real":
+        pick = lambda: float(rng.standard_normal())
+    else:
+        pick = lambda: complex(rng.standard_normal(), rng.standard_normal())
+    return Matrix([[pick() for _ in range(k)] for _ in range(k)], backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["rational", "real", "complex"])
+def test_conjugation_matches_the_list_shear_reference(backend):
+    rng = np.random.default_rng(2024)
+    for k in range(1, 9):
+        m = _random_matrix(backend, k, rng)
+        before = m.array.copy()
+        for seed in range(20):
+            got = conjugate_matrix(m, seed)
+            ref = _list_shear_conjugate(m, seed)
+            want = np.array(ref, dtype=m.array.dtype)
+            assert got.backend == backend and got.array.dtype == m.array.dtype
+            assert np.array_equal(got.array, want)
+            if backend != "rational":
+                assert got.array.tobytes() == want.tobytes()  # bit for bit
+            assert [type(e) for e in got.entries()] == [type(e) for r in ref for e in r]
+        assert np.array_equal(m.array, before) and not m.array.flags.writeable
 
 
 # --- scaling ---------------------------------------------------------------------------

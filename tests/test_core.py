@@ -11,20 +11,29 @@ from hypothesis import strategies as st
 
 from matroot import (
     BackendMismatch,
+    CaseTag,
     DimensionMismatch,
     Matrix,
     MatrixError,
+    RootConvention,
     Tolerance,
+    as_backend,
     block_diag,
+    case_counterexample,
+    conjugate_matrix,
     determinant,
+    geometric_factor_sum,
     identity,
+    mat_add,
     mat_eq,
     mat_mul,
     mat_pow,
     matrix_from_json,
     matrix_to_json,
     rotation,
+    scalar_matrix,
     scalar_mul,
+    scale_from_unit,
     shift_nilpotent,
     swap_block,
     theorem2_counterexample,
@@ -53,6 +62,12 @@ def test_backend_is_inferred_from_entries():
 def test_rational_backend_rejects_floats():
     with pytest.raises(BackendMismatch):
         Matrix([[0.5]], backend="rational")
+
+
+def test_unsupported_entry_type_is_a_matrix_error():
+    with pytest.raises(MatrixError, match="unsupported scalar type str") as exc:
+        Matrix([[1, "2"], [3, 4]])
+    assert type(exc.value) is MatrixError
 
 
 def test_non_square_rejected():
@@ -329,6 +344,56 @@ def test_rational_multiplication_is_exactly_associative():
     ]
     a, b, c = mats
     assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+
+
+# --- immutability and the rational form -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: identity(3, "rational"),
+        lambda: zeros(3, "real"),
+        lambda: scalar_matrix(2j, 3, "complex"),
+        lambda: mat_mul(swap_block(), swap_block()),
+        lambda: mat_add(rotation(0.3), rotation(0.3)),
+        lambda: scalar_mul(Fraction(1, 2), swap_block()),
+        lambda: as_backend(swap_block(), "real"),
+        lambda: block_diag([swap_block(), swap_block()]),
+        lambda: rotation(0.3),
+        lambda: conjugate_matrix(shift_nilpotent(4, 4), 3),
+        lambda: conjugate_matrix(rotation(0.3), 3),
+    ],
+    ids=[
+        "identity", "zeros", "scalar_matrix", "mat_mul", "mat_add", "scalar_mul",
+        "as_backend", "block_diag", "rotation", "conjugate_rational", "conjugate_real",
+    ],
+)
+def test_results_are_read_only(make):
+    m = make()
+    assert m.array.flags.writeable is False
+    with pytest.raises(ValueError):
+        m.array[0, 0] = 7
+
+
+def _entry_types(m):
+    return {type(e) for e in m.entries()}
+
+
+def test_integral_rationals_are_stored_as_ints():
+    assert type(Matrix([[Fraction(4, 2)]])[0, 0]) is int
+    assert _entry_types(scalar_matrix(Fraction(3), 2, "rational")) == {int}
+    w = case_counterexample(CaseTag.CASE_I, 4, 2).matrix
+    assert _entry_types(scale_from_unit(w, 2, 10**6)) == {int}
+    assert _entry_types(geometric_factor_sum(w, 4, RootConvention.real(4, 1))) == {int}
+
+
+def test_non_integral_rationals_stay_fractions_on_the_wire():
+    m = Matrix([[Fraction(1, 3), Fraction(4, 2)], [2, Fraction(-7, 2)]])
+    assert [type(e) for e in m.entries()] == [Fraction, int, int, Fraction]
+    data = matrix_to_json(m)
+    assert data["entries"] == ["1/3", "2/1", "2/1", "-7/2"]
+    assert json.dumps(matrix_to_json(matrix_from_json(data))) == json.dumps(data)
 
 
 # --- JSON wire form -------------------------------------------------------------
