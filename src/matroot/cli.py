@@ -12,7 +12,8 @@ for scripting:
 
 The environment variable MATROOT_TOL overrides the default absolute
 tolerance (1e-9) for every tolerance-aware command; --tol (where offered)
-overrides both.
+overrides both.  decide, verify and search apply it at |a| = 1, where every
+sentence is evaluated (see matroot.theorems); factor, at the scale of a.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix_file", help="matrix or witness JSON file")
     _add_kn(p)
     p.add_argument("--a", required=True, help="rational, decimal or complex literal")
-    p.add_argument("--tol", type=float, help="absolute tolerance override")
+    p.add_argument("--tol", type=float, help="absolute tolerance, applied at |a| = 1")
     _add_output(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="rational or decimal literal")
     p.add_argument("--budget", type=int, default=1000, help="candidates to try")
     p.add_argument("--seed", type=int, default=0, help="search RNG seed")
-    p.add_argument("--tol", type=float, help="absolute tolerance override")
+    p.add_argument("--tol", type=float, help="absolute tolerance, applied at |a| = 1")
     _add_output(p)
     p.set_defaults(func=_cmd_search)
 
@@ -284,17 +285,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix_file", help="matrix or witness JSON file")
     p.add_argument("--n", type=int, required=True, help="exponent (>= 2)")
     p.add_argument("--a", required=True, help="rational or decimal literal")
-    p.add_argument("--tol", type=float, help="absolute tolerance override")
+    p.add_argument("--tol", type=float, help="absolute tolerance, at the scale of a")
     _add_output(p)
     p.set_defaults(func=_cmd_factor)
 
     return parser
 
 
+def _bind_a(argv: list) -> list:
+    """Glue '--a' to a following '-...' literal (-1/3, -1e6) argparse reads as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--a" and tok[:1] == "-" and tok[:2] != "--":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_a(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:  # argparse already reported the problem
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -325,36 +325,27 @@ def conjugate_random(w: Witness, seed: int) -> Witness:
 # --- scaling reductions ------------------------------------------------------
 
 
-def _validate_scaling(n: int, a):
-    if isinstance(a, complex):
-        raise ValueError("scaling reductions are for real a")
-    if a == 0:
-        raise ValueError("a must be nonzero")
+def _scale(x: Matrix, n: int, a, power: int) -> Matrix:
+    """|a|^(power/n) * X for power = +-1.  Stays on the rational backend when X
+    is rational and |a| has a rational n-th root (a = 4, n = 2), else floats."""
+    if isinstance(a, complex) or a == 0:
+        raise ValueError(f"scaling reductions need a real nonzero a, got {a!r}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return abs(a)
-
-
-def scale_to_unit(x: Matrix, n: int, a) -> Matrix:
-    """|a|^(-1/n) * X: maps n-th roots of a*I to n-th roots of sign(a)*I.
-
-    Stays on the rational backend when |a| has an exact rational n-th root
-    (for example a = 4, n = 2), otherwise lifts to floats.
-    """
-    mag = _validate_scaling(n, a)
+    mag = abs(a)
     if x.backend == RATIONAL:
         exact = exact_nth_root(mag, n)
         if exact is not None:
-            return scalar_mul(1 / exact, x)
-    return scalar_mul(float(mag) ** (-1.0 / n), x)
+            return scalar_mul(exact**power, x)
+    return scalar_mul(float(mag) ** (power / n), x)
+
+
+def scale_to_unit(x: Matrix, n: int, a) -> Matrix:
+    """|a|^(-1/n) * X: maps n-th roots of a*I to n-th roots of sign(a)*I."""
+    return _scale(x, n, a, -1)
 
 
 def scale_from_unit(x: Matrix, n: int, a) -> Matrix:
     """|a|^(1/n) * X: the inverse of scale_to_unit, used to lift unit-case
     witnesses to general a."""
-    mag = _validate_scaling(n, a)
-    if x.backend == RATIONAL:
-        exact = exact_nth_root(mag, n)
-        if exact is not None:
-            return scalar_mul(exact, x)
-    return scalar_mul(float(mag) ** (1.0 / n), x)
+    return _scale(x, n, a, 1)

@@ -101,6 +101,14 @@ def _coerce_complex(value) -> complex:
 _COERCE = {RATIONAL: _coerce_rational, REAL: _coerce_real, COMPLEX: _coerce_complex}
 
 
+def _quotient(x, d: int) -> RationalScalar:
+    q, r = divmod(x, d)
+    return q if r == 0 else Fraction(x, d)
+
+
+_over = np.frompyfunc(_quotient, 2, 1)  # x / d entrywise (d > 0), an int when integral
+
+
 class Matrix:
     """Immutable dense square matrix over a single scalar backend."""
 
@@ -254,16 +262,13 @@ def as_backend(m: Matrix, backend: str) -> Matrix:
     return Matrix._wrap(m.array.astype(_BACKEND_DTYPE[backend]), backend)
 
 
-def common_backend(m: Matrix, c: Scalar) -> str:
-    return BACKENDS[max(_BACKEND_RANK[m.backend], _BACKEND_RANK[scalar_kind(c)])]
-
-
 def scalar_mul(c: Scalar, m: Matrix) -> Matrix:
     """c * M, promoting the backend when the scalar demands it."""
-    backend = common_backend(m, c)
-    mm = as_backend(m, backend)
-    cc = _COERCE[backend](c)
-    return Matrix._wrap(cc * mm.array, backend)
+    backend = BACKENDS[max(_BACKEND_RANK[m.backend], _BACKEND_RANK[scalar_kind(c)])]
+    if backend == RATIONAL:  # (p * M) / q, so int entries stay in int arithmetic
+        c = Fraction(_coerce_rational(c))
+        return Matrix._wrap(_over(m.array * c.numerator, c.denominator), backend)
+    return Matrix._wrap(_COERCE[backend](c) * as_backend(m, backend).array, backend)
 
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
@@ -273,14 +278,15 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
     n = int(n)
     if n < 0:
         raise MatrixError("negative powers are not supported")
-    result = identity(a.order, a.backend)
-    base = a
-    while n:
+    if n == 0:
+        return identity(a.order, a.backend)
+    while not n & 1:  # square up to the lowest set bit, which starts the product
+        a, n = mat_mul(a, a), n >> 1
+    result = a
+    while n := n >> 1:
+        a = mat_mul(a, a)
         if n & 1:
-            result = mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base)
+            result = mat_mul(result, a)
     return result
 
 

@@ -136,10 +136,6 @@ class RootConvention:
             exact = None
         return cls(n=n, a=a, root=root, exact_root=exact)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0
-
 
 def _lift_for_root(x: Matrix, conv: RootConvention) -> Tuple[Matrix, Scalar]:
     """Move x to a backend that can hold conv's root, returning (x, c)."""

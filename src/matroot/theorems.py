@@ -14,6 +14,10 @@ in closed form:
 
 ``evaluate`` gives both sentences' clause values at a single matrix; the
 sentence predicates, ``verify_witness`` and the command line all read it.
+It is also the one place that knows the scale.  Both sentences are invariant
+under X -> |a|^(-1/n) X, so a real a outside {0, 1, -1} is evaluated at unit
+scale, as scale_to_unit(X) against sign(a), and every tolerance applies at
+|a| = 1.  A complex a is evaluated at its own scale.
 
 Every "false" verdict carries a concrete witness that is re-verified before
 being returned.  A budget-bounded randomized search over structured block
@@ -53,13 +57,16 @@ from .core import (
     scalar_matrix_like,
     scalar_mul,
 )
-from .factors import RootConvention, geometric_factor_sum, quadratic_factor_eval
+from .factors import (
+    RootConvention, _lift_for_root, geometric_factor_sum, quadratic_factor_eval,
+)
 from .constructions import (
     CaseTag,
     Witness,
     conjugate_with_rng,
     case_counterexample,
     scale_from_unit,
+    scale_to_unit,
     shift_nilpotent,
     theorem2_counterexample,
     witness_to_json,
@@ -210,12 +217,11 @@ class Clauses:
 
     @_lazy
     def simple_root(self) -> bool:
-        x, rational = self.x, self.x.backend == RATIONAL
         if self.a == 0:
-            return is_zero(x, self.tol)
-        if self.sentence == 2 or (rational and self.conv.exact_root is None):
-            return False  # no real linear factor, or no rational root for a rational X
-        root = self.conv.exact_root if rational else self.conv.root
+            return is_zero(self.x, self.tol)
+        if self.sentence == 2:
+            return False  # no real linear factor
+        x, root = _lift_for_root(self.x, self.conv)
         return mat_eq(x, scalar_matrix_like(root, x), self.tol)
 
     @_lazy
@@ -241,11 +247,14 @@ def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
     """The clauses at x of the sentence that applies to ``inst``, a
     ProblemInstance or a Witness: sentence 2 when a < 0 and n is even, else
     sentence 1 with the real root convention, or with the principal root
-    when a is complex (the complex variant of sentence 1)."""
+    when a is complex (the complex variant of sentence 1); at unit scale for
+    a real a outside {0, 1, -1} (see the module docstring)."""
     if x.order != inst.k:
         raise DimensionMismatch(f"matrix order {x.order} != k = {inst.k}")
-    negative_even = not isinstance(inst.a, complex) and inst.a < 0 and inst.n % 2 == 0
-    return Clauses(x, inst.n, inst.a, 2 if negative_even else 1, tol)
+    n, a, real = inst.n, inst.a, not isinstance(inst.a, complex)
+    if real and a != 0 and abs(a) != 1:
+        x, a = scale_to_unit(x, n, a), (1 if a > 0 else -1)
+    return Clauses(x, n, a, 2 if real and a < 0 and n % 2 == 0 else 1, tol)
 
 
 def sentence1_holds_for(
@@ -282,50 +291,37 @@ def _unit_case_tag(inst: ProblemInstance) -> CaseTag:
     return CaseTag.CASE_V if inst.k % 2 == 0 else CaseTag.CASE_VI
 
 
-def _theorem1_witness(inst: ProblemInstance) -> Witness:
-    if inst.a == 0:
-        return Witness(
-            matrix=shift_nilpotent(inst.k, inst.n),
-            tag=CaseTag.NILPOTENT_SHIFT,
-            k=inst.k,
-            n=inst.n,
-            a=0,
-            refutes_sentence=1,
-        )
-    w = case_counterexample(_unit_case_tag(inst), inst.k, inst.n)
-    return _rescale_witness(w, inst)
-
-
-def _rescale_witness(w: Witness, inst: ProblemInstance) -> Witness:
-    matrix = w.matrix
-    if abs(inst.a) != 1:
-        matrix = scale_from_unit(matrix, inst.n, inst.a)
-    return replace(w, matrix=matrix, a=inst.a)
+def _witness(inst: ProblemInstance) -> Witness:
+    """The refuted cell's witness: a nilpotent shift, or a unit case lifted to |a|."""
+    k, n, a = inst.k, inst.n, inst.a
+    if a == 0:
+        shift = shift_nilpotent(k, n)
+        return Witness(shift, CaseTag.NILPOTENT_SHIFT, k, n, a=0, refutes_sentence=1)
+    if inst.regime is Regime.NEGATIVE_EVEN_N:
+        w = theorem2_counterexample(k, n)
+    else:
+        w = case_counterexample(_unit_case_tag(inst), k, n)
+    matrix = w.matrix if abs(a) == 1 else scale_from_unit(w.matrix, n, a)
+    return replace(w, matrix=matrix, a=a)
 
 
 def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict:
     """Decide the applicable sentence for (k, n, a) in closed form.
 
-    Failing verdicts carry the matching deterministic witness, re-verified
-    through the sentence evaluator before being returned.  General a != 0 is
-    reduced to the unit case by scaling and the witness scaled back.
-    Quarantined cells (see module docstring) return holds=False with
-    quarantined=True and no witness.
+    Failing verdicts carry the deterministic witness, re-verified through
+    ``verify_witness``.  Quarantined cells (see module docstring) return
+    holds=False with quarantined=True and no witness.
     """
+    if is_quarantined(inst):
+        return Verdict(holds=False, mode=VerdictMode.CLOSED_FORM, quarantined=True)
     if inst.regime is Regime.NEGATIVE_EVEN_N:
-        if is_quarantined(inst):
-            return Verdict(holds=False, mode=VerdictMode.CLOSED_FORM, quarantined=True)
         if theorem2_holds(inst):
             mode = VerdictMode.VACUOUS if inst.k % 2 == 1 else VerdictMode.CLOSED_FORM
             return Verdict(holds=True, mode=mode)
-        w = _rescale_witness(theorem2_counterexample(inst.k, inst.n), inst)
-        if sentence2_holds_for(w.matrix, inst, tol):
-            raise RuntimeError(f"witness failed re-verification for {inst}")
-        return Verdict(holds=False, mode=VerdictMode.CLOSED_FORM, witness=w)
-    if theorem1_holds(inst):
+    elif theorem1_holds(inst):
         return Verdict(holds=True, mode=VerdictMode.CLOSED_FORM)
-    w = _theorem1_witness(inst)
-    if sentence1_holds_for(w.matrix, inst, tol):
+    w = _witness(inst)
+    if not verify_witness(w, tol):
         raise RuntimeError(f"witness failed re-verification for {inst}")
     return Verdict(holds=False, mode=VerdictMode.CLOSED_FORM, witness=w)
 
@@ -418,13 +414,12 @@ def generate_candidates(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(int(seed))
-    scale_needed = inst.a != 0 and abs(inst.a) != 1
     for _ in range(count):
         if inst.regime is Regime.ZERO_A:
             cand = _zero_a_candidate(inst.k, rng)
         else:
             cand = _unit_root_candidate(inst, rng)
-            if scale_needed:
+            if abs(inst.a) != 1:
                 cand = scale_from_unit(cand, inst.n, inst.a)
         if conjugate:
             cand = conjugate_with_rng(cand, rng)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from matroot import (
     identity,
@@ -83,6 +84,26 @@ def test_decide_oversized_scalar_is_a_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("a", ["-1/3", "-1e6"])
+def test_decide_takes_a_negative_literal_after_a_space(capsys, a):
+    kn = ("--k", "4", "--n", "3")
+    code, out, _ = run_cli(capsys, "decide", *kn, "--a", a)
+    assert code == 3
+    assert out == run_cli(capsys, "decide", *kn, f"--a={a}")[1]
+
+
+def test_decide_far_from_unit_scale_refutes_and_verify_agrees(capsys, tmp_path):
+    kn = ("--k", "4", "--n", "3")
+    code, out, _ = run_cli(capsys, "decide", *kn, "--a", "1e12")
+    assert code == 3
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(parse_line(out)["witness"]))
+    code, out, _ = run_cli(capsys, "verify", str(path), *kn, "--a", "1e12")
+    assert code == 3
+    report = parse_line(out)
+    assert report["equation_satisfied"] is True and report["sentence_value"] is False
+
+
 def test_unknown_command_exits_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 
@@ -128,6 +149,14 @@ def test_construct_complex_ce_with_scalar(capsys):
     data = parse_line(out)
     assert data["matrix"]["backend"] == "complex"
     assert data["a"] == [16.0, 0.0]
+
+
+def test_construct_complex_ce_takes_a_negative_literal_after_a_space(capsys):
+    code, out, _ = run_cli(
+        capsys, "construct", "--tag", "complex-ce", "--k", "3", "--n", "3", "--a", "-3+0.5j"
+    )
+    assert code == 0
+    assert parse_line(out)["a"] == [-3.0, 0.5]
 
 
 def test_construct_rejects_scalar_for_real_tags(capsys):
@@ -241,6 +270,16 @@ def test_verify_complex_witness_against_its_own_a(capsys, tmp_path):
     assert report["equation_satisfied"] is True
     assert report["sentence_value"] is False
     assert verify_witness(witness_from_json(json.loads(path.read_text())))
+
+
+def test_verify_takes_a_negative_literal_after_a_space(capsys, tmp_path):
+    kn = ("--k", "4", "--n", "3")
+    path = tmp_path / "w.json"
+    code, out, _ = run_cli(capsys, "decide", *kn, "--a=-1/3")
+    path.write_text(json.dumps(parse_line(out)["witness"]))
+    code, out, _ = run_cli(capsys, "verify", str(path), *kn, "--a", "-1/3")
+    assert code == 3
+    assert parse_line(out)["sentence_value"] is False
 
 
 def test_verify_order_mismatch_exits_two(capsys, tmp_path):

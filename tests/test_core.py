@@ -34,6 +34,7 @@ from matroot import (
     scalar_matrix,
     scalar_mul,
     scale_from_unit,
+    scale_to_unit,
     shift_nilpotent,
     swap_block,
     theorem2_counterexample,
@@ -385,6 +386,8 @@ def test_integral_rationals_are_stored_as_ints():
     assert _entry_types(scalar_matrix(Fraction(3), 2, "rational")) == {int}
     w = case_counterexample(CaseTag.CASE_I, 4, 2).matrix
     assert _entry_types(scale_from_unit(w, 2, 10**6)) == {int}
+    tiny = Fraction(1, 10**30)
+    assert _entry_types(scale_to_unit(scale_from_unit(w, 2, tiny), 2, tiny)) == {int}
     assert _entry_types(geometric_factor_sum(w, 4, RootConvention.real(4, 1))) == {int}
 
 

@@ -495,12 +495,11 @@ def test_search_exhausts_scaled_true_cells():
 
 
 # --- far from unit scale ---------------------------------------------------------------
-# Known defect: the entrywise tolerance is absolute against a zero target, so
-# far from |a| = 1 the witness fails re-verification and the search misses.
-# These cells must pass once sentences are evaluated at unit scale.
+# Every sentence is evaluated at |a| = 1, so the tolerance contract holds at any
+# scale of a.  At a's own scale the absolute tolerance would reject these witnesses
+# and make the search miss.
 
 
-@pytest.mark.xfail(raises=RuntimeError, strict=True, reason="witness re-verification fails")
 @pytest.mark.parametrize(
     "cell",
     [
@@ -517,7 +516,35 @@ def test_decide_refutes_far_from_unit_scale(cell):
     assert not verdict.holds and verify_witness(verdict.witness)
 
 
-@pytest.mark.xfail(strict=True, reason="no candidate evaluates as a root of a*I")
 def test_search_finds_counterexample_far_from_unit_scale():
     verdict = search_counterexample(ProblemInstance(4, 3, 10**12), 300, 1)
     assert verdict.mode is VerdictMode.WITNESS_FOUND
+
+
+SWEEP_AS = [
+    s * m
+    for s in (1, -1)
+    for e in (6, 12, 30, 300)
+    for m in (10**e, Fraction(1, 10**e))
+] + [1e300, -1e300, 1e-300, -1e-300]
+
+
+@pytest.mark.parametrize("a", SWEEP_AS, ids=lambda a: f"{type(a).__name__}:{float(a):g}")
+def test_scale_sweep_agrees_with_the_closed_form(a):
+    for k in range(2, 9):
+        for n in range(2, 8):
+            inst = ProblemInstance(k, n, a)
+            verdict = decide(inst)
+            if verdict.witness is not None:
+                assert verify_witness(verdict.witness), (k, n)
+            found = search_counterexample(inst, 40, 0)
+            refuted = not verdict.holds and not verdict.quarantined
+            assert found.holds != refuted, (k, n)
+            if refuted:
+                assert verify_witness(found.witness), (k, n)
+
+
+def test_search_exhausts_far_from_unit_scale_on_a_true_cell():
+    # at the scale of a, the absolute tolerance would report a bogus witness here
+    verdict = search_counterexample(ProblemInstance(2, 2, -(10**6)), 400, 42)
+    assert verdict.mode is VerdictMode.SEARCH_EXHAUSTED
