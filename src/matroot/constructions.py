@@ -283,26 +283,45 @@ _RATIONAL_SHEARS_PER_ORDER = 3
 _FLOAT_SHEARS = 3
 
 
-def conjugate_with_rng(m: Matrix, rng: np.random.Generator) -> Matrix:
-    k = m.order
-    if k < 2:
-        return m
-    if m.backend == RATIONAL:
+_SIGNS = np.array((-1, 1))
+
+
+def _shear_draws(rng: np.random.Generator, k: int, backend: str):
+    """One conjugation's shear coefficients and (i, j) index pairs, drawn from rng."""
+    if backend == RATIONAL:
         count = _RATIONAL_SHEARS_PER_ORDER * k
         coeffs = rng.integers(-2, 3, size=count)
     else:
         count = _FLOAT_SHEARS
-        coeffs = rng.choice((-1, 1), size=count)
-    pairs = rng.integers(0, k, size=(count, 2))
-    arr = m.array.copy()
-    # tolist() gives Python ints, so rational entries stay ints and Fractions
-    for (i, j), c in zip(pairs.tolist(), coeffs.tolist()):
-        if i == j or c == 0:
-            continue
-        # conjugate by the unimodular shear I + c*E[i,j]:
-        # row i += c * row j, then column j -= c * column i
-        arr[i] += c * arr[j]
-        arr[:, j] -= c * arr[:, i]
+        coeffs = _SIGNS[rng.integers(0, 2, size=count)]  # as rng.choice((-1, 1)) draws
+    return coeffs, rng.integers(0, k, size=(count, 2))
+
+
+def _sheared(stack: np.ndarray, backend: str, coeffs: np.ndarray, pairs: np.ndarray):
+    """A copy of the (m, k, k) stack with each matrix c conjugated by its own
+    shears I + coeffs[c, s] * E[pairs[c, s]], in order s: row i += c * row j,
+    then column j -= c * column i.  Shears with i = j or c = 0 are skipped."""
+    arr = stack.copy()
+    live = (pairs[..., 0] != pairs[..., 1]) & (coeffs != 0)
+    if backend == RATIONAL:
+        coeffs = coeffs.astype(object)  # Python ints, so entries stay ints and Fractions
+    for s in np.flatnonzero(live.any(axis=0)):
+        at = np.flatnonzero(live[:, s])
+        i, j, c = pairs[at, s, 0], pairs[at, s, 1], coeffs[at, s, None]
+        arr[at, i] += c * arr[at, j]
+        arr[at, :, j] -= c * arr[at, :, i]
+    return arr
+
+
+def conjugate_with_rng(m: Matrix, rng: np.random.Generator) -> Matrix:
+    """P * M * P^-1 for the unimodular shear product P drawn from rng: the
+    one-matrix case of the shear kernel that the candidate search applies
+    to whole stacks."""
+    k = m.order
+    if k < 2:
+        return m
+    coeffs, pairs = _shear_draws(rng, k, m.backend)
+    arr = _sheared(m.array[None], m.backend, coeffs[None], pairs[None])[0]
     return Matrix._wrap(arr, m.backend)
 
 
@@ -325,6 +344,23 @@ def conjugate_random(w: Witness, seed: int) -> Witness:
 # --- scaling reductions ------------------------------------------------------
 
 
+def _float_root(mag, n: int, power: int) -> float:
+    """|a|^(power/n) as a float.  Where float(|a|) overflows or rounds to 0 it
+    comes from the logarithms of |a|'s exact numerator and denominator."""
+    try:
+        f = float(mag)
+    except OverflowError:
+        f = 0.0
+    if f > 0:
+        return f ** (power / n)
+    q = Fraction(mag)
+    log = power * (math.log(q.numerator) - math.log(q.denominator)) / n
+    factor = math.exp(log) if log < 710 else math.inf  # exp(710) overflows
+    if not 0 < factor < math.inf:
+        raise ValueError(f"|a|^({power}/{n}) is outside the float range")
+    return factor
+
+
 def _scale(x: Matrix, n: int, a, power: int) -> Matrix:
     """|a|^(power/n) * X for power = +-1.  Stays on the rational backend when X
     is rational and |a| has a rational n-th root (a = 4, n = 2), else floats."""
@@ -337,7 +373,7 @@ def _scale(x: Matrix, n: int, a, power: int) -> Matrix:
         exact = exact_nth_root(mag, n)
         if exact is not None:
             return scalar_mul(exact**power, x)
-    return scalar_mul(float(mag) ** (power / n), x)
+    return scalar_mul(_float_root(mag, n, power), x)
 
 
 def scale_to_unit(x: Matrix, n: int, a) -> Matrix:

@@ -15,6 +15,9 @@ backends compare entrywise under a ``Tolerance(absolute, relative)`` contract:
 
 Storage is a read-only numpy array (``object`` dtype for the rational
 backend), so matrices are immutable values and safe to share across threads.
+Inside the library a Matrix may also hold a (m, k, k) stack of matrices of
+one backend: the arithmetic below broadcasts over the leading axis, and
+``mat_eq`` / ``is_zero`` then give one bool per stacked matrix.
 """
 
 from __future__ import annotations
@@ -132,8 +135,9 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, backend: str) -> "Matrix":
-        # Internal fast path: trusted, already-coerced square array.  The
-        # caller hands over ownership of a fresh array that nothing else
+        # Internal fast path: trusted, already-coerced square array, or a
+        # (m, k, k) stack of them (see the module docstring).  The caller
+        # hands over ownership of a fresh array that nothing else
         # references; it is frozen in place, not copied.  Float backends still
         # honour the no-NaN/inf invariant (overflow in an operation must fail
         # loudly, not poison later comparisons).
@@ -147,7 +151,7 @@ class Matrix:
 
     @property
     def order(self) -> int:
-        return self._arr.shape[0]
+        return self._arr.shape[-1]
 
     @property
     def array(self) -> np.ndarray:
@@ -292,7 +296,8 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
 
 def mat_eq(a: Matrix, b: Matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Entrywise comparison. Exact on the rational backend, tolerance-aware
-    on float backends: |x - y| <= absolute + relative * max(|x|, |y|)."""
+    on float backends: |x - y| <= absolute + relative * max(|x|, |y|).
+    A bool per matrix when a or b is a stack."""
     _check_pair(a, b)
     return _entries_close(a.array, b.array, a.backend, tol)
 
@@ -302,11 +307,15 @@ def is_zero(m: Matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return _entries_close(m.array, 0, m.backend, tol)
 
 
-def _entries_close(x: np.ndarray, y, backend: str, tol: Tolerance) -> bool:
+def _entries_close(x: np.ndarray, y, backend: str, tol: Tolerance):
     if backend == RATIONAL:
-        return bool((x == y).all())
-    bound = tol.absolute + tol.relative * np.maximum(np.abs(x), np.abs(y))
-    return bool((np.abs(x - y) <= bound).all())
+        close = x == y
+    else:
+        bound = tol.absolute + tol.relative * np.maximum(np.abs(x), np.abs(y))
+        close = np.abs(x - y) <= bound
+    if close.ndim == 2:
+        return bool(close.all())
+    return close.all(axis=(-2, -1))
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:

@@ -12,8 +12,9 @@ in closed form:
   True exactly when k is odd (vacuously: no real root of a*I exists, by a
   determinant parity argument) or k is even with n = 2.
 
-``evaluate`` gives both sentences' clause values at a single matrix; the
-sentence predicates, ``verify_witness`` and the command line all read it.
+``evaluate`` gives both sentences' clause values at a single matrix, or at
+each matrix of a stack; the sentence predicates, ``verify_witness``, the
+search and the command line all read it.
 It is also the one place that knows the scale.  Both sentences are invariant
 under X -> |a|^(-1/n) X, so a real a outside {0, 1, -1} is evaluated at unit
 scale, as scale_to_unit(X) against sign(a), and every tolerance applies at
@@ -22,7 +23,8 @@ scale, as scale_to_unit(X) against sign(a), and every tolerance applies at
 Every "false" verdict carries a concrete witness that is re-verified before
 being returned.  A budget-bounded randomized search over structured block
 direct sums (conjugated by random unimodular shears) cross-checks the
-closed forms; it reports SearchExhausted rather than claiming proof.
+closed forms, a stacked chunk of candidates at a time; it reports
+SearchExhausted rather than claiming proof.
 
 Quarantine: for k = 2, n >= 4, a < 0 even-n the closed form above says
 "false", yet every 2 x 2 real root of a*I is a single scaled rotation block
@@ -48,22 +50,22 @@ from .core import (
     DimensionMismatch,
     Matrix,
     Tolerance,
-    block_diag,
     is_zero,
     mat_eq,
     mat_mul,
     mat_pow,
     rotation,
     scalar_matrix_like,
-    scalar_mul,
 )
 from .factors import (
-    RootConvention, _lift_for_root, geometric_factor_sum, quadratic_factor_eval,
+    RootConvention, _lift_for_root, exact_nth_root, geometric_factor_sum,
+    quadratic_factor_eval,
 )
 from .constructions import (
     CaseTag,
     Witness,
-    conjugate_with_rng,
+    _shear_draws,
+    _sheared,
     case_counterexample,
     scale_from_unit,
     scale_to_unit,
@@ -188,11 +190,13 @@ class _lazy:
 
 
 class Clauses:
-    """Clause values of the applicable sentence (``sentence``, 1 or 2) at one
-    matrix, each computed on first use; ``holds`` computes only what the
-    implication needs, so a non-root never reaches a factor polynomial and
-    sentence 2 stops at its first vanishing quadratic.  Sentence 2 has no real
-    linear factor, so its ``simple_root`` is False."""
+    """Clause values of the applicable sentence (``sentence``, 1 or 2) at x,
+    one matrix or a (m, k, k) stack of them: each clause is a bool, or a
+    boolean array with one entry per stacked matrix, computed on first use.
+    ``holds`` computes only what the implication needs: a factor polynomial
+    runs only on the matrices that satisfy X^n = aI and are not simple
+    roots, and sentence 2 stops at each matrix's first vanishing quadratic.
+    Sentence 2 has no real linear factor, so its ``simple_root`` is False."""
 
     def __init__(self, x: Matrix, n: int, a, sentence: int, tol: Tolerance) -> None:
         self.x, self.n, self.a, self.sentence, self.tol = x, n, a, sentence, tol
@@ -208,7 +212,7 @@ class Clauses:
         return mat_pow(self.x, self.n - 1)
 
     @_lazy
-    def equation(self) -> bool:
+    def equation(self):
         x = self.x
         if self.a == 0:
             # share the power: X^n = X * X^(n-1), and the factor sum is X^(n-1)
@@ -216,31 +220,53 @@ class Clauses:
         return mat_eq(mat_pow(x, self.n), scalar_matrix_like(self.a, x), self.tol)
 
     @_lazy
-    def simple_root(self) -> bool:
+    def simple_root(self):
         if self.a == 0:
             return is_zero(self.x, self.tol)
-        if self.sentence == 2:
-            return False  # no real linear factor
+        if self.sentence == 2:  # no real linear factor
+            return False if self.x.array.ndim == 2 else np.zeros(len(self.x.array), bool)
         x, root = _lift_for_root(self.x, self.conv)
         return mat_eq(x, scalar_matrix_like(root, x), self.tol)
 
     @_lazy
-    def factor_sum_zero(self) -> bool:
+    def factor_sum_zero(self):
         if self.a == 0:
             return is_zero(self._tail, self.tol)
         return is_zero(geometric_factor_sum(self.x, self.n, self.conv), self.tol)
 
+    def _quadratic_zero(self, i: int):
+        return is_zero(quadratic_factor_eval(self.x, self.n, self.a, i), self.tol)
+
     def zero_quadratics(self) -> Iterator[int]:
-        """The indices i whose quadratic factor vanishes at X, in order."""
+        """The indices i whose quadratic factor vanishes at one matrix X, in order."""
         for i in range(1, self.n // 2 + 1):
-            if is_zero(quadratic_factor_eval(self.x, self.n, self.a, i), self.tol):
+            if self._quadratic_zero(i):
                 yield i
 
-    @property
-    def holds(self) -> bool:
-        if self.sentence == 2:
-            return not self.equation or next(self.zero_quadratics(), None) is not None
-        return not self.equation or self.simple_root or self.factor_sum_zero
+    def _settle(self, open_, clause):
+        """open_ less the matrices at which clause(c) is true.  clause runs only
+        on the matrices marked open: c is self when all of them are, else the
+        Clauses of just the open ones."""
+        if isinstance(open_, bool):  # one matrix
+            return open_ and not clause(self)
+        if open_.all():
+            return ~clause(self)
+        if open_.any():
+            x = Matrix._wrap(self.x.array[open_], self.x.backend)
+            open_ = open_.copy()
+            open_[open_] = ~clause(Clauses(x, self.n, self.a, self.sentence, self.tol))
+        return open_
+
+    @_lazy
+    def holds(self):
+        open_ = self.equation  # the roots whose implication is not settled yet
+        if self.sentence == 1:
+            open_ = self._settle(open_, lambda c: c.simple_root)
+            open_ = self._settle(open_, lambda c: c.factor_sum_zero)
+        else:
+            for i in range(1, self.n // 2 + 1):
+                open_ = self._settle(open_, lambda c: c._quadratic_zero(i))
+        return not open_ if isinstance(open_, bool) else ~open_
 
 
 def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
@@ -248,7 +274,8 @@ def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
     ProblemInstance or a Witness: sentence 2 when a < 0 and n is even, else
     sentence 1 with the real root convention, or with the principal root
     when a is complex (the complex variant of sentence 1); at unit scale for
-    a real a outside {0, 1, -1} (see the module docstring)."""
+    a real a outside {0, 1, -1} (see the module docstring).  x may be a
+    (m, k, k) stack, and each clause then has one value per matrix."""
     if x.order != inst.k:
         raise DimensionMismatch(f"matrix order {x.order} != k = {inst.k}")
     n, a, real = inst.n, inst.a, not isinstance(inst.a, complex)
@@ -329,73 +356,118 @@ def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict
 # --- randomized cross-checking search ----------------------------------------
 
 
-def _zero_a_candidate(k: int, rng: np.random.Generator) -> Matrix:
-    """Random nilpotent: direct sum of first-superdiagonal shift blocks."""
-    arr = np.full((k, k), 0, dtype=object)
-    at = 0
-    while at < k:
-        size = int(rng.integers(1, k - at + 1))
-        for i in range(at, at + size - 1):
-            arr[i, i + 1] = 1
-        at += size
-    return Matrix._wrap(arr, RATIONAL)
+# Candidates are built and checked a chunk at a time: 4, 8, 16, ... up to
+# _MAX_CHUNK, so an early violator costs few spare candidates and the memory
+# a chunk holds does not grow with the budget.
+_FIRST_CHUNK = 4
+_MAX_CHUNK = 64
 
 
-def _unit_root_candidate(inst: ProblemInstance, rng: np.random.Generator) -> Matrix:
-    """Random block direct sum whose n-th power is sign(a)*I.
+class _Candidates:
+    """The seed-deterministic candidate stream of ``generate_candidates``,
+    built a chunk at a time as one (m, k, k) stack per backend.
 
-    Admissible blocks: scalar s with s^n = sign(a); rotation(2*pi*w/n) for
-    a > 0; -rotation(2*pi*w/n) for a < 0 odd n; rotation((2j-1)*pi/n) for
-    a < 0 even n.  When a < 0, n even and k is odd no admissible composition
-    exists (the determinant obstruction), so one +-1 scalar pad is inserted;
-    the padded candidate deliberately violates X^n = a*I.
+    A candidate is a block direct sum.  For a = 0 its blocks are
+    first-superdiagonal shifts of order at most n, so X^n = 0.  Otherwise
+    they are scalars s with s^n = sign(a) and 2 x 2 blocks: rotation(2*pi*w/n)
+    for a > 0, -rotation(2*pi*w/n) for a < 0 with odd n, and
+    rotation((2j-1)*pi/n) for a < 0 with even n; then the sum is scaled by
+    |a|^(1/n).  When a < 0, n is even and k is odd, no such sum exists (the
+    determinant obstruction), so one +-1 scalar pad is inserted and the
+    candidate deliberately violates X^n = a*I.  Last, each candidate is
+    conjugated by its own random unimodular shears.
     """
-    k, n = inst.k, inst.n
-    regime = inst.regime
-    if regime is Regime.POSITIVE_A:
-        scalars = [1, -1] if n % 2 == 0 else [1]
-        angles = [2.0 * math.pi * w / n for w in range(1, n)]
-        negate = False
-    elif regime is Regime.NEGATIVE_ODD_N:
-        scalars = [-1]
-        angles = [2.0 * math.pi * w / n for w in range(1, n)]
-        negate = True
-    else:  # NEGATIVE_EVEN_N
-        scalars = []
-        angles = [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
-        negate = False
 
-    sizes = []
-    rem = k
-    if not scalars:
-        sizes = [2] * (rem // 2)
-        if rem % 2:
-            sizes.insert(int(rng.integers(0, len(sizes) + 1)), 1)
-    else:
-        while rem:
-            if rem == 1 or (angles and rng.random() < 0.4):
-                sizes.append(1)
-                rem -= 1
-            else:
-                sizes.append(2)
-                rem -= 2
+    def __init__(self, inst: ProblemInstance, seed: int, conjugate: bool) -> None:
+        self.k, self.n, self.a = inst.k, inst.n, inst.a
+        self.rng = np.random.default_rng(int(seed))
+        self.conjugate = conjugate
+        self.zero = inst.regime is Regime.ZERO_A
+        self.scalars = []
+        if self.zero:
+            return
+        n, sign = inst.n, 1.0
+        if inst.regime is Regime.POSITIVE_A:
+            self.scalars = [1, -1] if n % 2 == 0 else [1]
+            angles = [2.0 * math.pi * w / n for w in range(1, n)]
+        elif inst.regime is Regime.NEGATIVE_ODD_N:
+            self.scalars, sign = [-1], -1.0
+            angles = [2.0 * math.pi * w / n for w in range(1, n)]
+        else:  # NEGATIVE_EVEN_N
+            angles = [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
+        self.blocks = sign * np.array([rotation(t).array for t in angles])
+        # rational candidates stay rational through scaling when |a|^(1/n) is rational
+        self.exact = abs(inst.a) == 1 or exact_nth_root(abs(inst.a), n) is not None
 
-    has_rotation = any(s == 2 for s in sizes)
-    backend = REAL if has_rotation else RATIONAL
-    blocks = []
-    for size in sizes:
-        if size == 1:
-            s = scalars[int(rng.integers(0, len(scalars)))] if scalars else (
-                1 if rng.random() < 0.5 else -1
-            )
-            blocks.append(Matrix([[float(s)]], backend=REAL) if backend == REAL
-                          else Matrix([[s]], backend=RATIONAL))
+    def _draw(self) -> tuple:
+        """One candidate's block draws, in the stream's fixed order (block
+        sizes, then each block's scalar or angle): its backend, its (i, j, s)
+        entries X[i, j] = s and its (i, angle index) 2 x 2 blocks."""
+        k, rng, scalars = self.k, self.rng, self.scalars
+        entries, rotations, sizes, at = [], [], [], 0
+        if self.zero:
+            while at < k:
+                size = int(rng.integers(1, min(self.n, k - at) + 1))
+                entries += [(i, i + 1, 1) for i in range(at, at + size - 1)]
+                at += size
+            return RATIONAL, entries, rotations
+        if scalars:
+            rem = k
+            while rem:
+                sizes.append(1 if rem == 1 or rng.random() < 0.4 else 2)
+                rem -= sizes[-1]
         else:
-            block = rotation(angles[int(rng.integers(0, len(angles)))])
-            if negate:
-                block = scalar_mul(-1.0, block)
-            blocks.append(block)
-    return block_diag(blocks)
+            sizes = [2] * (k // 2)
+            if k % 2:
+                sizes.insert(int(rng.integers(0, len(sizes) + 1)), 1)
+        for size in sizes:
+            if size == 2:
+                rotations.append((at, int(rng.integers(0, len(self.blocks)))))
+            elif scalars:
+                entries.append((at, at, scalars[int(rng.integers(0, len(scalars)))]))
+            else:
+                entries.append((at, at, 1 if rng.random() < 0.5 else -1))
+            at += size
+        return REAL if rotations or not self.exact else RATIONAL, entries, rotations
+
+    def _stack(self, backend: str, drawn: list) -> tuple:
+        """(positions, stack): the drawn candidates of one backend as a stacked
+        Matrix, scaled and conjugated, with their positions in the chunk."""
+        k = self.k
+        arr = np.full((len(drawn), k, k), 0, dtype=object if backend == RATIONAL else float)
+        for c, (_, entries, rotations, _) in enumerate(drawn):
+            for i, j, s in entries:
+                arr[c, i, j] = s if backend == RATIONAL else float(s)
+            for i, w in rotations:
+                arr[c, i : i + 2, i : i + 2] = self.blocks[w]
+        stack = Matrix._wrap(arr, backend)
+        if not self.zero and abs(self.a) != 1:
+            stack = scale_from_unit(stack, self.n, self.a)
+        if self.conjugate:
+            coeffs = np.array([shears[0] for *_, shears in drawn])
+            pairs = np.array([shears[1] for *_, shears in drawn])
+            stack = Matrix._wrap(_sheared(stack.array, backend, coeffs, pairs), backend)
+        return [d[0] for d in drawn], stack
+
+    def chunks(self, count: int) -> Iterator[tuple]:
+        """Yield (first, groups) for the first ``count`` candidates, a chunk at a
+        time: ``first`` is the stream index of the chunk's first candidate and
+        ``groups`` holds one (positions, stack) per backend."""
+        first, size = 0, _FIRST_CHUNK
+        while first < count:
+            size = min(size, count - first)
+            drawn = {}
+            for position in range(size):
+                backend, entries, rotations = self._draw()
+                shears = _shear_draws(self.rng, self.k, backend) if self.conjugate else None
+                drawn.setdefault(backend, []).append((position, entries, rotations, shears))
+            yield first, [self._stack(backend, cands) for backend, cands in drawn.items()]
+            first += size
+            size = min(2 * size, _MAX_CHUNK)
+
+
+def _row(stack: Matrix, r: int) -> Matrix:
+    return Matrix._wrap(stack.array[r], stack.backend)
 
 
 def generate_candidates(
@@ -410,20 +482,15 @@ def generate_candidates(
     similar to one), optionally conjugated by random unimodular integer
     shears; raw random matrices would essentially never satisfy X^n = a*I.
     For |a| not in {0, 1} the unit-case candidate is scaled by |a|^(1/n).
+    They are built in chunks of 4, 8, 16, ... (at most 64) candidates, one
+    stack per backend, and yielded one by one in stream order; candidate i
+    of a seed is the same matrix whatever ``count`` is.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(int(seed))
-    for _ in range(count):
-        if inst.regime is Regime.ZERO_A:
-            cand = _zero_a_candidate(inst.k, rng)
-        else:
-            cand = _unit_root_candidate(inst, rng)
-            if abs(inst.a) != 1:
-                cand = scale_from_unit(cand, inst.n, inst.a)
-        if conjugate:
-            cand = conjugate_with_rng(cand, rng)
-        yield cand
+    for _, groups in _Candidates(inst, seed, conjugate).chunks(count):
+        rows = {p: _row(stack, r) for ps, stack in groups for r, p in enumerate(ps)}
+        yield from (rows[p] for p in sorted(rows))
 
 
 def search_counterexample(
@@ -436,24 +503,24 @@ def search_counterexample(
 
     Returns WitnessFound with the first violator in seed order, else
     SearchExhausted with trials = budget.  Exhaustion is evidence, not proof:
-    the closed-form predicates remain the authority.
+    the closed-form predicates remain the authority.  The candidates of
+    ``generate_candidates(inst, budget, seed)`` are checked a chunk at a
+    time, each backend's stack by one ``evaluate``; ``trials`` is the stream
+    index of the violator plus one, as if they were checked one by one.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    for trials, cand in enumerate(generate_candidates(inst, budget, seed), 1):
-        clauses = evaluate(cand, inst, tol)
-        if not clauses.holds:
-            w = Witness(
-                matrix=cand,
-                tag=None,
-                k=inst.k,
-                n=inst.n,
-                a=inst.a,
-                refutes_sentence=clauses.sentence,
-            )
-            return Verdict(
-                holds=False, mode=VerdictMode.WITNESS_FOUND, witness=w, trials=trials
-            )
+    for first, groups in _Candidates(inst, seed, True).chunks(budget):
+        violators = []  # each stack's first violator: (position, matrix, sentence)
+        for positions, stack in groups:
+            clauses = evaluate(stack, inst, tol)
+            bad = np.flatnonzero(~clauses.holds)
+            if bad.size:
+                violators.append((positions[bad[0]], _row(stack, bad[0]), clauses.sentence))
+        if violators:
+            position, matrix, sentence = min(violators, key=lambda v: v[0])
+            w = Witness(matrix, None, inst.k, inst.n, inst.a, refutes_sentence=sentence)
+            return Verdict(False, VerdictMode.WITNESS_FOUND, w, trials=first + position + 1)
     return Verdict(holds=True, mode=VerdictMode.SEARCH_EXHAUSTED, trials=budget)
 
 

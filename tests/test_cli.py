@@ -78,9 +78,16 @@ def test_decide_rejects_tiny_orders(capsys):
     assert code == 2
 
 
-def test_decide_oversized_scalar_is_a_usage_error(capsys):
-    # 1e400 parses as an exact rational but cannot be scaled through floats
-    code, _, err = run_cli(capsys, "decide", "--k", "4", "--n", "3", "--a", "1e400")
+@pytest.mark.parametrize("a", ["1e400", "1e-400", "-1e400"])
+def test_decide_beyond_the_float_range_refutes(capsys, a):
+    # float(a) overflows or rounds to 0; |a|^(1/3) comes from exact logarithms
+    code, out, _ = run_cli(capsys, "decide", "--k", "4", "--n", "3", "--a", a)
+    assert code == 3 and json.loads(out)["holds"] is False
+
+
+def test_decide_scale_factor_outside_the_float_range_is_a_usage_error(capsys):
+    # 2e-700 has no rational square root, and its square root is below the floats
+    code, _, err = run_cli(capsys, "decide", "--k", "4", "--n", "2", "--a", "2e-700")
     assert code == 2 and "error" in err
 
 

@@ -38,7 +38,7 @@ from matroot import (
     zeros,
 )
 
-from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER
+from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _shear_draws
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -353,6 +353,16 @@ def test_conjugation_matches_the_list_shear_reference(backend):
                 assert got.array.tobytes() == want.tobytes()  # bit for bit
             assert [type(e) for e in got.entries()] == [type(e) for r in ref for e in r]
         assert np.array_equal(m.array, before) and not m.array.flags.writeable
+
+
+def test_float_shear_draws_match_rng_choice():
+    # construct --conjugate-seed output depends on these draws staying the same
+    for seed in range(2000):
+        chosen, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = chosen.choice((-1, 1), size=_FLOAT_SHEARS), chosen.integers(0, 5, size=(3, 2))
+        got = _shear_draws(drawn, 5, "real")
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+        assert drawn.bit_generator.state == chosen.bit_generator.state
 
 
 # --- scaling ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import matroot.theorems as theorems
@@ -16,6 +17,7 @@ from matroot import (
     Tolerance,
     Verdict,
     VerdictMode,
+    Witness,
     block_diag,
     case_counterexample,
     complex_counterexample,
@@ -32,6 +34,7 @@ from matroot import (
     rotation,
     scalar_matrix,
     scalar_mul,
+    scale_from_unit,
     search_counterexample,
     sentence1_holds_for,
     sentence2_holds_for,
@@ -45,6 +48,7 @@ from matroot import (
     zeros,
 )
 from matroot.cli import main as cli_main
+from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -458,6 +462,21 @@ def test_negative_even_odd_order_candidates_all_miss_minus_identity():
     assert seen == 200
 
 
+def test_zero_a_candidates_are_roots_when_n_is_below_k():
+    inst = ProblemInstance(6, 3, 0)
+    for cand in generate_candidates(inst, 200, seed=37):
+        assert mat_pow(cand, 3) == zeros(6, "rational")
+
+
+@pytest.mark.parametrize(
+    "cell", [(8, 2, 0), (12, 2, 0), (12, 3, 0), (16, 2, 0), (16, 3, 0), (16, 4, 0), (16, 9, 0)]
+)
+def test_search_refutes_zero_a_cells_with_n_below_k(cell):
+    verdict = search_counterexample(ProblemInstance(*cell), 50, 0)
+    assert verdict.mode is VerdictMode.WITNESS_FOUND and verdict.trials <= 2
+    assert verify_witness(verdict.witness)
+
+
 def test_candidate_stream_is_deterministic():
     inst = ProblemInstance(4, 5, 1)
     first = [c for c in generate_candidates(inst, 50, seed=29)]
@@ -548,3 +567,177 @@ def test_search_exhausts_far_from_unit_scale_on_a_true_cell():
     # at the scale of a, the absolute tolerance would report a bogus witness here
     verdict = search_counterexample(ProblemInstance(2, 2, -(10**6)), 400, 42)
     assert verdict.mode is VerdictMode.SEARCH_EXHAUSTED
+
+
+@pytest.mark.parametrize("a", [10**400, -(10**400), Fraction(1, 10**400), -Fraction(1, 10**400)],
+                         ids=["1e400", "-1e400", "1e-400", "-1e-400"])
+def test_beyond_the_float_range_agrees_with_the_closed_form(a):
+    for k, n in [(4, 3), (2, 3), (4, 4), (2, 2), (5, 4), (3, 5)]:
+        inst = ProblemInstance(k, n, a)
+        verdict = decide(inst)
+        if verdict.witness is not None:
+            assert verify_witness(verdict.witness), (k, n)
+        found = search_counterexample(inst, 40, 0)
+        assert found.holds != (not verdict.holds and not verdict.quarantined), (k, n)
+        if not found.holds:
+            assert verify_witness(found.witness), (k, n)
+
+
+def test_scale_factor_outside_the_float_range_is_a_value_error():
+    with pytest.raises(ValueError):  # |a|^(1/2) = 10^-350 rounds to 0
+        scale_from_unit(identity(2, "real"), 2, Fraction(1, 10**700))
+    with pytest.raises(ValueError):
+        search_counterexample(ProblemInstance(4, 2, -Fraction(1, 10**700)), 4, 0)
+
+
+# --- stacked search against the per-candidate reference -----------------------------
+# The generator used to build, conjugate and check one Matrix per candidate.  The
+# reference below is that code; the stacked search must yield the same candidates,
+# byte for byte, and the same verdicts, witnesses and trials.
+
+
+def _reference_block_sum(inst, rng):
+    k, n = inst.k, inst.n
+    if inst.a == 0:
+        rows = [[0] * k for _ in range(k)]
+        at = 0
+        while at < k:
+            size = int(rng.integers(1, k - at + 1))
+            for i in range(at, at + size - 1):
+                rows[i][i + 1] = 1
+            at += size
+        return Matrix(rows, backend="rational")
+    if inst.a > 0:
+        scalars = [1, -1] if n % 2 == 0 else [1]
+        angles = [2.0 * math.pi * w / n for w in range(1, n)]
+        negate = False
+    elif n % 2 == 1:
+        scalars = [-1]
+        angles = [2.0 * math.pi * w / n for w in range(1, n)]
+        negate = True
+    else:
+        scalars = []
+        angles = [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
+        negate = False
+    sizes = []
+    rem = k
+    if not scalars:
+        sizes = [2] * (rem // 2)
+        if rem % 2:
+            sizes.insert(int(rng.integers(0, len(sizes) + 1)), 1)
+    else:
+        while rem:
+            if rem == 1 or (angles and rng.random() < 0.4):
+                sizes.append(1)
+                rem -= 1
+            else:
+                sizes.append(2)
+                rem -= 2
+    backend = "real" if 2 in sizes else "rational"
+    blocks = []
+    for size in sizes:
+        if size == 1:
+            s = scalars[int(rng.integers(0, len(scalars)))] if scalars else (
+                1 if rng.random() < 0.5 else -1
+            )
+            blocks.append(Matrix([[float(s)]], backend="real") if backend == "real"
+                          else Matrix([[s]], backend="rational"))
+        else:
+            block = rotation(angles[int(rng.integers(0, len(angles)))])
+            if negate:
+                block = scalar_mul(-1.0, block)
+            blocks.append(block)
+    return block_diag(blocks)
+
+
+def _reference_conjugate(m, rng):
+    k = m.order
+    if m.backend == "rational":
+        count = _RATIONAL_SHEARS_PER_ORDER * k
+        coeffs = rng.integers(-2, 3, size=count)
+    else:
+        count = _FLOAT_SHEARS
+        coeffs = rng.choice((-1, 1), size=count)
+    pairs = rng.integers(0, k, size=(count, 2))
+    arr = m.array.copy()
+    for (i, j), c in zip(pairs.tolist(), coeffs.tolist()):
+        if i == j or c == 0:
+            continue
+        arr[i] += c * arr[j]
+        arr[:, j] -= c * arr[:, i]
+    return Matrix._wrap(arr, m.backend)
+
+
+def _reference_candidates(inst, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        cand = _reference_block_sum(inst, rng)
+        if inst.a != 0 and abs(inst.a) != 1:
+            cand = scale_from_unit(cand, inst.n, inst.a)
+        yield _reference_conjugate(cand, rng)
+
+
+def _same_matrix(got, want):
+    assert got.backend == want.backend and got.array.dtype == want.array.dtype
+    if got.backend == "rational":
+        assert got.entries() == want.entries()
+        assert [type(e) for e in got.entries()] == [type(e) for e in want.entries()]
+    else:
+        assert got.array.tobytes() == want.array.tobytes()
+
+
+def _parity_cells():
+    """Both acceptance grids but the a = 0, n < k cells, whose stream draws block
+    sizes up to n now, plus scaled a: rational candidates turn real before their
+    shears (a = 2) or stay exact (a = 4)."""
+    cells = [(k, n, a) for k in range(2, 9) for n in range(2, 10) for a in (1, -1, 0)
+             if (a != -1 or n % 2 == 1) and (a != 0 or n >= k)]
+    cells += [(k, n, -1) for n in (2, 4, 6, 8) for k in range(2, 10)]
+    scaled = (2, -2, Fraction(1, 3), Fraction(-1, 3), 4, 27, 10**6, -(10**6),
+              10**12, -(10**12), 1e300, Fraction(1, 10**30))
+    return cells + [(k, n, a) for a in scaled for k, n in ((2, 3), (4, 2), (3, 4))]
+
+
+# The stacked chunks end after 4, 12, 28, 60, 124, ... candidates.  Budget 400
+# (chunks up to the 64 cap) runs on seed 0 only: on a holding cell the reference
+# builds and checks every candidate one by one, and three seeds would triple the
+# suite's slowest test.
+PARITY_BUDGETS = (1, 4, 5, 12, 13, 50, 400)
+
+
+def _check_against_the_reference(inst, seed, budgets):
+    stream = _reference_candidates(inst, seed)
+    got = generate_candidates(inst, 50, seed)
+    violator = None
+    for trial in range(1, budgets[-1] + 1):
+        if violator is not None and trial > 13:  # past the first two chunks
+            break
+        cand = next(stream)
+        if trial <= 50:
+            _same_matrix(next(got), cand)
+        clauses = evaluate(cand, inst)
+        if violator is None and not clauses.holds:
+            violator = trial, Witness(cand, None, inst.k, inst.n, inst.a, clauses.sentence)
+    for budget in budgets:
+        if violator is not None and violator[0] <= budget:
+            want = Verdict(False, VerdictMode.WITNESS_FOUND, violator[1], violator[0])
+        else:
+            want = Verdict(True, VerdictMode.SEARCH_EXHAUSTED, trials=budget)
+        verdict = search_counterexample(inst, budget, seed)
+        assert verdict_to_json(verdict) == verdict_to_json(want), (seed, budget)
+        if not verdict.holds:
+            _same_matrix(verdict.witness.matrix, want.witness.matrix)
+
+
+@pytest.mark.parametrize("cell", _parity_cells(), ids=str)
+def test_stacked_search_matches_the_per_candidate_reference(cell):
+    for seed in (0, 1, 2):
+        budgets = PARITY_BUDGETS if seed == 0 else PARITY_BUDGETS[:-1]
+        _check_against_the_reference(ProblemInstance(*cell), seed, budgets)
+
+
+@pytest.mark.parametrize("cell, seed", [((3, 4, 1), 5), ((4, 2, 1), 35), ((4, 2, 4), 35)])
+def test_stacked_search_takes_the_first_violator_across_backends(cell, seed):
+    # in the first chunk, the first violator of the real stack comes after
+    # the first violator of the rational stack
+    _check_against_the_reference(ProblemInstance(*cell), seed, PARITY_BUDGETS[:-1])
