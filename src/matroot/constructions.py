@@ -307,6 +307,11 @@ def _sheared(stack: np.ndarray, backend: str, coeffs: np.ndarray, pairs: np.ndar
         coeffs = coeffs.astype(object)  # Python ints, so entries stay ints and Fractions
     for s in np.flatnonzero(live.any(axis=0)):
         at = np.flatnonzero(live[:, s])
+        if len(at) == 1:  # one live matrix: plain slicing beats fancy indexing
+            x, (i, j), c = arr[at[0]], pairs[at[0], s].tolist(), coeffs[at[0], s]
+            x[i] += c * x[j]
+            x[:, j] -= c * x[:, i]
+            continue
         i, j, c = pairs[at, s, 0], pairs[at, s, 1], coeffs[at, s, None]
         arr[at, i] += c * arr[at, j]
         arr[at, :, j] -= c * arr[at, :, i]
