@@ -303,6 +303,12 @@ def _sheared(stack: np.ndarray, backend: str, coeffs: np.ndarray, pairs: np.ndar
     then column j -= c * column i.  Shears with i = j or c = 0 are skipped."""
     arr = stack.copy()
     live = (pairs[..., 0] != pairs[..., 1]) & (coeffs != 0)
+    if len(arr) == 1:  # one matrix: read its live shears out once, then slice plainly
+        x = arr[0]
+        for (i, j), c in zip(pairs[0, live[0]].tolist(), coeffs[0, live[0]].tolist()):
+            x[i] += c * x[j]
+            x[:, j] -= c * x[:, i]
+        return arr
     if backend == RATIONAL:
         coeffs = coeffs.astype(object)  # Python ints, so entries stay ints and Fractions
     for s in np.flatnonzero(live.any(axis=0)):

@@ -17,7 +17,8 @@ Storage is a read-only numpy array (``object`` dtype for the rational
 backend), so matrices are immutable values and safe to share across threads.
 Inside the library a Matrix may also hold a (m, k, k) stack of matrices of
 one backend: the arithmetic below broadcasts over the leading axis, and
-``mat_eq`` / ``is_zero`` then give one bool per stacked matrix.
+``mat_eq`` / ``is_zero`` then give one bool per stacked matrix.  Kernels such
+as ``mat_pow`` compute on the bare arrays and wrap each result once.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ class Matrix:
     @classmethod
     def _wrap(cls, arr: np.ndarray, backend: str) -> "Matrix":
         # Internal fast path: trusted, already-coerced square array, or a
-        # (m, k, k) stack of them (see the module docstring).  The caller
-        # hands over ownership of a fresh array that nothing else
-        # references; it is frozen in place, not copied.  Float backends still
-        # honour the no-NaN/inf invariant (overflow in an operation must fail
-        # loudly, not poison later comparisons).
+        # (m, k, k) stack of them (see the module docstring).  The caller hands
+        # over ownership of a fresh array that nothing else references; it is
+        # frozen in place, not copied.  Float backends keep the no-NaN/inf
+        # invariant, so overflow fails loudly.  One check per kernel result is
+        # enough: inf and nan never turn finite again through +, scalar * or @.
         if backend != RATIONAL and not np.isfinite(arr).all():
             raise MatrixError("operation produced non-finite entries")
         arr.flags.writeable = False
@@ -184,11 +185,13 @@ class Matrix:
         return f"Matrix({self.rows()!r}, backend={self.backend!r})"
 
 
-def _zero_array(k: int, backend: str) -> np.ndarray:
-    """A fresh k x k array of exact zeros (int 0 on the rational backend)."""
+def _scalar_array(c: Scalar, k: int, backend: str) -> np.ndarray:
+    """A fresh k x k array of c * I: c coerced into the backend, exact 0 elsewhere."""
     if k < 1:
         raise DimensionMismatch("order must be >= 1")
-    return np.full((k, k), 0, dtype=_BACKEND_DTYPE[backend])
+    arr = np.zeros((k, k), dtype=_BACKEND_DTYPE[backend])  # int 0 on the object dtype
+    arr.flat[:: k + 1] = _COERCE[backend](c)
+    return arr
 
 
 def identity(k: int, backend: str = RATIONAL) -> Matrix:
@@ -197,27 +200,27 @@ def identity(k: int, backend: str = RATIONAL) -> Matrix:
 
 
 def zeros(k: int, backend: str = RATIONAL) -> Matrix:
-    return Matrix._wrap(_zero_array(k, backend), backend)
+    return scalar_matrix(0, k, backend)
 
 
 def scalar_matrix(c: Scalar, k: int, backend: str) -> Matrix:
     """c * I_k over the given backend."""
-    arr = _zero_array(k, backend)
-    np.fill_diagonal(arr, _COERCE[backend](c))
-    return Matrix._wrap(arr, backend)
+    return Matrix._wrap(_scalar_array(c, k, backend), backend)
+
+
+_LIKE = {RATIONAL: Fraction, REAL: float, COMPLEX: complex}
 
 
 def scalar_matrix_like(c: Scalar, m: Matrix) -> Matrix:
-    """c * I of m's order, with c coerced into m's backend.
+    """c * I of m's order, with c cast into m's backend: through Fraction on
+    the rational backend, so float inputs are taken at their exact binary value."""
+    return scalar_matrix(_LIKE[m.backend](c), m.order, m.backend)
 
-    On the rational backend the coercion goes through Fraction, so float
-    inputs are taken at their exact binary value.
-    """
-    if m.backend == RATIONAL:
-        return scalar_matrix(Fraction(c), m.order, RATIONAL)
-    if m.backend == REAL:
-        return scalar_matrix(float(c), m.order, REAL)
-    return scalar_matrix(complex(c), m.order, COMPLEX)
+
+def _is_scalar(m: Matrix, c: Scalar, tol: Tolerance):
+    """mat_eq(m, scalar_matrix_like(c, m), tol), against the bare array of c * I."""
+    target = _scalar_array(_LIKE[m.backend](c), m.order, m.backend)
+    return _entries_close(m.array, target, m.backend, tol)
 
 
 def _check_pair(a: Matrix, b: Matrix) -> None:
@@ -276,7 +279,8 @@ def scalar_mul(c: Scalar, m: Matrix) -> Matrix:
 
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
-    """n-th power by binary exponentiation; n = 0 gives the identity."""
+    """n-th power by binary exponentiation on the array, wrapped once; n = 0
+    gives the identity."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise MatrixError(f"exponent must be an integer, got {n!r}")
     n = int(n)
@@ -284,14 +288,15 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
         raise MatrixError("negative powers are not supported")
     if n == 0:
         return identity(a.order, a.backend)
+    x = a.array
     while not n & 1:  # square up to the lowest set bit, which starts the product
-        a, n = mat_mul(a, a), n >> 1
-    result = a
+        x, n = x @ x, n >> 1
+    result = x
     while n := n >> 1:
-        a = mat_mul(a, a)
+        x = x @ x
         if n & 1:
-            result = mat_mul(result, a)
-    return result
+            result = result @ x
+    return a if result is a.array else Matrix._wrap(result, a.backend)
 
 
 def mat_eq(a: Matrix, b: Matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -327,7 +332,7 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
     if any(b.backend != backend for b in blocks):
         raise BackendMismatch("all blocks must share one backend")
     total = sum(b.order for b in blocks)
-    out = _zero_array(total, backend)
+    out = _scalar_array(0, total, backend)
     at = 0
     for b in blocks:
         k = b.order

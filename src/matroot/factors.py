@@ -28,11 +28,9 @@ from .core import (
     Matrix,
     Scalar,
     Tolerance,
+    _is_scalar,
+    _scalar_array,
     as_backend,
-    identity,
-    mat_add,
-    mat_eq,
-    mat_mul,
     mat_pow,
     mat_sub,
     scalar_matrix,
@@ -148,7 +146,7 @@ def _lift_for_root(x: Matrix, conv: RootConvention) -> Tuple[Matrix, Scalar]:
 
 def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     """Evaluate X^(n-1) + c X^(n-2) + ... + c^(n-2) X + c^(n-1) I at X = x,
-    where c = conv.root, by Horner's scheme.
+    where c = conv.root, by Horner's scheme on the array, wrapped once.
 
     Exact when x is rational and the root is exactly rational (so a = 0 and
     a = +-1 witnesses never leave exact arithmetic).
@@ -161,13 +159,13 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     if c == 0:
         # all lower coefficients vanish; the sum collapses to X^(n-1)
         return mat_pow(xx, n - 1)
-    k = xx.order
-    acc = mat_add(xx, scalar_matrix(c, k, xx.backend))
+    arr, k, backend = xx.array, xx.order, xx.backend
+    acc = arr + _scalar_array(c, k, backend)
     cpow = c
     for _ in range(n - 2):
         cpow = cpow * c
-        acc = mat_add(mat_mul(acc, xx), scalar_matrix(cpow, k, xx.backend))
-    return acc
+        acc = acc @ arr + _scalar_array(cpow, k, backend)
+    return Matrix._wrap(acc, backend)
 
 
 def quadratic_factor_eval(x: Matrix, n: int, a, i: int) -> Matrix:
@@ -179,7 +177,7 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int) -> Matrix:
 
     the quadratic that the rotation block by theta_i satisfies (its
     characteristic polynomial, by Cayley-Hamilton); the product of these
-    n/2 quadratics reconstructs X^n - a*I.
+    n/2 quadratics reconstructs X^n - a*I.  Computed on the array, wrapped once.
     """
     if n < 2 or n % 2 != 0:
         raise ConventionError(f"quadratic factors need even n >= 2, got {n}")
@@ -192,12 +190,8 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int) -> Matrix:
     cos_t = math.cos((2 * i - 1) * math.pi / n)
     lin = -2.0 * b * cos_t
     backend = COMPLEX if x.backend == COMPLEX else REAL
-    xx = as_backend(x, backend)
-    x2 = mat_mul(xx, xx)
-    return mat_add(
-        mat_add(x2, scalar_mul(lin, xx)),
-        scalar_matrix(b * b, xx.order, backend),
-    )
+    xx = as_backend(x, backend).array
+    return Matrix._wrap(xx @ xx + lin * xx + _scalar_array(b * b, x.order, backend), backend)
 
 
 def odd_factorization_product(x: Matrix, n: int) -> Matrix:
@@ -205,20 +199,20 @@ def odd_factorization_product(x: Matrix, n: int) -> Matrix:
 
     For odd n this product equals X^(n-1) + ... + X + I, the geometric
     cofactor of (X - I) in X^n - I; factors multiply left to right in
-    increasing w.
+    increasing w, on the array, and the product is wrapped once.
     """
     if n < 3 or n % 2 == 0:
         raise ConventionError(f"odd factorization needs odd n >= 3, got {n}")
     backend = COMPLEX if x.backend == COMPLEX else REAL
-    xx = as_backend(x, backend)
-    x2 = mat_mul(xx, xx)
-    eye = identity(xx.order, backend)
+    xx = as_backend(x, backend).array
+    x2 = xx @ xx
+    eye = _scalar_array(1, x.order, backend)
     result = None
     for w in range(1, (n - 1) // 2 + 1):
         coeff = -2.0 * math.cos(2.0 * math.pi * w / n)
-        factor = mat_add(mat_add(x2, scalar_mul(coeff, xx)), eye)
-        result = factor if result is None else mat_mul(result, factor)
-    return result
+        factor = x2 + coeff * xx + eye
+        result = factor if result is None else result @ factor
+    return Matrix._wrap(result, backend)
 
 
 @dataclass(frozen=True)
@@ -296,12 +290,8 @@ def lemma1_root_classifier(
     p = r with q != 0, where A^n = [[p^n, n p^(n-1) q], [0, p^n]] can never
     equal I.
     """
-    a = as_backend(params.matrix(), COMPLEX)
-    n = params.n
-    eye = identity(2, COMPLEX)
-    if not mat_eq(mat_pow(a, n), eye, tol):
-        return None
-    if mat_eq(a, eye, tol):
+    a, n = as_backend(params.matrix(), COMPLEX), params.n
+    if not _is_scalar(mat_pow(a, n), 1, tol) or _is_scalar(a, 1, tol):
         return None
     out = []
     for z in (complex(params.p), complex(params.r)):

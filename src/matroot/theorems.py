@@ -50,12 +50,11 @@ from .core import (
     DimensionMismatch,
     Matrix,
     Tolerance,
+    _is_scalar,
     is_zero,
-    mat_eq,
     mat_mul,
     mat_pow,
     rotation,
-    scalar_matrix_like,
 )
 from .factors import (
     RootConvention, _lift_for_root, exact_nth_root, geometric_factor_sum,
@@ -217,7 +216,7 @@ class Clauses:
         if self.a == 0:
             # share the power: X^n = X * X^(n-1), and the factor sum is X^(n-1)
             return is_zero(mat_mul(x, self._tail), self.tol)
-        return mat_eq(mat_pow(x, self.n), scalar_matrix_like(self.a, x), self.tol)
+        return _is_scalar(mat_pow(x, self.n), self.a, self.tol)
 
     @_lazy
     def simple_root(self):
@@ -226,7 +225,7 @@ class Clauses:
         if self.sentence == 2:  # no real linear factor
             return False if self.x.array.ndim == 2 else np.zeros(len(self.x.array), bool)
         x, root = _lift_for_root(self.x, self.conv)
-        return mat_eq(x, scalar_matrix_like(root, x), self.tol)
+        return _is_scalar(x, root, self.tol)
 
     @_lazy
     def factor_sum_zero(self):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from matroot import (
+    Matrix,
     identity,
     mat_pow,
     matrix_from_json,
@@ -390,6 +391,17 @@ def test_factor_zero_a_reports_top_power(capsys, tmp_path):
     report = parse_line(out)
     assert report["is_zero"] is False
     assert matrix_from_json(report["factor_sum"]) == mat_pow(a, 3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("a", ["1", "-1"])
+def test_factor_overflow_exits_two(capsys, tmp_path, a):
+    # X^2 overflows: the geometric sum (a = 1) and the quadratics (a = -1) fail loudly
+    path = write_matrix(tmp_path, Matrix([[1e200, 0.0], [0.0, 1.0]]))
+    code, out, err = run_cli(capsys, "factor", path, "--n", "4", "--a", a)
+    assert (code, out) == (2, "")
+    assert "error: operation produced non-finite entries" in err
 
 
 # --- packaging ---------------------------------------------------------------------

@@ -11,10 +11,13 @@ from matroot import (
     CaseTag,
     ConventionError,
     Matrix,
+    MatrixError,
     RootConvention,
     Tolerance,
     TriangularParams,
+    as_backend,
     case_counterexample,
+    conjugate_matrix,
     exact_nth_root,
     geometric_factor_sum,
     identity,
@@ -30,9 +33,12 @@ from matroot import (
     rotation,
     scalar_matrix,
     scalar_mul,
+    shift_nilpotent,
+    theorem2_counterexample,
     triangular_power_formula,
     zeros,
 )
+from matroot.factors import _lift_for_root
 
 
 def naive_pow(m, n):
@@ -319,3 +325,176 @@ def test_classifier_exponent_sum_vanishes_mod_n_for_real_trace_inputs():
             got = lemma1_root_classifier(params)
             assert got is not None
             assert (got[0] + got[1]) % n == 0
+
+
+# --- array kernels against the Matrix-op reference -------------------------------------
+#
+# mat_pow and the factor polynomials compute on the numpy arrays and wrap each
+# result once.  The reference below is the Matrix-op code they replaced: the same
+# operations in the same order, each one wrapped (and checked) on its own.  Float
+# results must match as bytes, signed zeros included; rational results must have
+# the same values, dtype and Python entry types.
+
+
+def ref_mat_pow(a, n):
+    if n == 0:
+        return identity(a.order, a.backend)
+    while not n & 1:
+        a, n = mat_mul(a, a), n >> 1
+    result = a
+    while n := n >> 1:
+        a = mat_mul(a, a)
+        if n & 1:
+            result = mat_mul(result, a)
+    return result
+
+
+def ref_geometric_factor_sum(x, n, conv):
+    xx, c = _lift_for_root(x, conv)
+    if c == 0:
+        return ref_mat_pow(xx, n - 1)
+    k = xx.order
+    acc = mat_add(xx, scalar_matrix(c, k, xx.backend))
+    cpow = c
+    for _ in range(n - 2):
+        cpow = cpow * c
+        acc = mat_add(mat_mul(acc, xx), scalar_matrix(cpow, k, xx.backend))
+    return acc
+
+
+def ref_quadratic_factor_eval(x, n, a, i):
+    b = (-float(a)) ** (1.0 / n)
+    lin = -2.0 * b * math.cos((2 * i - 1) * math.pi / n)
+    xx = as_backend(x, "complex" if x.backend == "complex" else "real")
+    square_plus_linear = mat_add(mat_mul(xx, xx), scalar_mul(lin, xx))
+    return mat_add(square_plus_linear, scalar_matrix(b * b, xx.order, xx.backend))
+
+
+def ref_odd_factorization_product(x, n):
+    xx = as_backend(x, "complex" if x.backend == "complex" else "real")
+    x2 = mat_mul(xx, xx)
+    eye = identity(xx.order, xx.backend)
+    result = None
+    for w in range(1, (n - 1) // 2 + 1):
+        coeff = -2.0 * math.cos(2.0 * math.pi * w / n)
+        factor = mat_add(mat_add(x2, scalar_mul(coeff, xx)), eye)
+        result = factor if result is None else mat_mul(result, factor)
+    return result
+
+
+def assert_same_result(got, want):
+    assert got.backend == want.backend
+    assert got.array.dtype == want.array.dtype and got.array.shape == want.array.shape
+    if got.backend == "rational":
+        assert got.array.tolist() == want.array.tolist()
+        assert [type(e) for e in got.array.flat] == [type(e) for e in want.array.flat]
+    else:
+        assert got.array.tobytes() == want.array.tobytes()
+
+
+def assert_kernels_match_reference(x, n, real_as=(1, 0), complex_as=()):
+    """Every kernel that applies at x and n: the power, the geometric sum for
+    each real a in real_as (odd n also takes -a) and each complex a, the
+    quadratics of a = -1 (even n) and the odd product (odd n)."""
+    assert_same_result(mat_pow(x, n), ref_mat_pow(x, n))
+    real_as = [*real_as, *(-a for a in real_as if a and n % 2)]
+    convs = [RootConvention.real(n, a) for a in real_as]
+    convs += [RootConvention.principal(n, a) for a in complex_as]
+    for conv in convs:
+        assert_same_result(geometric_factor_sum(x, n, conv), ref_geometric_factor_sum(x, n, conv))
+    if n % 2 == 0:
+        for i in range(1, n // 2 + 1):
+            got = quadratic_factor_eval(x, n, -1, i)
+            assert_same_result(got, ref_quadratic_factor_eval(x, n, -1, i))
+    elif n >= 3:
+        assert_same_result(odd_factorization_product(x, n), ref_odd_factorization_product(x, n))
+
+
+def construct_pool():
+    """(matrix, n) for every construction refuting its cell, k <= 8, n <= 9."""
+    for k in range(2, 9):
+        odd = k % 2 == 1
+        for n in range(2, 10):
+            if n % 2 == 0:
+                yield case_counterexample(CaseTag.CASE_II if odd else CaseTag.CASE_I, k, n)
+                if not odd and k >= 4 and n >= 4:
+                    yield theorem2_counterexample(k, n)
+            elif odd or k >= 4:
+                yield case_counterexample(CaseTag.CASE_IV if odd else CaseTag.CASE_III, k, n)
+                yield case_counterexample(CaseTag.CASE_VI if odd else CaseTag.CASE_V, k, n)
+    for k in range(2, 9):
+        for n in range(2, k + 1):
+            yield shift_nilpotent(k, n), n
+
+
+def test_kernels_match_the_matrix_op_reference_on_the_construct_pool():
+    for item in construct_pool():
+        w, n = item if isinstance(item, tuple) else (item.matrix, item.n)
+        for x in (w, conjugate_matrix(w, 7), conjugate_matrix(w, 8)):
+            assert_kernels_match_reference(x, n)
+            assert_same_result(mat_pow(x, n - 1), ref_mat_pow(x, n - 1))
+
+
+def random_matrix(backend, shape, rng):
+    if backend == "rational":
+        return np.array(
+            [Fraction(int(rng.integers(-9, 10)), int(rng.choice((1, 1, 2, 3)))) for _ in
+             range(int(np.prod(shape)))], dtype=object,
+        ).reshape(shape)
+    if backend == "real":
+        return rng.standard_normal(shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def as_matrix(arr, backend):
+    if backend == "rational":  # through the constructor, so integral values are ints
+        return Matrix(arr.tolist(), backend="rational")
+    return Matrix._wrap(arr, backend)
+
+
+@pytest.mark.parametrize("backend", ["rational", "real", "complex"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_kernels_match_the_matrix_op_reference_on_random_matrices(backend, k):
+    rng = np.random.default_rng(100 * k + len(backend))
+    x = as_matrix(random_matrix(backend, (k, k), rng), backend)
+    for n in range(0, 13):
+        assert_same_result(mat_pow(x, n), ref_mat_pow(x, n))
+    for n in range(2, 13):
+        if backend == "rational" and k == 8 and n > 6:
+            continue  # exact entries grow fast; the smaller orders cover these n
+        assert_kernels_match_reference(x, n, real_as=(1, 0, 2), complex_as=(2 - 1j,))
+
+
+@pytest.mark.parametrize("backend", ["rational", "real", "complex"])
+def test_kernels_match_the_matrix_op_reference_on_stacks(backend):
+    rng = np.random.default_rng(len(backend))
+    for k in (2, 3, 4):
+        arr = random_matrix(backend, (5, k, k), rng)
+        if backend == "rational":
+            arr = np.array([as_matrix(a, backend).array for a in arr])
+        stack = Matrix._wrap(arr, backend)
+        for n in range(2, 9):
+            assert_kernels_match_reference(stack, n, real_as=(1, 0, 2), complex_as=(2 - 1j,))
+
+
+OVERFLOWING_KERNELS = {
+    "mat_pow": lambda x: mat_pow(x, 3),
+    "geometric_factor_sum": lambda x: geometric_factor_sum(x, 4, RootConvention.real(4, 1)),
+    "geometric_factor_sum, negative root": lambda x: geometric_factor_sum(
+        x, 3, RootConvention.real(3, -1)
+    ),
+    "quadratic_factor_eval": lambda x: quadratic_factor_eval(x, 4, -1, 1),
+    "odd_factorization_product": lambda x: odd_factorization_product(x, 3),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kernel", list(OVERFLOWING_KERNELS))
+def test_overflow_in_a_kernel_fails_loudly(kernel):
+    # X^2 overflows to inf; the one check on the kernel's result must catch it,
+    # also in a stack where only the first matrix overflows
+    big = np.array([[1e200, 0.0], [0.0, 1.0]])
+    for x in (Matrix(big.tolist()), Matrix._wrap(np.array([big, np.eye(2)]), "real")):
+        with pytest.raises(MatrixError, match="operation produced non-finite entries"):
+            OVERFLOWING_KERNELS[kernel](x)
