@@ -24,6 +24,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     COMPLEX, DEFAULT_TOLERANCE, Matrix, Tolerance, as_backend, is_zero, matrix_from_json,
     matrix_to_json,
@@ -194,20 +196,15 @@ def _cmd_factor(args) -> int:
     tol = _tolerance(args)
     regime = classify_regime(args.n, a)
     if regime is Regime.NEGATIVE_EVEN_N:
-        factors = []
-        zero_indices = []
-        for i in range(1, args.n // 2 + 1):
-            value = quadratic_factor_eval(m, args.n, a, i)
-            zero = is_zero(value, tol)
-            factors.append({"i": i, "matrix": matrix_to_json(value), "is_zero": zero})
-            if zero:
-                zero_indices.append(i)
+        values = [quadratic_factor_eval(m, args.n, a, i) for i in range(1, args.n // 2 + 1)]
+        factors = [{"i": i, "matrix": matrix_to_json(v), "is_zero": is_zero(v, tol)}
+                   for i, v in enumerate(values, 1)]
         _emit(
             {
                 "sentence": 2,
                 "variant": "minus-2cos",  # the only form; kept for the wire format
                 "factors": factors,
-                "zero_indices": zero_indices,
+                "zero_indices": [f["i"] for f in factors if f["is_zero"]],
             },
             args.output,
         )
@@ -310,7 +307,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already reported the problem
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # overflow is reported once, as the MatrixError of the kernel's result
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, TypeError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

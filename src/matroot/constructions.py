@@ -4,10 +4,10 @@ Each construction here either refutes one of the two factor sentences for a
 specific (k, n, a) cell or realises a boundary case exactly:
 
 * a 0/1 nilpotent with nilpotency index exactly n (a = 0 cells),
-* six block-diagonal families built from the 2x2 exchange matrix and
-  rotation blocks (a = +-1, sentence 1 cells),
-* a rotation direct sum with two distinct block angles (a = -1, even n,
-  sentence 2 cells),
+* six block-diagonal families of 2x2 exchange or factor-table blocks, one
+  per (n parity, k parity, sign of a) in ``CASE_CELLS`` (sentence 1 cells),
+* the first two factor-table blocks of x^n + 1 as a direct sum (a = -1,
+  even n, sentence 2 cells),
 * a complex diagonal witness for the complex-scalar variant of sentence 1,
 
 plus similarity conjugation by random unimodular integer shears (for
@@ -33,39 +33,41 @@ from .core import (
     Matrix,
     Scalar,
     block_diag,
-    rotation,
     scalar_kind,
+    scalar_matrix,
     scalar_mul,
     scalar_to_json,
     matrix_from_json,
     matrix_to_json,
 )
-from .factors import exact_nth_root
+from .factors import exact_nth_root, unit_factors
 from .instances import ProblemInstance
 
 
 class CaseTag(Enum):
     """Which construction produced a witness."""
 
-    CASE_I = "case-i"  # n even, k even, a = 1
-    CASE_II = "case-ii"  # n even, k odd,  a = 1
-    CASE_III = "case-iii"  # n odd,  k even, a = 1
-    CASE_IV = "case-iv"  # n odd,  k odd,  a = 1
-    CASE_V = "case-v"  # n odd,  k even, a = -1
-    CASE_VI = "case-vi"  # n odd,  k odd,  a = -1
+    CASE_I = "case-i"
+    CASE_II = "case-ii"
+    CASE_III = "case-iii"
+    CASE_IV = "case-iv"
+    CASE_V = "case-v"
+    CASE_VI = "case-vi"
     NILPOTENT_SHIFT = "nilpotent-shift"
     THEOREM2_CE = "theorem2-ce"
     COMPLEX_CE = "complex-ce"
 
 
-CASE_TAGS = (
-    CaseTag.CASE_I,
-    CaseTag.CASE_II,
-    CaseTag.CASE_III,
-    CaseTag.CASE_IV,
-    CaseTag.CASE_V,
-    CaseTag.CASE_VI,
-)
+# The cell (n % 2, k % 2, sign of a) at which each case family refutes sentence 1.
+CASE_CELLS = {
+    CaseTag.CASE_I: (0, 0, 1),
+    CaseTag.CASE_II: (0, 1, 1),
+    CaseTag.CASE_III: (1, 0, 1),
+    CaseTag.CASE_IV: (1, 1, 1),
+    CaseTag.CASE_V: (1, 0, -1),
+    CaseTag.CASE_VI: (1, 1, -1),
+}
+CASE_AT = {cell: tag for tag, cell in CASE_CELLS.items()}
 
 
 @dataclass(frozen=True)
@@ -158,72 +160,39 @@ def shift_nilpotent(k: int, n: int) -> Matrix:
     return Matrix._wrap(arr, RATIONAL)
 
 
-def _one_by_one(value: int) -> Matrix:
-    return Matrix([[value]], backend=RATIONAL)
-
-
 def case_counterexample(tag: CaseTag, k: int, n: int) -> Witness:
     """The six block-diagonal families refuting sentence 1 at a = +-1.
 
-    Tags I/II (even n, a = 1) are exact 0/1 exchange-block matrices; tags
-    III-VI (odd n >= 3) mix a fixed scalar block with rotation blocks of
-    angle 2*pi/n, negated for a = -1.
+    Each is a lead scalar block, then at least one copy of a 2x2 block, at
+    the cell ``CASE_CELLS[tag]``.  Tags I/II (even n, a = 1) are exact:
+    exchange blocks, led by a single 1 for odd k.  Tags III-VI (odd n) take
+    the first block of ``unit_factors(n, sign)``, rotation(2*pi/n) negated
+    for a = -1, led by the table's root twice for even k, once for odd k.
     """
-    if tag not in CASE_TAGS:
+    if tag not in CASE_CELLS:
         raise ValueError(f"tag must be one of the six case tags, got {tag!r}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if tag in (CaseTag.CASE_I, CaseTag.CASE_II):
-        if n % 2 != 0:
-            raise ValueError(f"{tag.value} needs even n, got {n}")
+    n_odd, k_odd, sign = CASE_CELLS[tag]
+    if n % 2 != n_odd:
+        raise ValueError(f"{tag.value} needs {'odd n >= 3' if n_odd else 'even n'}, got {n}")
+    if n_odd:
+        table = unit_factors(n, sign)
+        lead, block = table.roots * (2 - k_odd), Matrix(table.blocks[0], backend=REAL)
     else:
-        if n % 2 == 0 or n < 3:
-            raise ValueError(f"{tag.value} needs odd n >= 3, got {n}")
-
-    t = swap_block()
-    r = rotation(2.0 * math.pi / n)
-
-    if tag is CaseTag.CASE_I:
-        if k < 2 or k % 2 != 0:
-            raise ValueError(f"case-i needs even k >= 2, got {k}")
-        m = block_diag([t] * (k // 2))
-        a: Scalar = 1
-    elif tag is CaseTag.CASE_II:
-        if k < 3 or k % 2 != 1:
-            raise ValueError(f"case-ii needs odd k >= 3, got {k}")
-        m = block_diag([_one_by_one(1)] + [t] * ((k - 1) // 2))
-        a = 1
-    elif tag is CaseTag.CASE_III:
-        if k < 4 or k % 2 != 0:
-            raise ValueError(f"case-iii needs even k >= 4, got {k}")
-        eye2 = Matrix([[1.0, 0.0], [0.0, 1.0]], backend=REAL)
-        m = block_diag([eye2] + [r] * (k // 2 - 1))
-        a = 1
-    elif tag is CaseTag.CASE_IV:
-        if k < 3 or k % 2 != 1:
-            raise ValueError(f"case-iv needs odd k >= 3, got {k}")
-        one = Matrix([[1.0]], backend=REAL)
-        m = block_diag([one] + [r] * ((k - 1) // 2))
-        a = 1
-    elif tag is CaseTag.CASE_V:
-        if k < 4 or k % 2 != 0:
-            raise ValueError(f"case-v needs even k >= 4, got {k}")
-        minus_eye2 = Matrix([[-1.0, 0.0], [0.0, -1.0]], backend=REAL)
-        minus_r = scalar_mul(-1.0, r)
-        m = block_diag([minus_eye2] + [minus_r] * (k // 2 - 1))
-        a = -1
-    else:  # CASE_VI
-        if k < 3 or k % 2 != 1:
-            raise ValueError(f"case-vi needs odd k >= 3, got {k}")
-        minus_one = Matrix([[-1.0]], backend=REAL)
-        minus_r = scalar_mul(-1.0, r)
-        m = block_diag([minus_one] + [minus_r] * ((k - 1) // 2))
-        a = -1
-    return Witness(matrix=m, tag=tag, k=k, n=n, a=a, refutes_sentence=1)
+        lead, block = (1,) * k_odd, swap_block()
+    if k < len(lead) + 2 or (k - len(lead)) % 2:
+        parity = "odd" if k_odd else "even"
+        raise ValueError(f"{tag.value} needs {parity} k >= {len(lead) + 2}, got {k}")
+    blocks = [block] * ((k - len(lead)) // 2)
+    if lead:
+        blocks.insert(0, scalar_matrix(lead[0], len(lead), block.backend))
+    return Witness(matrix=block_diag(blocks), tag=tag, k=k, n=n, a=sign, refutes_sentence=1)
 
 
 def theorem2_counterexample(k: int, n: int) -> Witness:
-    """diag(R1, R2, ..., R2) with R_j = rotation((2j-1)*pi/n): an n-th root
+    """diag(R1, R2, ..., R2) with R1, R2 the first two blocks of
+    ``unit_factors(n, -1)``, the rotations by pi/n and 3*pi/n: an n-th root
     of -I (n even) on which none of the n/2 quadratic factors vanishes.
 
     Needs two distinct block angles, hence k >= 4; a single rotation block
@@ -240,8 +209,7 @@ def theorem2_counterexample(k: int, n: int) -> Witness:
     if k < 4:
         raise ValueError("k = 2 admits only single-block roots, which satisfy "
                          "their own quadratic; need k >= 4")
-    r1 = rotation(math.pi / n)
-    r2 = rotation(3.0 * math.pi / n)
+    r1, r2 = (Matrix(b, backend=REAL) for b in unit_factors(n, -1).blocks[:2])
     m = block_diag([r1] + [r2] * (k // 2 - 1))
     return Witness(matrix=m, tag=CaseTag.THEOREM2_CE, k=k, n=n, a=-1, refutes_sentence=2)
 

@@ -6,10 +6,12 @@ Over the reals, x^n - a splits as (x - a^(1/n)) times the geometric cofactor
 
 whenever a >= 0 or n is odd.  When n is even and a < 0 there is no real
 linear factor; instead x^n - a splits into n/2 real quadratics coming from
-conjugate pairs of complex roots.  This module evaluates all of those factor
-polynomials at a matrix argument, plus the closed-form n-th power of a 2x2
-upper-triangular matrix and a classifier that recognises triangular n-th
-roots of the identity by their diagonal roots of unity.
+conjugate pairs of complex roots.  ``unit_factors`` is the one table of
+these real factors at |a| = 1; the kernels here, the witness builders and
+the candidate search all read it.  This module evaluates all of those
+factor polynomials at a matrix argument, plus the closed-form n-th power of
+a 2x2 upper-triangular matrix and a classifier that recognises triangular
+n-th roots of the identity by their diagonal roots of unity.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .core import (
     COMPLEX,
@@ -33,12 +38,45 @@ from .core import (
     as_backend,
     mat_pow,
     mat_sub,
+    rotation,
     scalar_matrix,
     scalar_mul,
 )
 
+
 class ConventionError(ValueError):
     """Raised when (n, a) admits no root of the requested kind."""
+
+
+class UnitFactors(NamedTuple):
+    """The real factors of x^n - sign: x - r for each root r, and for each
+    rotation block its characteristic polynomial x^2 - 2 cos(theta) x + 1."""
+
+    roots: Tuple[int, ...]
+    blocks: np.ndarray  # read-only (q, 2, 2) float rotation blocks
+
+
+@lru_cache(maxsize=None)
+def unit_factors(n: int, sign: int) -> UnitFactors:
+    """The real factorization of x^n - sign for sign = +-1, cached.
+
+    x^n - 1 has the roots 1 (and -1 for even n) and the blocks
+    rotation(2*pi*w/n), w = 1 .. ceil(n/2) - 1.  For even n, x^n + 1 has no
+    real root and the blocks rotation((2j-1)*pi/n), j = 1 .. n/2; for odd n
+    its factors are those of x^n - 1 at -x: the root -1 and the negated blocks.
+    """
+    if sign not in (1, -1) or n < 1:
+        raise ValueError(f"need n >= 1 and sign 1 or -1, got n = {n}, sign = {sign!r}")
+    if sign == 1 or n % 2:
+        roots = (sign,) if n % 2 else (1, -1)
+        angles = [2.0 * math.pi * w / n for w in range(1, (n + 1) // 2)]
+    else:
+        roots, angles = (), [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
+    blocks = np.array([rotation(t).array for t in angles]).reshape(-1, 2, 2)
+    if sign == -1 and n % 2:
+        blocks = -1.0 * blocks
+    blocks.flags.writeable = False
+    return UnitFactors(roots, blocks)
 
 
 def _int_nth_root(m: int, n: int) -> Optional[int]:
@@ -168,16 +206,25 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     return Matrix._wrap(acc, backend)
 
 
-def quadratic_factor_eval(x: Matrix, n: int, a, i: int) -> Matrix:
+def _float_square(x: Matrix) -> tuple:
+    """(X, X^2, backend): x lifted to floats, or kept complex, as arrays."""
+    backend = COMPLEX if x.backend == COMPLEX else REAL
+    xx = as_backend(x, backend).array
+    return xx, xx @ xx, backend
+
+
+def quadratic_factor_eval(x: Matrix, n: int, a, i: int, square=None) -> Matrix:
     """Evaluate the i-th real quadratic factor of X^n - a*I (n even, a < 0).
 
-    With b = (-a)^(1/n) and theta_i = (2i-1)*pi/n this is
+    With b = (-a)^(1/n) and theta_i = (2i-1)*pi/n, the angle of the i-th
+    block of ``unit_factors(n, -1)``, this is
 
         X^2 - 2*b*cos(theta_i)*X + b^2*I,
 
     the quadratic that the rotation block by theta_i satisfies (its
     characteristic polynomial, by Cayley-Hamilton); the product of these
-    n/2 quadratics reconstructs X^n - a*I.  Computed on the array, wrapped once.
+    n/2 quadratics reconstructs X^n - a*I.  ``square``, x's ``_float_square``,
+    may be shared across indices.  Computed on the array, wrapped once.
     """
     if n < 2 or n % 2 != 0:
         raise ConventionError(f"quadratic factors need even n >= 2, got {n}")
@@ -187,15 +234,14 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int) -> Matrix:
     if not 1 <= i <= half:
         raise ValueError(f"factor index i must be in [1, {half}], got {i}")
     b = (-float(a)) ** (1.0 / n)
-    cos_t = math.cos((2 * i - 1) * math.pi / n)
-    lin = -2.0 * b * cos_t
-    backend = COMPLEX if x.backend == COMPLEX else REAL
-    xx = as_backend(x, backend).array
-    return Matrix._wrap(xx @ xx + lin * xx + _scalar_array(b * b, x.order, backend), backend)
+    lin = -2.0 * b * float(unit_factors(n, -1).blocks[i - 1, 0, 0])
+    xx, x2, backend = _float_square(x) if square is None else square
+    return Matrix._wrap(x2 + lin * xx + _scalar_array(b * b, x.order, backend), backend)
 
 
 def odd_factorization_product(x: Matrix, n: int) -> Matrix:
-    """Evaluate prod_{w=1}^{(n-1)/2} (X^2 - 2*cos(2*pi*w/n)*X + I) at X = x.
+    """Evaluate prod_{w=1}^{(n-1)/2} (X^2 - 2*cos(2*pi*w/n)*X + I) at X = x,
+    one factor per block of ``unit_factors(n, 1)``.
 
     For odd n this product equals X^(n-1) + ... + X + I, the geometric
     cofactor of (X - I) in X^n - I; factors multiply left to right in
@@ -203,13 +249,11 @@ def odd_factorization_product(x: Matrix, n: int) -> Matrix:
     """
     if n < 3 or n % 2 == 0:
         raise ConventionError(f"odd factorization needs odd n >= 3, got {n}")
-    backend = COMPLEX if x.backend == COMPLEX else REAL
-    xx = as_backend(x, backend).array
-    x2 = xx @ xx
+    xx, x2, backend = _float_square(x)
     eye = _scalar_array(1, x.order, backend)
     result = None
-    for w in range(1, (n - 1) // 2 + 1):
-        coeff = -2.0 * math.cos(2.0 * math.pi * w / n)
+    for block in unit_factors(n, 1).blocks:
+        coeff = -2.0 * float(block[0, 0])
         factor = x2 + coeff * xx + eye
         result = factor if result is None else result @ factor
     return Matrix._wrap(result, backend)

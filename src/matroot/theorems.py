@@ -36,7 +36,6 @@ either answer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Optional
@@ -54,13 +53,13 @@ from .core import (
     is_zero,
     mat_mul,
     mat_pow,
-    rotation,
 )
 from .factors import (
-    RootConvention, _lift_for_root, exact_nth_root, geometric_factor_sum,
-    quadratic_factor_eval,
+    RootConvention, _float_square, _lift_for_root, exact_nth_root, geometric_factor_sum,
+    quadratic_factor_eval, unit_factors,
 )
 from .constructions import (
+    CASE_AT,
     CaseTag,
     Witness,
     _shear_draws,
@@ -233,8 +232,13 @@ class Clauses:
             return is_zero(self._tail, self.tol)
         return is_zero(geometric_factor_sum(self.x, self.n, self.conv), self.tol)
 
+    @_lazy
+    def _square(self) -> tuple:
+        return _float_square(self.x)
+
     def _quadratic_zero(self, i: int):
-        return is_zero(quadratic_factor_eval(self.x, self.n, self.a, i), self.tol)
+        value = quadratic_factor_eval(self.x, self.n, self.a, i, self._square)
+        return is_zero(value, self.tol)
 
     def zero_quadratics(self) -> Iterator[int]:
         """The indices i whose quadratic factor vanishes at one matrix X, in order."""
@@ -309,14 +313,6 @@ def sentence2_holds_for(
     return evaluate(x, inst, tol).holds
 
 
-def _unit_case_tag(inst: ProblemInstance) -> CaseTag:
-    if inst.a > 0:
-        if inst.n % 2 == 0:
-            return CaseTag.CASE_I if inst.k % 2 == 0 else CaseTag.CASE_II
-        return CaseTag.CASE_III if inst.k % 2 == 0 else CaseTag.CASE_IV
-    return CaseTag.CASE_V if inst.k % 2 == 0 else CaseTag.CASE_VI
-
-
 def _witness(inst: ProblemInstance) -> Witness:
     """The refuted cell's witness: a nilpotent shift, or a unit case lifted to |a|."""
     k, n, a = inst.k, inst.n, inst.a
@@ -326,7 +322,7 @@ def _witness(inst: ProblemInstance) -> Witness:
     if inst.regime is Regime.NEGATIVE_EVEN_N:
         w = theorem2_counterexample(k, n)
     else:
-        w = case_counterexample(_unit_case_tag(inst), k, n)
+        w = case_counterexample(CASE_AT[n % 2, k % 2, 1 if a > 0 else -1], k, n)
     matrix = w.matrix if abs(a) == 1 else scale_from_unit(w.matrix, n, a)
     return replace(w, matrix=matrix, a=a)
 
@@ -368,13 +364,13 @@ class _Candidates:
 
     A candidate is a block direct sum.  For a = 0 its blocks are
     first-superdiagonal shifts of order at most n, so X^n = 0.  Otherwise
-    they are scalars s with s^n = sign(a) and 2 x 2 blocks: rotation(2*pi*w/n)
-    for a > 0, -rotation(2*pi*w/n) for a < 0 with odd n, and
-    rotation((2j-1)*pi/n) for a < 0 with even n; then the sum is scaled by
-    |a|^(1/n).  When a < 0, n is even and k is odd, no such sum exists (the
-    determinant obstruction), so one +-1 scalar pad is inserted and the
-    candidate deliberately violates X^n = a*I.  Last, each candidate is
-    conjugated by its own random unimodular shears.
+    they are the factors of x^n - sign(a) in ``unit_factors``: 1 x 1 blocks
+    of its real roots and 2 x 2 blocks, one per real quadratic factor (all
+    blocks are 1 x 1 when there are none, as for n = 2, a > 0); then the sum
+    is scaled by |a|^(1/n).  When a < 0, n is even and k is odd, no such sum
+    exists (the determinant obstruction), so one +-1 scalar pad is inserted
+    and the candidate deliberately violates X^n = a*I.  Last, each
+    candidate is conjugated by its own random unimodular shears.
     """
 
     def __init__(self, inst: ProblemInstance, seed: int, conjugate: bool) -> None:
@@ -382,21 +378,9 @@ class _Candidates:
         self.rng = np.random.default_rng(int(seed))
         self.conjugate = conjugate
         self.zero = inst.regime is Regime.ZERO_A
-        self.scalars = []
-        if self.zero:
-            return
-        n, sign = inst.n, 1.0
-        if inst.regime is Regime.POSITIVE_A:
-            self.scalars = [1, -1] if n % 2 == 0 else [1]
-            angles = [2.0 * math.pi * w / n for w in range(1, n)]
-        elif inst.regime is Regime.NEGATIVE_ODD_N:
-            self.scalars, sign = [-1], -1.0
-            angles = [2.0 * math.pi * w / n for w in range(1, n)]
-        else:  # NEGATIVE_EVEN_N
-            angles = [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
-        self.blocks = sign * np.array([rotation(t).array for t in angles])
+        self.scalars, self.blocks = unit_factors(inst.n, 1 if inst.a > 0 else -1)
         # rational candidates stay rational through scaling when |a|^(1/n) is rational
-        self.exact = abs(inst.a) == 1 or exact_nth_root(abs(inst.a), n) is not None
+        self.exact = abs(inst.a) == 1 or exact_nth_root(abs(inst.a), inst.n) is not None
 
     def _draw(self) -> tuple:
         """One candidate's block draws, in the stream's fixed order (block
@@ -413,7 +397,7 @@ class _Candidates:
         if scalars:
             rem = k
             while rem:
-                sizes.append(1 if rem == 1 or rng.random() < 0.4 else 2)
+                sizes.append(1 if rem == 1 or not len(self.blocks) or rng.random() < 0.4 else 2)
                 rem -= sizes[-1]
         else:
             sizes = [2] * (k // 2)

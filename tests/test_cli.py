@@ -1,11 +1,14 @@
 """Command line behaviour: JSON output, exit codes, round trips."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import matroot
 from matroot import (
     Matrix,
     identity,
@@ -402,6 +405,24 @@ def test_factor_overflow_exits_two(capsys, tmp_path, a):
     code, out, err = run_cli(capsys, "factor", path, "--n", "4", "--a", a)
     assert (code, out) == (2, "")
     assert "error: operation produced non-finite entries" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--n", "4", "--a", "1"],
+    ["factor", "--n", "4", "--a", "-1"],
+    ["verify", "--k", "2", "--n", "4", "--a", "-1"],
+])
+def test_overflow_reports_only_the_error_line(tmp_path, argv):
+    # pytest captures warnings in process, so numpy's RuntimeWarnings show only here
+    path = write_matrix(tmp_path, Matrix([[1e200, 0.0], [0.0, 1.0]]))
+    src = str(Path(matroot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "matroot", argv[0], path, *argv[1:]],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: operation produced non-finite entries\n"
 
 
 # --- packaging ---------------------------------------------------------------------

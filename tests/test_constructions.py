@@ -13,6 +13,7 @@ from matroot import (
     RootConvention,
     Tolerance,
     Witness,
+    block_diag,
     case_counterexample,
     complex_counterexample,
     conjugate_matrix,
@@ -175,6 +176,109 @@ def test_case_witnesses_satisfy_equation_and_refute(tag, k, n):
 def test_case_parity_validation(tag, k, n):
     with pytest.raises(ValueError):
         case_counterexample(tag, k, n)
+
+
+# --- the table-driven builders against the hand-written families -------------------
+# Each family used to be written out by hand, its rotation blocks included.  That code
+# is the reference: the builders that read the factor table must give the same
+# witnesses, floats bit for bit and rationals by value and entry type, and must reject
+# the same cells.
+
+
+def _reference_case_counterexample(tag, k, n):
+    if tag not in (CaseTag.CASE_I, CaseTag.CASE_II, CaseTag.CASE_III,
+                   CaseTag.CASE_IV, CaseTag.CASE_V, CaseTag.CASE_VI):
+        raise ValueError(tag)
+    if n < 2:
+        raise ValueError(n)
+    if tag in (CaseTag.CASE_I, CaseTag.CASE_II):
+        if n % 2 != 0:
+            raise ValueError(n)
+    elif n % 2 == 0 or n < 3:
+        raise ValueError(n)
+    t = swap_block()
+    r = rotation(2.0 * math.pi / n)
+    if tag is CaseTag.CASE_I:
+        if k < 2 or k % 2 != 0:
+            raise ValueError(k)
+        m, a = block_diag([t] * (k // 2)), 1
+    elif tag is CaseTag.CASE_II:
+        if k < 3 or k % 2 != 1:
+            raise ValueError(k)
+        m, a = block_diag([Matrix([[1]], backend="rational")] + [t] * ((k - 1) // 2)), 1
+    elif tag is CaseTag.CASE_III:
+        if k < 4 or k % 2 != 0:
+            raise ValueError(k)
+        eye2 = Matrix([[1.0, 0.0], [0.0, 1.0]], backend="real")
+        m, a = block_diag([eye2] + [r] * (k // 2 - 1)), 1
+    elif tag is CaseTag.CASE_IV:
+        if k < 3 or k % 2 != 1:
+            raise ValueError(k)
+        m, a = block_diag([Matrix([[1.0]], backend="real")] + [r] * ((k - 1) // 2)), 1
+    elif tag is CaseTag.CASE_V:
+        if k < 4 or k % 2 != 0:
+            raise ValueError(k)
+        minus_eye2 = Matrix([[-1.0, 0.0], [0.0, -1.0]], backend="real")
+        m, a = block_diag([minus_eye2] + [scalar_mul(-1.0, r)] * (k // 2 - 1)), -1
+    else:
+        if k < 3 or k % 2 != 1:
+            raise ValueError(k)
+        minus_one = Matrix([[-1.0]], backend="real")
+        m, a = block_diag([minus_one] + [scalar_mul(-1.0, r)] * ((k - 1) // 2)), -1
+    return Witness(matrix=m, tag=tag, k=k, n=n, a=a, refutes_sentence=1)
+
+
+def _reference_theorem2_counterexample(k, n):
+    if n % 2 != 0 or n < 4 or k % 2 != 0 or k < 4:
+        raise ValueError((k, n))
+    r1 = rotation(math.pi / n)
+    r2 = rotation(3.0 * math.pi / n)
+    m = block_diag([r1] + [r2] * (k // 2 - 1))
+    return Witness(matrix=m, tag=CaseTag.THEOREM2_CE, k=k, n=n, a=-1, refutes_sentence=2)
+
+
+def _same_witness(got, want):
+    assert witness_to_json(got) == witness_to_json(want)
+    assert type(got.a) is type(want.a)
+    m, r = got.matrix, want.matrix
+    assert m.backend == r.backend and m.array.dtype == r.array.dtype
+    if m.backend == "rational":
+        assert m.entries() == r.entries()
+        assert [type(e) for e in m.entries()] == [type(e) for e in r.entries()]
+    else:
+        assert m.array.tobytes() == r.array.tobytes()
+
+
+def _check_builder(build, reference, *args):
+    """build(*args) against reference(*args): the same witness, plain and
+    conjugated, or a ValueError from both; returns whether the cell was valid."""
+    try:
+        want = reference(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            build(*args)
+        return False
+    got = build(*args)
+    _same_witness(got, want)
+    for seed in (3, 7):
+        _same_witness(conjugate_random(got, seed), conjugate_random(want, seed))
+    return True
+
+
+BUILDER_CELLS = [(k, n) for k in range(1, 13) for n in range(1, 14)]
+
+
+@pytest.mark.parametrize("tag", list(CaseTag), ids=lambda t: t.value)
+def test_case_builder_matches_the_hand_written_families(tag):
+    valid = [_check_builder(case_counterexample, _reference_case_counterexample, tag, k, n)
+             for k, n in BUILDER_CELLS]
+    assert any(valid) == (tag.value.startswith("case-"))
+
+
+def test_two_angle_builder_matches_the_hand_written_witness():
+    valid = [_check_builder(theorem2_counterexample, _reference_theorem2_counterexample, k, n)
+             for k, n in BUILDER_CELLS]
+    assert sum(valid) == 5 * 5  # k in {4, ..., 12} even, n in {4, ..., 12} even
 
 
 # --- theorem-2 counterexample -------------------------------------------------------

@@ -38,7 +38,7 @@ from matroot import (
     triangular_power_formula,
     zeros,
 )
-from matroot.factors import _lift_for_root
+from matroot.factors import _float_square, _lift_for_root, unit_factors
 
 
 def naive_pow(m, n):
@@ -158,6 +158,73 @@ def test_telescoping_identity():
         )
         rhs = mat_sub(mat_pow(x, n), scalar_matrix(float(a), 3, "real"))
         assert mat_eq(lhs, rhs, tol)
+
+
+# --- the real factor table ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_unit_factor_table_multiplies_back_to_x_n_minus_sign(sign):
+    for n in range(1, 25):
+        roots, blocks = unit_factors(n, sign)
+        assert len(roots) + 2 * len(blocks) == n and blocks.shape == (len(blocks), 2, 2)
+        product = np.array([1.0])
+        for r in roots:
+            product = np.polymul(product, [1.0, -r])
+        for block in blocks:  # the block's characteristic polynomial
+            product = np.polymul(product, [1.0, -np.trace(block), np.linalg.det(block)])
+        want = np.zeros(n + 1)
+        want[0], want[-1] = 1.0, -sign
+        assert np.allclose(product, want, rtol=0.0, atol=1e-9), (n, sign)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_unit_factor_blocks_are_distinct_rotations(sign):
+    for n in range(1, 25):
+        blocks = unit_factors(n, sign).blocks
+        angles = np.sort(np.arccos(blocks[:, 0, 0]))  # x^2 - 2 cos(theta) x + 1
+        assert np.all((angles > 0) & (angles < math.pi)), (n, sign)
+        assert np.all(np.diff(angles) > 1e-9), (n, sign)
+        for block in blocks:
+            assert np.allclose(block.T @ block, np.eye(2), rtol=0.0, atol=1e-12)
+            assert abs(np.linalg.det(block) - 1.0) < 1e-12
+        assert not blocks.flags.writeable
+        with pytest.raises(ValueError):
+            blocks[...] = 0.0
+
+
+def test_unit_factor_blocks_keep_the_bits_of_the_factor_angles():
+    # the angles as the kernels, witnesses and search wrote them before the table
+    for n in range(1, 25):
+        plus = [2.0 * math.pi * w / n for w in range(1, (n + 1) // 2)]
+        minus = [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
+        cells = [(1, plus, 1.0), (-1, plus, -1.0) if n % 2 else (-1, minus, 1.0)]
+        for sign, angles, scale in cells:
+            want = np.array([scale * rotation(t).array for t in angles]).reshape(-1, 2, 2)
+            assert unit_factors(n, sign).blocks.tobytes() == want.tobytes(), (n, sign)
+
+
+def test_unit_factor_table_is_cached_and_checks_its_arguments():
+    assert unit_factors(6, -1) is unit_factors(6, -1)
+    roots = {(n, sign): unit_factors(n, sign).roots for n in (1, 2, 3) for sign in (1, -1)}
+    assert roots == {(1, 1): (1,), (1, -1): (-1,), (2, 1): (1, -1), (2, -1): (),
+                     (3, 1): (1,), (3, -1): (-1,)}
+    assert unit_factors(2, 1).blocks.shape == (0, 2, 2)
+    for n, sign in [(4, 0), (4, 2), (3, -2), (0, 1), (-1, -1)]:
+        with pytest.raises(ValueError):
+            unit_factors(n, sign)
+
+
+def test_shared_square_gives_the_same_quadratics():
+    rng = np.random.default_rng(7)
+    for backend in ("rational", "real", "complex"):
+        x = as_backend(Matrix(rng.integers(-3, 4, size=(3, 3)).tolist()), backend)
+        for n in (2, 4, 6, 8):
+            for i in range(1, n // 2 + 1):
+                got = quadratic_factor_eval(x, n, -1, i, _float_square(x))
+                want = quadratic_factor_eval(x, n, -1, i)
+                assert got.backend == want.backend
+                assert got.array.tobytes() == want.array.tobytes()
 
 
 # --- quadratic factors ------------------------------------------------------------

@@ -49,6 +49,7 @@ from matroot import (
 )
 from matroot.cli import main as cli_main
 from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER
+from matroot.factors import _float_square
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -278,6 +279,25 @@ def test_non_root_never_reaches_a_factor_polynomial(monkeypatch):
         assert "factor_sum_zero" not in vars(clauses)
     with pytest.raises(AssertionError):  # a root does reach its factor sum
         evaluate(rotation(2.0 * math.pi / 5.0), ProblemInstance(2, 5, 1)).holds
+
+
+def test_sentence_two_squares_each_matrix_once(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x.array.shape)
+        return _float_square(x)
+
+    monkeypatch.setattr(theorems, "_float_square", counted)
+    inst = ProblemInstance(4, 12, -1)
+    w = theorem2_counterexample(4, 12)  # no quadratic vanishes: all six are evaluated
+    clauses = evaluate(w.matrix, inst)
+    assert not clauses.holds and list(clauses.zero_quadratics()) == []
+    assert calls == [(4, 4)]
+    stack = Matrix._wrap(np.stack([w.matrix.array, -w.matrix.array]), "real")
+    calls.clear()
+    assert list(evaluate(stack, inst).holds) == [False, False]
+    assert calls == [(2, 4, 4)]
 
 
 # --- decide ------------------------------------------------------------------------------
@@ -593,7 +613,9 @@ def test_scale_factor_outside_the_float_range_is_a_value_error():
 # --- stacked search against the per-candidate reference -----------------------------
 # The generator used to build, conjugate and check one Matrix per candidate.  The
 # reference below is that code; the stacked search must yield the same candidates,
-# byte for byte, and the same verdicts, witnesses and trials.
+# byte for byte, and the same verdicts, witnesses and trials.  Since the search reads
+# the real factor table, a > 0 and odd-n a < 0 draw one block per quadratic factor
+# (w < n/2), and only 1 x 1 blocks when there is none (n = 2, a > 0).
 
 
 def _reference_block_sum(inst, rng):
@@ -609,11 +631,11 @@ def _reference_block_sum(inst, rng):
         return Matrix(rows, backend="rational")
     if inst.a > 0:
         scalars = [1, -1] if n % 2 == 0 else [1]
-        angles = [2.0 * math.pi * w / n for w in range(1, n)]
+        angles = [2.0 * math.pi * w / n for w in range(1, (n + 1) // 2)]
         negate = False
     elif n % 2 == 1:
         scalars = [-1]
-        angles = [2.0 * math.pi * w / n for w in range(1, n)]
+        angles = [2.0 * math.pi * w / n for w in range(1, (n + 1) // 2)]
         negate = True
     else:
         scalars = []
@@ -627,7 +649,7 @@ def _reference_block_sum(inst, rng):
             sizes.insert(int(rng.integers(0, len(sizes) + 1)), 1)
     else:
         while rem:
-            if rem == 1 or (angles and rng.random() < 0.4):
+            if rem == 1 or not angles or rng.random() < 0.4:
                 sizes.append(1)
                 rem -= 1
             else:
