@@ -196,15 +196,20 @@ def _cmd_factor(args) -> int:
     tol = _tolerance(args)
     regime = classify_regime(args.n, a)
     if regime is Regime.NEGATIVE_EVEN_N:
-        values = [quadratic_factor_eval(m, args.n, a, i) for i in range(1, args.n // 2 + 1)]
-        factors = [{"i": i, "matrix": matrix_to_json(v), "is_zero": is_zero(v, tol)}
-                   for i, v in enumerate(values, 1)]
+        factors = []
+        zero_indices = []
+        for i in range(1, args.n // 2 + 1):
+            value = quadratic_factor_eval(m, args.n, a, i)
+            zero = is_zero(value, tol)
+            factors.append({"i": i, "matrix": matrix_to_json(value), "is_zero": zero})
+            if zero:
+                zero_indices.append(i)
         _emit(
             {
                 "sentence": 2,
                 "variant": "minus-2cos",  # the only form; kept for the wire format
                 "factors": factors,
-                "zero_indices": [f["i"] for f in factors if f["is_zero"]],
+                "zero_indices": zero_indices,
             },
             args.output,
         )

@@ -177,8 +177,8 @@ def case_counterexample(tag: CaseTag, k: int, n: int) -> Witness:
     if n % 2 != n_odd:
         raise ValueError(f"{tag.value} needs {'odd n >= 3' if n_odd else 'even n'}, got {n}")
     if n_odd:
-        table = unit_factors(n, sign)
-        lead, block = table.roots * (2 - k_odd), Matrix(table.blocks[0], backend=REAL)
+        roots, blocks = unit_factors(n, sign)
+        lead, block = roots * (2 - k_odd), Matrix(blocks[0], backend=REAL)
     else:
         lead, block = (1,) * k_odd, swap_block()
     if k < len(lead) + 2 or (k - len(lead)) % 2:
@@ -209,7 +209,8 @@ def theorem2_counterexample(k: int, n: int) -> Witness:
     if k < 4:
         raise ValueError("k = 2 admits only single-block roots, which satisfy "
                          "their own quadratic; need k >= 4")
-    r1, r2 = (Matrix(b, backend=REAL) for b in unit_factors(n, -1).blocks[:2])
+    _, blocks = unit_factors(n, -1)
+    r1, r2 = (Matrix(b, backend=REAL) for b in blocks[:2])
     m = block_diag([r1] + [r2] * (k // 2 - 1))
     return Witness(matrix=m, tag=CaseTag.THEOREM2_CE, k=k, n=n, a=-1, refutes_sentence=2)
 

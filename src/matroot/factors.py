@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,22 +43,15 @@ from .core import (
     scalar_mul,
 )
 
-
 class ConventionError(ValueError):
     """Raised when (n, a) admits no root of the requested kind."""
 
 
-class UnitFactors(NamedTuple):
-    """The real factors of x^n - sign: x - r for each root r, and for each
-    rotation block its characteristic polynomial x^2 - 2 cos(theta) x + 1."""
-
-    roots: Tuple[int, ...]
-    blocks: np.ndarray  # read-only (q, 2, 2) float rotation blocks
-
-
 @lru_cache(maxsize=None)
-def unit_factors(n: int, sign: int) -> UnitFactors:
-    """The real factorization of x^n - sign for sign = +-1, cached.
+def unit_factors(n: int, sign: int) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """(roots, blocks), the real factorization of x^n - sign for sign = +-1,
+    cached: x - r for each root r and, for each block of the read-only
+    (q, 2, 2) float array, its characteristic polynomial x^2 - 2 cos(t) x + 1.
 
     x^n - 1 has the roots 1 (and -1 for even n) and the blocks
     rotation(2*pi*w/n), w = 1 .. ceil(n/2) - 1.  For even n, x^n + 1 has no
@@ -76,7 +69,7 @@ def unit_factors(n: int, sign: int) -> UnitFactors:
     if sign == -1 and n % 2:
         blocks = -1.0 * blocks
     blocks.flags.writeable = False
-    return UnitFactors(roots, blocks)
+    return roots, blocks
 
 
 def _int_nth_root(m: int, n: int) -> Optional[int]:
@@ -234,7 +227,8 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int, square=None) -> Matrix:
     if not 1 <= i <= half:
         raise ValueError(f"factor index i must be in [1, {half}], got {i}")
     b = (-float(a)) ** (1.0 / n)
-    lin = -2.0 * b * float(unit_factors(n, -1).blocks[i - 1, 0, 0])
+    _, blocks = unit_factors(n, -1)
+    lin = -2.0 * b * float(blocks[i - 1, 0, 0])
     xx, x2, backend = _float_square(x) if square is None else square
     return Matrix._wrap(x2 + lin * xx + _scalar_array(b * b, x.order, backend), backend)
 
@@ -252,7 +246,8 @@ def odd_factorization_product(x: Matrix, n: int) -> Matrix:
     xx, x2, backend = _float_square(x)
     eye = _scalar_array(1, x.order, backend)
     result = None
-    for block in unit_factors(n, 1).blocks:
+    _, blocks = unit_factors(n, 1)
+    for block in blocks:
         coeff = -2.0 * float(block[0, 0])
         factor = x2 + coeff * xx + eye
         result = factor if result is None else result @ factor

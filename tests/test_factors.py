@@ -181,7 +181,7 @@ def test_unit_factor_table_multiplies_back_to_x_n_minus_sign(sign):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_unit_factor_blocks_are_distinct_rotations(sign):
     for n in range(1, 25):
-        blocks = unit_factors(n, sign).blocks
+        _, blocks = unit_factors(n, sign)
         angles = np.sort(np.arccos(blocks[:, 0, 0]))  # x^2 - 2 cos(theta) x + 1
         assert np.all((angles > 0) & (angles < math.pi)), (n, sign)
         assert np.all(np.diff(angles) > 1e-9), (n, sign)
@@ -201,15 +201,15 @@ def test_unit_factor_blocks_keep_the_bits_of_the_factor_angles():
         cells = [(1, plus, 1.0), (-1, plus, -1.0) if n % 2 else (-1, minus, 1.0)]
         for sign, angles, scale in cells:
             want = np.array([scale * rotation(t).array for t in angles]).reshape(-1, 2, 2)
-            assert unit_factors(n, sign).blocks.tobytes() == want.tobytes(), (n, sign)
+            assert unit_factors(n, sign)[1].tobytes() == want.tobytes(), (n, sign)
 
 
 def test_unit_factor_table_is_cached_and_checks_its_arguments():
     assert unit_factors(6, -1) is unit_factors(6, -1)
-    roots = {(n, sign): unit_factors(n, sign).roots for n in (1, 2, 3) for sign in (1, -1)}
+    roots = {(n, sign): unit_factors(n, sign)[0] for n in (1, 2, 3) for sign in (1, -1)}
     assert roots == {(1, 1): (1,), (1, -1): (-1,), (2, 1): (1, -1), (2, -1): (),
                      (3, 1): (1,), (3, -1): (-1,)}
-    assert unit_factors(2, 1).blocks.shape == (0, 2, 2)
+    assert unit_factors(2, 1)[1].shape == (0, 2, 2)
     for n, sign in [(4, 0), (4, 2), (3, -2), (0, 1), (-1, -1)]:
         with pytest.raises(ValueError):
             unit_factors(n, sign)

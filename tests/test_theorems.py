@@ -613,9 +613,9 @@ def test_scale_factor_outside_the_float_range_is_a_value_error():
 # --- stacked search against the per-candidate reference -----------------------------
 # The generator used to build, conjugate and check one Matrix per candidate.  The
 # reference below is that code; the stacked search must yield the same candidates,
-# byte for byte, and the same verdicts, witnesses and trials.  Since the search reads
-# the real factor table, a > 0 and odd-n a < 0 draw one block per quadratic factor
-# (w < n/2), and only 1 x 1 blocks when there is none (n = 2, a > 0).
+# byte for byte, and the same verdicts, witnesses and trials.  For a > 0 and odd-n
+# a < 0 it draws one block per real quadratic factor (w < n/2), and only 1 x 1
+# blocks when there is none (n = 2, a > 0).
 
 
 def _reference_block_sum(inst, rng):
