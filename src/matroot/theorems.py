@@ -461,9 +461,10 @@ def generate_candidates(
 ) -> Iterator[Matrix]:
     """Yield `count` seed-deterministic candidate roots of a*I.
 
-    Candidates are structured block direct sums (every real root of a*I is
-    similar to one), optionally conjugated by random unimodular integer
-    shears; raw random matrices would essentially never satisfy X^n = a*I.
+    Candidates are direct sums of shifts (a = 0) or of the factor blocks of
+    x^n - sign(a) (every real root of a*I is similar to one), optionally
+    conjugated by random unimodular integer shears; raw random matrices
+    would essentially never satisfy X^n = a*I.
     For |a| not in {0, 1} the unit-case candidate is scaled by |a|^(1/n).
     They are built in chunks of 4, 8, 16, ... (at most 64) candidates, one
     stack per backend, and yielded one by one in stream order; candidate i
