@@ -30,15 +30,13 @@ from .core import (
     COMPLEX, DEFAULT_TOLERANCE, Matrix, Tolerance, as_backend, is_zero, matrix_from_json,
     matrix_to_json,
 )
-from .factors import RootConvention, geometric_factor_sum, quadratic_factor_eval
+from .factors import RootConvention, _float_square, geometric_factor_sum, quadratic_factor_eval
 from .constructions import (
     CaseTag,
     Witness,
-    case_counterexample,
     complex_counterexample,
     conjugate_random,
-    shift_nilpotent,
-    theorem2_counterexample,
+    construct,
     witness_to_json,
 )
 from .instances import ProblemInstance, Regime, classify_regime
@@ -130,19 +128,8 @@ def _cmd_construct(args) -> int:
         witness = complex_counterexample(args.k, args.n, complex(a))
     elif args.a is not None:
         raise ValueError(f"--a is only meaningful for complex-ce, not {args.tag}")
-    elif tag is CaseTag.NILPOTENT_SHIFT:
-        witness = Witness(
-            matrix=shift_nilpotent(args.k, args.n),
-            tag=tag,
-            k=args.k,
-            n=args.n,
-            a=0,
-            refutes_sentence=1,
-        )
-    elif tag is CaseTag.THEOREM2_CE:
-        witness = theorem2_counterexample(args.k, args.n)
     else:
-        witness = case_counterexample(tag, args.k, args.n)
+        witness = construct(tag, args.k, args.n)
     if args.conjugate_seed is not None:
         witness = conjugate_random(witness, args.conjugate_seed)
     _emit(witness_to_json(witness), args.output)
@@ -198,8 +185,9 @@ def _cmd_factor(args) -> int:
     if regime is Regime.NEGATIVE_EVEN_N:
         factors = []
         zero_indices = []
+        square = _float_square(m)
         for i in range(1, args.n // 2 + 1):
-            value = quadratic_factor_eval(m, args.n, a, i)
+            value = quadratic_factor_eval(m, args.n, a, i, square)
             zero = is_zero(value, tol)
             factors.append({"i": i, "matrix": matrix_to_json(value), "is_zero": zero})
             if zero:

@@ -12,7 +12,7 @@ specific (k, n, a) cell or realises a boundary case exactly:
 
 plus similarity conjugation by random unimodular integer shears (for
 randomised invariance testing) and the scaling maps that reduce general
-a != 0 to a = +-1.
+a != 0 to a = +-1.  ``construct`` maps each real tag to its builder.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .core import (
     matrix_from_json,
     matrix_to_json,
 )
-from .factors import exact_nth_root, unit_factors
+from .factors import _float_root, exact_nth_root, unit_factors
 from .instances import ProblemInstance
 
 
@@ -242,6 +242,16 @@ def complex_counterexample(k: int, n: int, a: complex) -> Witness:
     )
 
 
+def construct(tag: CaseTag, k: int, n: int) -> Witness:
+    """The witness of a real tag (all but complex-ce) at order k and exponent n,
+    at a = 0 for nilpotent-shift and at a = +-1 for the others."""
+    if tag is CaseTag.NILPOTENT_SHIFT:
+        return Witness(shift_nilpotent(k, n), tag, k, n, a=0, refutes_sentence=1)
+    if tag is CaseTag.THEOREM2_CE:
+        return theorem2_counterexample(k, n)
+    return case_counterexample(tag, k, n)
+
+
 # --- similarity conjugation --------------------------------------------------
 
 # Shear budget per backend.  Exact arithmetic tolerates long products of
@@ -293,22 +303,16 @@ def _sheared(stack: np.ndarray, backend: str, coeffs: np.ndarray, pairs: np.ndar
     return arr
 
 
-def conjugate_with_rng(m: Matrix, rng: np.random.Generator) -> Matrix:
-    """P * M * P^-1 for the unimodular shear product P drawn from rng: the
-    one-matrix case of the shear kernel that the candidate search applies
-    to whole stacks."""
+def conjugate_matrix(m: Matrix, seed: int) -> Matrix:
+    """P * M * P^-1 for a seed-deterministic random unimodular integer P
+    (a short product of elementary shears): the one-matrix case of the shear
+    kernel that the candidate search applies to whole stacks."""
     k = m.order
     if k < 2:
         return m
-    coeffs, pairs = _shear_draws(rng, k, m.backend)
+    coeffs, pairs = _shear_draws(np.random.default_rng(int(seed)), k, m.backend)
     arr = _sheared(m.array[None], m.backend, coeffs[None], pairs[None])[0]
     return Matrix._wrap(arr, m.backend)
-
-
-def conjugate_matrix(m: Matrix, seed: int) -> Matrix:
-    """P * M * P^-1 for a seed-deterministic random unimodular integer P
-    (a short product of elementary shears)."""
-    return conjugate_with_rng(m, np.random.default_rng(int(seed)))
 
 
 def conjugate_random(w: Witness, seed: int) -> Witness:
@@ -322,23 +326,6 @@ def conjugate_random(w: Witness, seed: int) -> Witness:
 
 
 # --- scaling reductions ------------------------------------------------------
-
-
-def _float_root(mag, n: int, power: int) -> float:
-    """|a|^(power/n) as a float.  Where float(|a|) overflows or rounds to 0 it
-    comes from the logarithms of |a|'s exact numerator and denominator."""
-    try:
-        f = float(mag)
-    except OverflowError:
-        f = 0.0
-    if f > 0:
-        return f ** (power / n)
-    q = Fraction(mag)
-    log = power * (math.log(q.numerator) - math.log(q.denominator)) / n
-    factor = math.exp(log) if log < 710 else math.inf  # exp(710) overflows
-    if not 0 < factor < math.inf:
-        raise ValueError(f"|a|^({power}/{n}) is outside the float range")
-    return factor
 
 
 def _scale(x: Matrix, n: int, a, power: int) -> Matrix:

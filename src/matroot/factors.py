@@ -116,12 +116,30 @@ def exact_nth_root(a, n: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
+def _float_root(mag, n: int, power: int) -> float:
+    """|a|^(power/n) as a float.  Where float(|a|) overflows or rounds to 0 it
+    comes from the logarithms of |a|'s exact numerator and denominator."""
+    try:
+        f = float(mag)
+    except OverflowError:
+        f = 0.0
+    if f > 0:
+        return f ** (power / n)
+    q = Fraction(mag)
+    log = power * (math.log(q.numerator) - math.log(q.denominator)) / n
+    factor = math.exp(log) if log < 710 else math.inf  # exp(710) overflows
+    if not 0 < factor < math.inf:
+        raise ValueError(f"|a|^({power}/{n}) is outside the float range")
+    return factor
+
+
 @dataclass(frozen=True)
 class RootConvention:
     """A committed choice of n-th root of a.
 
     ``real(n, a)`` picks the nonnegative real root for a >= 0 and, for a < 0
-    with n odd, the negative real root -|a|^(1/n).  ``principal(n, a)`` picks
+    with n odd, the negative real root -|a|^(1/n), by ``_float_root`` even
+    where float(a) overflows or rounds to 0.  ``principal(n, a)`` picks
     the principal complex branch.  ``exact_root`` is the same root as an
     exact Fraction whenever one exists, so rational matrices can be handled
     without leaving exact arithmetic.
@@ -147,9 +165,9 @@ class RootConvention:
                 raise ConventionError(
                     f"a = {a} < 0 with even n = {n} has no real n-th root"
                 )
-            root = -((-float(a)) ** (1.0 / n))
+            root = -_float_root(-a, n, 1)
         else:
-            root = float(a) ** (1.0 / n)
+            root = _float_root(a, n, 1) if a else 0.0
         return cls(n=n, a=a, root=root, exact_root=exact_nth_root(a, n))
 
     @classmethod
@@ -226,7 +244,7 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int, square=None) -> Matrix:
     half = n // 2
     if not 1 <= i <= half:
         raise ValueError(f"factor index i must be in [1, {half}], got {i}")
-    b = (-float(a)) ** (1.0 / n)
+    b = _float_root(-a, n, 1)
     _, blocks = unit_factors(n, -1)
     lin = -2.0 * b * float(blocks[i - 1, 0, 0])
     xx, x2, backend = _float_square(x) if square is None else square

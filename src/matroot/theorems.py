@@ -64,11 +64,9 @@ from .constructions import (
     Witness,
     _shear_draws,
     _sheared,
-    case_counterexample,
+    construct,
     scale_from_unit,
     scale_to_unit,
-    shift_nilpotent,
-    theorem2_counterexample,
     witness_to_json,
 )
 from .instances import ApplicabilityError, ProblemInstance, Regime, classify_regime
@@ -317,12 +315,11 @@ def _witness(inst: ProblemInstance) -> Witness:
     """The refuted cell's witness: a nilpotent shift, or a unit case lifted to |a|."""
     k, n, a = inst.k, inst.n, inst.a
     if a == 0:
-        shift = shift_nilpotent(k, n)
-        return Witness(shift, CaseTag.NILPOTENT_SHIFT, k, n, a=0, refutes_sentence=1)
+        return construct(CaseTag.NILPOTENT_SHIFT, k, n)
     if inst.regime is Regime.NEGATIVE_EVEN_N:
-        w = theorem2_counterexample(k, n)
+        w = construct(CaseTag.THEOREM2_CE, k, n)
     else:
-        w = case_counterexample(CASE_AT[n % 2, k % 2, 1 if a > 0 else -1], k, n)
+        w = construct(CASE_AT[n % 2, k % 2, 1 if a > 0 else -1], k, n)
     matrix = w.matrix if abs(a) == 1 else scale_from_unit(w.matrix, n, a)
     return replace(w, matrix=matrix, a=a)
 
@@ -360,7 +357,7 @@ _MAX_CHUNK = 64
 
 class _Candidates:
     """The seed-deterministic candidate stream of ``generate_candidates``,
-    built a chunk at a time as one (m, k, k) stack per backend.
+    built a chunk at a time as one (m, k, k) stack.
 
     A candidate is a block direct sum.  For a = 0 its blocks are
     first-superdiagonal shifts of order at most n, so X^n = 0.  Otherwise
@@ -368,84 +365,65 @@ class _Candidates:
     of its real roots and 2 x 2 blocks, one per real quadratic factor (all
     blocks are 1 x 1 when there are none, as for n = 2, a > 0); then the sum
     is scaled by |a|^(1/n).  When a < 0, n is even and k is odd, no such sum
-    exists (the determinant obstruction), so one +-1 scalar pad is inserted
-    and the candidate deliberately violates X^n = a*I.  Last, each
+    exists (the determinant obstruction), so the last block is a +-1 scalar
+    pad and the candidate deliberately violates X^n = a*I.  Last, each
     candidate is conjugated by its own random unimodular shears.
+
+    The backend is fixed per cell: rational when a = 0, or when the table
+    has no quadratic factor and |a|^(1/n) is rational, so every candidate
+    stays exact; real otherwise.
     """
 
-    def __init__(self, inst: ProblemInstance, seed: int, conjugate: bool) -> None:
+    def __init__(self, inst: ProblemInstance, seed: int) -> None:
         self.k, self.n, self.a = inst.k, inst.n, inst.a
         self.rng = np.random.default_rng(int(seed))
-        self.conjugate = conjugate
         self.zero = inst.regime is Regime.ZERO_A
         self.scalars, self.blocks = unit_factors(inst.n, 1 if inst.a > 0 else -1)
-        # rational candidates stay rational through scaling when |a|^(1/n) is rational
-        self.exact = abs(inst.a) == 1 or exact_nth_root(abs(inst.a), inst.n) is not None
+        exact = not len(self.blocks) and exact_nth_root(abs(inst.a), inst.n) is not None
+        self.backend = RATIONAL if self.zero or exact else REAL
 
-    def _draw(self) -> tuple:
-        """One candidate's block draws, in the stream's fixed order (block
-        sizes, then each block's scalar or angle): its backend, its (i, j, s)
-        entries X[i, j] = s and its (i, angle index) 2 x 2 blocks."""
-        k, rng, scalars = self.k, self.rng, self.scalars
-        entries, rotations, sizes, at = [], [], [], 0
+    def _draw(self, x: np.ndarray) -> None:
+        """Draw one candidate's block sum into the zero k x k array x, in the
+        stream's fixed order: block sizes, then each block's scalar or angle."""
+        k, n, rng, scalars, blocks = self.k, self.n, self.rng, self.scalars, self.blocks
+        at = 0
         if self.zero:
             while at < k:
-                size = int(rng.integers(1, min(self.n, k - at) + 1))
-                entries += [(i, i + 1, 1) for i in range(at, at + size - 1)]
+                size = int(rng.integers(1, min(n, k - at) + 1))
+                for i in range(at, at + size - 1):
+                    x[i, i + 1] = 1
                 at += size
-            return RATIONAL, entries, rotations
-        if scalars:
-            rem = k
-            while rem:
-                sizes.append(1 if rem == 1 or not len(self.blocks) or rng.random() < 0.4 else 2)
-                rem -= sizes[-1]
-        else:
-            sizes = [2] * (k // 2)
-            if k % 2:
-                sizes.insert(int(rng.integers(0, len(sizes) + 1)), 1)
+            return
+        sizes, rem = [], k
+        while rem:
+            one = rem == 1 or not len(blocks) or (scalars and rng.random() < 0.4)
+            sizes.append(1 if one else 2)
+            rem -= sizes[-1]
+        pool = scalars or (1, -1)
         for size in sizes:
             if size == 2:
-                rotations.append((at, int(rng.integers(0, len(self.blocks)))))
-            elif scalars:
-                entries.append((at, at, scalars[int(rng.integers(0, len(scalars)))]))
+                x[at : at + 2, at : at + 2] = blocks[int(rng.integers(0, len(blocks)))]
             else:
-                entries.append((at, at, 1 if rng.random() < 0.5 else -1))
+                x[at, at] = pool[int(rng.integers(0, len(pool)))]
             at += size
-        return REAL if rotations or not self.exact else RATIONAL, entries, rotations
 
-    def _stack(self, backend: str, drawn: list) -> tuple:
-        """(positions, stack): the drawn candidates of one backend as a stacked
-        Matrix, scaled and conjugated, with their positions in the chunk."""
-        k = self.k
-        arr = np.full((len(drawn), k, k), 0, dtype=object if backend == RATIONAL else float)
-        for c, (_, entries, rotations, _) in enumerate(drawn):
-            for i, j, s in entries:
-                arr[c, i, j] = s if backend == RATIONAL else float(s)
-            for i, w in rotations:
-                arr[c, i : i + 2, i : i + 2] = self.blocks[w]
-        stack = Matrix._wrap(arr, backend)
-        if not self.zero and abs(self.a) != 1:
-            stack = scale_from_unit(stack, self.n, self.a)
-        if self.conjugate:
-            coeffs = np.array([shears[0] for *_, shears in drawn])
-            pairs = np.array([shears[1] for *_, shears in drawn])
-            stack = Matrix._wrap(_sheared(stack.array, backend, coeffs, pairs), backend)
-        return [d[0] for d in drawn], stack
-
-    def chunks(self, count: int) -> Iterator[tuple]:
-        """Yield (first, groups) for the first ``count`` candidates, a chunk at a
-        time: ``first`` is the stream index of the chunk's first candidate and
-        ``groups`` holds one (positions, stack) per backend."""
-        first, size = 0, _FIRST_CHUNK
-        while first < count:
-            size = min(size, count - first)
-            drawn = {}
-            for position in range(size):
-                backend, entries, rotations = self._draw()
-                shears = _shear_draws(self.rng, self.k, backend) if self.conjugate else None
-                drawn.setdefault(backend, []).append((position, entries, rotations, shears))
-            yield first, [self._stack(backend, cands) for backend, cands in drawn.items()]
-            first += size
+    def chunks(self, count: int) -> Iterator[Matrix]:
+        """Yield the first ``count`` candidates as stacks of 4, 8, 16, ...
+        (at most 64) matrices, each scaled and conjugated."""
+        k, backend, size = self.k, self.backend, _FIRST_CHUNK
+        while count > 0:
+            size = min(size, count)
+            arr = np.full((size, k, k), 0, dtype=object if backend == RATIONAL else float)
+            shears = []
+            for x in arr:
+                self._draw(x)
+                shears.append(_shear_draws(self.rng, k, backend))
+            stack = Matrix._wrap(arr, backend)
+            if not self.zero and abs(self.a) != 1:
+                stack = scale_from_unit(stack, self.n, self.a)
+            coeffs, pairs = (np.array(s) for s in zip(*shears))
+            yield Matrix._wrap(_sheared(stack.array, backend, coeffs, pairs), backend)
+            count -= size
             size = min(2 * size, _MAX_CHUNK)
 
 
@@ -453,28 +431,22 @@ def _row(stack: Matrix, r: int) -> Matrix:
     return Matrix._wrap(stack.array[r], stack.backend)
 
 
-def generate_candidates(
-    inst: ProblemInstance,
-    count: int,
-    seed: int,
-    conjugate: bool = True,
-) -> Iterator[Matrix]:
+def generate_candidates(inst: ProblemInstance, count: int, seed: int) -> Iterator[Matrix]:
     """Yield `count` seed-deterministic candidate roots of a*I.
 
     Candidates are direct sums of shifts (a = 0) or of the factor blocks of
-    x^n - sign(a) (every real root of a*I is similar to one), optionally
-    conjugated by random unimodular integer shears; raw random matrices
-    would essentially never satisfy X^n = a*I.
+    x^n - sign(a) (every real root of a*I is similar to one), conjugated by
+    random unimodular integer shears; raw random matrices would essentially
+    never satisfy X^n = a*I.
     For |a| not in {0, 1} the unit-case candidate is scaled by |a|^(1/n).
     They are built in chunks of 4, 8, 16, ... (at most 64) candidates, one
-    stack per backend, and yielded one by one in stream order; candidate i
-    of a seed is the same matrix whatever ``count`` is.
+    stack of one backend per chunk, and yielded row by row; candidate i of a
+    seed is the same matrix whatever ``count`` is.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    for _, groups in _Candidates(inst, seed, conjugate).chunks(count):
-        rows = {p: _row(stack, r) for ps, stack in groups for r, p in enumerate(ps)}
-        yield from (rows[p] for p in sorted(rows))
+    for stack in _Candidates(inst, seed).chunks(count):
+        yield from (_row(stack, r) for r in range(len(stack.array)))
 
 
 def search_counterexample(
@@ -489,22 +461,20 @@ def search_counterexample(
     SearchExhausted with trials = budget.  Exhaustion is evidence, not proof:
     the closed-form predicates remain the authority.  The candidates of
     ``generate_candidates(inst, budget, seed)`` are checked a chunk at a
-    time, each backend's stack by one ``evaluate``; ``trials`` is the stream
+    time, each chunk's stack by one ``evaluate``; ``trials`` is the stream
     index of the violator plus one, as if they were checked one by one.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    for first, groups in _Candidates(inst, seed, True).chunks(budget):
-        violators = []  # each stack's first violator: (position, matrix, sentence)
-        for positions, stack in groups:
-            clauses = evaluate(stack, inst, tol)
-            bad = np.flatnonzero(~clauses.holds)
-            if bad.size:
-                violators.append((positions[bad[0]], _row(stack, bad[0]), clauses.sentence))
-        if violators:
-            position, matrix, sentence = min(violators, key=lambda v: v[0])
-            w = Witness(matrix, None, inst.k, inst.n, inst.a, refutes_sentence=sentence)
-            return Verdict(False, VerdictMode.WITNESS_FOUND, w, trials=first + position + 1)
+    first = 0
+    for stack in _Candidates(inst, seed).chunks(budget):
+        clauses = evaluate(stack, inst, tol)
+        bad = np.flatnonzero(~clauses.holds)
+        if bad.size:
+            matrix = _row(stack, bad[0])
+            w = Witness(matrix, None, inst.k, inst.n, inst.a, refutes_sentence=clauses.sentence)
+            return Verdict(False, VerdictMode.WITNESS_FOUND, w, trials=first + int(bad[0]) + 1)
+        first += len(stack.array)
     return Verdict(holds=True, mode=VerdictMode.SEARCH_EXHAUSTED, trials=budget)
 
 

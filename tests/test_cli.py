@@ -10,18 +10,25 @@ import pytest
 
 import matroot
 from matroot import (
+    CaseTag,
     Matrix,
+    case_counterexample,
     identity,
     mat_pow,
     matrix_from_json,
     matrix_to_json,
+    quadratic_factor_eval,
     scalar_matrix,
+    scale_from_unit,
     shift_nilpotent,
     swap_block,
+    theorem2_counterexample,
     verify_witness,
     witness_from_json,
 )
+from matroot import cli
 from matroot.cli import main
+from matroot.factors import _float_square
 
 
 def run_cli(capsys, *argv):
@@ -394,6 +401,31 @@ def test_factor_zero_a_reports_top_power(capsys, tmp_path):
     report = parse_line(out)
     assert report["is_zero"] is False
     assert matrix_from_json(report["factor_sum"]) == mat_pow(a, 3)
+
+
+def test_factor_beyond_the_float_range(capsys, tmp_path):
+    # float(10^400) overflows: the root comes from the exact logarithms of a
+    w = case_counterexample(CaseTag.CASE_III, 4, 3)
+    path = write_matrix(tmp_path, scale_from_unit(w.matrix, 3, 10**400))
+    code, out, _ = run_cli(capsys, "factor", path, "--n", "3", "--a", "1e400")
+    assert code == 0
+    assert parse_line(out)["is_zero"] is False
+
+
+def test_factor_squares_x_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x.array.shape)
+        return _float_square(x)
+
+    monkeypatch.setattr(cli, "_float_square", counted)
+    path = write_matrix(tmp_path, theorem2_counterexample(4, 8).matrix)
+    code, out, _ = run_cli(capsys, "factor", path, "--n", "8", "--a", "-1")
+    assert code == 0 and calls == [(4, 4)]
+    m = cli._load_matrix(path)
+    want = [matrix_to_json(quadratic_factor_eval(m, 8, -1, i)) for i in range(1, 5)]
+    assert [f["matrix"] for f in parse_line(out)["factors"]] == want
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

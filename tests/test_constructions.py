@@ -39,7 +39,9 @@ from matroot import (
     zeros,
 )
 
-from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _shear_draws
+from matroot.constructions import (
+    _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _shear_draws, construct,
+)
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -279,6 +281,33 @@ def test_two_angle_builder_matches_the_hand_written_witness():
     valid = [_check_builder(theorem2_counterexample, _reference_theorem2_counterexample, k, n)
              for k, n in BUILDER_CELLS]
     assert sum(valid) == 5 * 5  # k in {4, ..., 12} even, n in {4, ..., 12} even
+
+
+def _nilpotent_witness(k, n):
+    return Witness(shift_nilpotent(k, n), CaseTag.NILPOTENT_SHIFT, k, n, 0, 1)
+
+
+@pytest.mark.parametrize("tag", list(CaseTag), ids=lambda t: t.value)
+def test_construct_builds_each_real_tag(tag):
+    builders = {CaseTag.NILPOTENT_SHIFT: _nilpotent_witness,
+                CaseTag.THEOREM2_CE: theorem2_counterexample}
+    build = builders.get(tag, lambda k, n: case_counterexample(tag, k, n))
+    built = 0
+    for k, n in BUILDER_CELLS:
+        try:
+            want = build(k, n)
+        except ValueError:
+            with pytest.raises(ValueError):
+                construct(tag, k, n)
+            continue
+        _same_witness(construct(tag, k, n), want)
+        built += 1
+    assert (built > 0) == (tag is not CaseTag.COMPLEX_CE)  # complex-ce is not a real tag
+
+
+def test_constructed_nilpotent_witness_keeps_an_exact_zero_a():
+    w = construct(CaseTag.NILPOTENT_SHIFT, 5, 3)
+    assert type(w.a) is int and witness_to_json(w)["a"] == "0/1"
 
 
 # --- theorem-2 counterexample -------------------------------------------------------

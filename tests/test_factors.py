@@ -87,6 +87,19 @@ def test_real_convention_rejects_negative_a_with_even_n():
         RootConvention.real(4, -1)
 
 
+def test_real_convention_in_range_roots_are_float_powers():
+    for n, a in [(2, 2), (3, Fraction(1, 3)), (5, -7), (4, 1e300), (3, -1e-300), (2, 0)]:
+        want = math.copysign(abs(float(a)) ** (1 / n), float(a))
+        assert RootConvention.real(n, a).root == want
+
+
+def test_real_convention_beyond_the_float_range():
+    # float(|a|) rounds to 0 or overflows: the root comes from exact logarithms
+    want = 10 ** (-400 / 3)
+    assert abs(RootConvention.real(3, Fraction(1, 10**400)).root - want) <= 1e-12 * want
+    assert RootConvention.real(3, -(10**400)).root == pytest.approx(-(10 ** (400 / 3)), 1e-12)
+
+
 def test_principal_convention_matches_complex_root():
     conv = RootConvention.principal(4, 16)
     assert abs(conv.root - 2.0) < 1e-12
@@ -261,6 +274,15 @@ def test_minus_2cos_products_reconstruct_x_n_minus_a():
             acc = f if acc is None else mat_mul(acc, f)
         rhs = mat_sub(mat_pow(x, n), scalar_matrix(float(a), 2, "real"))
         assert mat_eq(acc, rhs, tol)
+
+
+def test_quadratic_factor_beyond_the_float_range_is_finite():
+    # a = -10^400 overflows float; b = 10^100 comes from the exact logarithms
+    x = scalar_mul(1e100, rotation(math.pi / 4.0))
+    first = quadratic_factor_eval(x, 4, -(10**400), 1)
+    second = quadratic_factor_eval(x, 4, -(10**400), 2)
+    assert np.isfinite(first.array).all() and np.isfinite(second.array).all()
+    assert np.abs(first.array).max() <= 1e-12 * 1e200 < np.abs(second.array).max()
 
 
 def test_quadratic_factor_argument_validation():

@@ -49,7 +49,7 @@ from matroot import (
 )
 from matroot.cli import main as cli_main
 from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER
-from matroot.factors import _float_square
+from matroot.factors import _float_square, exact_nth_root
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -611,11 +611,13 @@ def test_scale_factor_outside_the_float_range_is_a_value_error():
 
 
 # --- stacked search against the per-candidate reference -----------------------------
-# The generator used to build, conjugate and check one Matrix per candidate.  The
-# reference below is that code; the stacked search must yield the same candidates,
-# byte for byte, and the same verdicts, witnesses and trials.  For a > 0 and odd-n
-# a < 0 it draws one block per real quadratic factor (w < n/2), and only 1 x 1
-# blocks when there is none (n = 2, a > 0).
+# The reference builds, conjugates and checks one Matrix per candidate; the stacked
+# search must yield the same candidates, byte for byte, and the same verdicts,
+# witnesses and trials.  For a > 0 and odd-n a < 0 it draws one block per real
+# quadratic factor (w < n/2), and only 1 x 1 blocks when there is none (n = 2,
+# a > 0).  The backend is fixed per cell: rational for a = 0, and for cells with
+# no quadratic factor and a rational |a|^(1/n); real otherwise.  On odd-k
+# sentence-2 cells the last block is a +-1 pad, so no candidate is a root.
 
 
 def _reference_block_sum(inst, rng):
@@ -641,27 +643,22 @@ def _reference_block_sum(inst, rng):
         scalars = []
         angles = [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
         negate = False
+    exact = not angles and exact_nth_root(abs(inst.a), n) is not None
+    backend = "rational" if exact else "real"
     sizes = []
     rem = k
-    if not scalars:
-        sizes = [2] * (rem // 2)
-        if rem % 2:
-            sizes.insert(int(rng.integers(0, len(sizes) + 1)), 1)
-    else:
-        while rem:
-            if rem == 1 or not angles or rng.random() < 0.4:
-                sizes.append(1)
-                rem -= 1
-            else:
-                sizes.append(2)
-                rem -= 2
-    backend = "real" if 2 in sizes else "rational"
+    while rem:
+        if rem == 1 or not angles or (scalars and rng.random() < 0.4):
+            sizes.append(1)
+            rem -= 1
+        else:
+            sizes.append(2)
+            rem -= 2
+    pad = scalars or [1, -1]  # the +-1 pad of an odd-k sentence-2 candidate
     blocks = []
     for size in sizes:
         if size == 1:
-            s = scalars[int(rng.integers(0, len(scalars)))] if scalars else (
-                1 if rng.random() < 0.5 else -1
-            )
+            s = pad[int(rng.integers(0, len(pad)))]
             blocks.append(Matrix([[float(s)]], backend="real") if backend == "real"
                           else Matrix([[s]], backend="rational"))
         else:
@@ -758,8 +755,14 @@ def test_stacked_search_matches_the_per_candidate_reference(cell):
         _check_against_the_reference(ProblemInstance(*cell), seed, budgets)
 
 
-@pytest.mark.parametrize("cell, seed", [((3, 4, 1), 5), ((4, 2, 1), 35), ((4, 2, 4), 35)])
-def test_stacked_search_takes_the_first_violator_across_backends(cell, seed):
-    # in the first chunk, the first violator of the real stack comes after
-    # the first violator of the rational stack
-    _check_against_the_reference(ProblemInstance(*cell), seed, PARITY_BUDGETS[:-1])
+@pytest.mark.parametrize(
+    "cell, backend",
+    [((3, 4, 1), "real"), ((4, 2, 2), "real"), ((5, 4, -1), "real"),
+     ((4, 2, 1), "rational"), ((4, 2, 4), "rational"), ((5, 3, 0), "rational")],
+    ids=str,
+)
+def test_each_candidate_stream_has_one_backend(cell, backend):
+    inst = ProblemInstance(*cell)
+    for seed in (0, 1, 2):
+        cands = list(generate_candidates(inst, 61, seed))
+        assert len(cands) == 61 and {c.backend for c in cands} == {backend}, seed
