@@ -340,7 +340,10 @@ def _scale(x: Matrix, n: int, a, power: int) -> Matrix:
         exact = exact_nth_root(mag, n)
         if exact is not None:
             return scalar_mul(exact**power, x)
-    return scalar_mul(_float_root(mag, n, power), x)
+    factor = _float_root(mag, n, power)
+    if not factor:  # scaling by 0 cannot be undone
+        raise ValueError(f"|a|^({power}/{n}) is outside the float range")
+    return scalar_mul(factor, x)
 
 
 def scale_to_unit(x: Matrix, n: int, a) -> Matrix:

@@ -117,8 +117,9 @@ def exact_nth_root(a, n: int) -> Optional[Fraction]:
 
 
 def _float_root(mag, n: int, power: int) -> float:
-    """|a|^(power/n) as a float.  Where float(|a|) overflows or rounds to 0 it
-    comes from the logarithms of |a|'s exact numerator and denominator."""
+    """|a|^(power/n) as a float, 0.0 where it rounds to 0.  Where float(|a|)
+    overflows or rounds to 0 it comes from the logarithms of |a|'s exact
+    numerator and denominator; a result above the float range raises ValueError."""
     try:
         f = float(mag)
     except OverflowError:
@@ -126,11 +127,10 @@ def _float_root(mag, n: int, power: int) -> float:
     if f > 0:
         return f ** (power / n)
     q = Fraction(mag)
-    log = power * (math.log(q.numerator) - math.log(q.denominator)) / n
-    factor = math.exp(log) if log < 710 else math.inf  # exp(710) overflows
-    if not 0 < factor < math.inf:
-        raise ValueError(f"|a|^({power}/{n}) is outside the float range")
-    return factor
+    try:
+        return math.exp(power * (math.log(q.numerator) - math.log(q.denominator)) / n)
+    except OverflowError:
+        raise ValueError(f"|a|^({power}/{n}) is outside the float range") from None
 
 
 @dataclass(frozen=True)
@@ -160,15 +160,10 @@ class RootConvention:
             raise ConventionError("real convention needs a real a; use principal()")
         if not isinstance(a, (int, Fraction)) and not math.isfinite(float(a)):
             raise ConventionError(f"a must be finite, got {a!r}")
-        if a < 0:
-            if n % 2 == 0:
-                raise ConventionError(
-                    f"a = {a} < 0 with even n = {n} has no real n-th root"
-                )
-            root = -_float_root(-a, n, 1)
-        else:
-            root = _float_root(a, n, 1) if a else 0.0
-        return cls(n=n, a=a, root=root, exact_root=exact_nth_root(a, n))
+        if a < 0 and n % 2 == 0:
+            raise ConventionError(f"a = {a} < 0 with even n = {n} has no real n-th root")
+        root = _float_root(abs(a), n, 1) if a else 0.0
+        return cls(n=n, a=a, root=-root if a < 0 else root, exact_root=exact_nth_root(a, n))
 
     @classmethod
     def principal(cls, n: int, a) -> "RootConvention":

@@ -98,6 +98,14 @@ def test_real_convention_beyond_the_float_range():
     want = 10 ** (-400 / 3)
     assert abs(RootConvention.real(3, Fraction(1, 10**400)).root - want) <= 1e-12 * want
     assert RootConvention.real(3, -(10**400)).root == pytest.approx(-(10 ** (400 / 3)), 1e-12)
+    # a root below the floats rounds to 0.0, and an exact one stays exact
+    conv = RootConvention.real(2, Fraction(1, 10**800))
+    assert conv.exact_root == Fraction(1, 10**400) and conv.root == 0.0
+    value = geometric_factor_sum(identity(2, "rational"), 2, conv)
+    assert value == scalar_matrix(1 + Fraction(1, 10**400), 2, "rational")
+    assert RootConvention.real(3, -Fraction(2, 10**1200)).root == 0.0
+    with pytest.raises(ValueError):  # 10^400 is above the floats
+        RootConvention.real(2, 10**800)
 
 
 def test_principal_convention_matches_complex_root():
