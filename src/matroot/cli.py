@@ -111,12 +111,9 @@ def _cmd_decide(args) -> int:
     verdict = decide(inst, _tolerance(args))
     _emit(verdict_to_json(verdict), args.output)
     if verdict.quarantined:
-        print(
-            f"note: k={inst.k}, n={inst.n}, a={inst.a}: the closed form says the "
-            "sentence fails, but every 2x2 real root of a*I satisfies its own "
-            "quadratic; cell quarantined, verdict not trusted",
-            file=sys.stderr,
-        )
+        print(f"note: k={inst.k}, n={inst.n}, a={inst.a}: the closed form says the "
+              "sentence fails, but every 2x2 real root of a*I satisfies its own "
+              "quadratic; cell quarantined, verdict not trusted", file=sys.stderr)
         return EXIT_QUARANTINED
     return EXIT_HOLDS if verdict.holds else EXIT_REFUTED
 
@@ -163,15 +160,10 @@ def _cmd_search(args) -> int:
     inst = ProblemInstance(args.k, args.n, _parse_real(args.a))
     verdict = search_counterexample(inst, args.budget, args.seed, _tolerance(args))
     _emit(verdict_to_json(verdict), args.output)
-    if inst.regime is Regime.NEGATIVE_EVEN_N and not minus_identity_root_exists(
-        inst.k, inst.n
-    ):
-        print(
-            f"note: no real {inst.k}x{inst.k} matrix has an even power equal to "
-            "a negative multiple of I (determinant parity); the sentence is "
-            "vacuously true and the search has nothing to find",
-            file=sys.stderr,
-        )
+    if inst.regime is Regime.NEGATIVE_EVEN_N and not minus_identity_root_exists(inst.k, inst.n):
+        print(f"note: no real {inst.k}x{inst.k} matrix has an even power equal to "
+              "a negative multiple of I (determinant parity); the sentence is "
+              "vacuously true and the search has nothing to find", file=sys.stderr)
     return EXIT_HOLDS if verdict.holds else EXIT_REFUTED
 
 
@@ -181,37 +173,22 @@ def _cmd_factor(args) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     tol = _tolerance(args)
-    regime = classify_regime(args.n, a)
-    if regime is Regime.NEGATIVE_EVEN_N:
-        factors = []
-        zero_indices = []
+    if classify_regime(args.n, a) is Regime.NEGATIVE_EVEN_N:
         square = _float_square(m)
+        factors = []
         for i in range(1, args.n // 2 + 1):
             value = quadratic_factor_eval(m, args.n, a, i, square)
             zero = is_zero(value, tol)
             factors.append({"i": i, "matrix": matrix_to_json(value), "is_zero": zero})
-            if zero:
-                zero_indices.append(i)
-        _emit(
-            {
-                "sentence": 2,
-                "variant": "minus-2cos",  # the only form; kept for the wire format
-                "factors": factors,
-                "zero_indices": zero_indices,
-            },
-            args.output,
-        )
+        zero_indices = [f["i"] for f in factors if f["is_zero"]]
+        # "minus-2cos" is the only variant; the key is kept for the wire format
+        payload = {"sentence": 2, "variant": "minus-2cos", "factors": factors,
+                   "zero_indices": zero_indices}
     else:
-        conv = RootConvention.real(args.n, a)
-        value = geometric_factor_sum(m, args.n, conv)
-        _emit(
-            {
-                "sentence": 1,
-                "factor_sum": matrix_to_json(value),
-                "is_zero": is_zero(value, tol),
-            },
-            args.output,
-        )
+        value = geometric_factor_sum(m, args.n, RootConvention.real(args.n, a))
+        payload = {"sentence": 1, "factor_sum": matrix_to_json(value),
+                   "is_zero": is_zero(value, tol)}
+    _emit(payload, args.output)
     return EXIT_HOLDS
 
 
@@ -240,17 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("construct", help="emit a witness construction as JSON")
-    p.add_argument(
-        "--tag", required=True, choices=sorted(_CASE_TAGS), help="construction family"
-    )
+    p.add_argument("--tag", required=True, choices=sorted(_CASE_TAGS), help="construction family")
     _add_kn(p)
     p.add_argument("--a", help="scalar a (complex-ce only; defaults to 1)")
-    p.add_argument(
-        "--conjugate-seed",
-        type=int,
-        metavar="SEED",
-        help="conjugate the witness by a random unimodular matrix",
-    )
+    p.add_argument("--conjugate-seed", type=int, metavar="SEED",
+                   help="conjugate the witness by a random unimodular matrix")
     _add_output(p)
     p.set_defaults(func=_cmd_construct)
 

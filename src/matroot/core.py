@@ -18,7 +18,8 @@ backend), so matrices are immutable values and safe to share across threads.
 Inside the library a Matrix may also hold a (m, k, k) stack of matrices of
 one backend: the arithmetic below broadcasts over the leading axis, and
 ``mat_eq`` / ``is_zero`` then give one bool per stacked matrix.  Kernels such
-as ``mat_pow`` compute on the bare arrays and wrap each result once.
+as ``mat_pow`` compute on the bare arrays and wrap each result once.  An
+internal rational stack may be held on int64, which no public Matrix holds.
 """
 
 from __future__ import annotations
@@ -230,10 +231,26 @@ def _check_pair(a: Matrix, b: Matrix) -> None:
         raise BackendMismatch(f"backend mismatch: {a.backend} vs {b.backend}")
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _abs_max(arr: np.ndarray) -> int:
+    return int(np.abs(arr).max())
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y, on int64 only while k * max|x| * max|y|, a bound on every partial
+    sum, fits in int64; otherwise exactly, on Python ints."""
+    if x.dtype == np.int64 or y.dtype == np.int64:
+        if x.dtype != y.dtype or x.shape[-1] * _abs_max(x) * _abs_max(y) > _INT64_MAX:
+            x, y = x.astype(object), y.astype(object)
+    return x @ y
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product; exact on the rational backend."""
     _check_pair(a, b)
-    return Matrix._wrap(a.array @ b.array, a.backend)
+    return Matrix._wrap(_product(a.array, b.array), a.backend)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -280,7 +297,7 @@ def scalar_mul(c: Scalar, m: Matrix) -> Matrix:
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
     """n-th power by binary exponentiation on the array, wrapped once; n = 0
-    gives the identity."""
+    gives the identity.  Each product is guarded as in ``mat_mul``."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise MatrixError(f"exponent must be an integer, got {n!r}")
     n = int(n)
@@ -290,12 +307,12 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
         return identity(a.order, a.backend)
     x = a.array
     while not n & 1:  # square up to the lowest set bit, which starts the product
-        x, n = x @ x, n >> 1
+        x, n = _product(x, x), n >> 1
     result = x
     while n := n >> 1:
-        x = x @ x
+        x = _product(x, x)
         if n & 1:
-            result = result @ x
+            result = _product(result, x)
     return a if result is a.array else Matrix._wrap(result, a.backend)
 
 

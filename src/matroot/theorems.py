@@ -62,8 +62,10 @@ from .constructions import (
     CASE_AT,
     CaseTag,
     Witness,
-    _shear_draws,
+    _FLOAT_SHEARS,
+    _RATIONAL_SHEARS_PER_ORDER,
     _sheared,
+    _shears_from_uniforms,
     construct,
     scale_from_unit,
     scale_to_unit,
@@ -285,9 +287,8 @@ def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
     return Clauses(x, n, a, 2 if real and a < 0 and n % 2 == 0 else 1, tol)
 
 
-def sentence1_holds_for(
-    x: Matrix, inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE
-) -> bool:
+def sentence1_holds_for(x: Matrix, inst: ProblemInstance,
+                        tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Truth value, at the single matrix x, of the implication
 
         X^n = a*I and X != a^(1/n)*I  =>  geometric factor sum of X is O.
@@ -297,9 +298,8 @@ def sentence1_holds_for(
     return evaluate(x, inst, tol).holds
 
 
-def sentence2_holds_for(
-    x: Matrix, inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE
-) -> bool:
+def sentence2_holds_for(x: Matrix, inst: ProblemInstance,
+                        tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Truth value, at the single matrix x, of the implication
 
         X^n = a*I  =>  some quadratic factor of X^n - a*I vanishes at X
@@ -357,55 +357,59 @@ _MAX_CHUNK = 64
 
 class _Candidates:
     """The seed-deterministic candidate stream of ``generate_candidates``,
-    built a chunk at a time as one (m, k, k) stack.
+    built a chunk at a time as one (m, k, k) stack from one
+    ``rng.random((m, width))`` call: row i of it, alone, makes candidate i.
 
-    A candidate is a block direct sum.  For a = 0 its blocks are
-    first-superdiagonal shifts of order at most n, so X^n = 0.  Otherwise
-    they are the factors of x^n - sign(a) in ``unit_factors``: 1 x 1 blocks
-    of its real roots and 2 x 2 blocks, one per real quadratic factor (all
-    blocks are 1 x 1 when there are none, as for n = 2, a > 0); then the sum
-    is scaled by |a|^(1/n).  When a < 0, n is even and k is odd, no such sum
-    exists (the determinant obstruction), so the last block is a +-1 scalar
-    pad and the candidate deliberately violates X^n = a*I.  Last, each
-    candidate is conjugated by its own random unimodular shears.
+    A candidate is a block direct sum.  Block t draws its order from u[t] and
+    its pick from u[k + t].  For a = 0 it is a first-superdiagonal shift of
+    order 1 + floor(u[t] * min(n, indices left)), so X^n = 0.  Otherwise it
+    is a factor of x^n - sign(a) in ``unit_factors``: 1 x 1, a real root,
+    where one index is left, the table has no quadratic factor, or it has
+    real roots and u[t] < 0.4; else 2 x 2, the block of a real quadratic
+    factor.  When a < 0, n is even and k is odd, no such sum exists (the
+    determinant obstruction), so the last block is a +-1 pad and the
+    candidate deliberately violates X^n = a*I.  The sum is scaled by
+    |a|^(1/n), then conjugated by its shears, 3 uniforms each, from u[2k:].
 
-    The backend is fixed per cell: rational when a = 0, or when the table
-    has no quadratic factor and |a|^(1/n) is rational, so every candidate
-    stays exact; real otherwise.
+    The backend is fixed per cell: rational when a = 0 (on int64, see
+    ``core``), or when the table has no quadratic factor and |a|^(1/n) is
+    rational, so every candidate stays exact; real otherwise.
     """
 
     def __init__(self, inst: ProblemInstance, seed: int) -> None:
-        self.k, self.n, self.a = inst.k, inst.n, inst.a
-        self.rng = np.random.default_rng(int(seed))
+        k, n, a = self.k, self.n, self.a = inst.k, inst.n, inst.a
+        self.rng = np.random.default_rng(seed)
         self.zero = inst.regime is Regime.ZERO_A
-        self.scalars, self.blocks = unit_factors(inst.n, 1 if inst.a > 0 else -1)
-        exact = not len(self.blocks) and exact_nth_root(abs(inst.a), inst.n) is not None
-        self.backend = RATIONAL if self.zero or exact else REAL
+        self.roots, self.quads = unit_factors(n, 1 if a > 0 else -1)
+        exact = self.zero or (not len(self.quads) and exact_nth_root(abs(a), n) is not None)
+        self.backend = RATIONAL if exact else REAL
+        self.dtype = np.int64 if self.zero else object if exact else float
+        self.width = 2 * k + 3 * (_RATIONAL_SHEARS_PER_ORDER * k if exact else _FLOAT_SHEARS)
 
-    def _draw(self, x: np.ndarray) -> None:
-        """Draw one candidate's block sum into the zero k x k array x, in the
-        stream's fixed order: block sizes, then each block's scalar or angle."""
-        k, n, rng, scalars, blocks = self.k, self.n, self.rng, self.scalars, self.blocks
-        at = 0
-        if self.zero:
+    def _fill(self, arr: np.ndarray, u: np.ndarray) -> None:
+        """Write the block sum of each row of u into the zero stack arr."""
+        k, n, roots, quads = self.k, self.n, self.roots, self.quads
+        blocks = []  # (row, first index, order, pick) of every block
+        for r, draws in enumerate(u[:, : 2 * k].tolist()):
+            at = t = 0
             while at < k:
-                size = int(rng.integers(1, min(n, k - at) + 1))
-                for i in range(at, at + size - 1):
-                    x[i, i + 1] = 1
-                at += size
+                if self.zero:
+                    size = 1 + int(draws[t] * min(n, k - at))
+                else:
+                    size = 2 if at < k - 1 and len(quads) and not (roots and draws[t] < 0.4) else 1
+                blocks.append((r, at, size, draws[k + t]))
+                at, t = at + size, t + 1
+        rows, at, size, pick = (np.array(v) for v in zip(*blocks))
+        if self.zero:  # ones on the superdiagonal, but where a block ends
+            diag, end = np.arange(k - 1), at + size
+            arr[:, diag, diag + 1] = 1
+            arr[rows[end < k], end[end < k] - 1, end[end < k]] = 0
             return
-        sizes, rem = [], k
-        while rem:
-            one = rem == 1 or not len(blocks) or (scalars and rng.random() < 0.4)
-            sizes.append(1 if one else 2)
-            rem -= sizes[-1]
-        pool = scalars or (1, -1)
-        for size in sizes:
-            if size == 2:
-                x[at : at + 2, at : at + 2] = blocks[int(rng.integers(0, len(blocks)))]
-            else:
-                x[at, at] = pool[int(rng.integers(0, len(pool)))]
-            at += size
+        one, two = size == 1, size == 2
+        pool = np.array(roots or (1, -1), dtype=arr.dtype)
+        arr[rows[one], at[one], at[one]] = pool[(pick[one] * len(pool)).astype(np.intp)]
+        at, quads = at[two][:, None, None], quads[(pick[two] * len(quads)).astype(np.intp)]
+        arr[rows[two][:, None, None], at + [[0], [1]], at + [[0, 1]]] = quads
 
     def chunks(self, count: int) -> Iterator[Matrix]:
         """Yield the first ``count`` candidates as stacks of 4, 8, 16, ...
@@ -413,22 +417,27 @@ class _Candidates:
         k, backend, size = self.k, self.backend, _FIRST_CHUNK
         while count > 0:
             size = min(size, count)
-            arr = np.full((size, k, k), 0, dtype=object if backend == RATIONAL else float)
-            shears = []
-            for x in arr:
-                self._draw(x)
-                shears.append(_shear_draws(self.rng, k, backend))
+            u = self.rng.random((size, self.width))
+            arr = np.zeros((size, k, k), self.dtype)
+            self._fill(arr, u)
             stack = Matrix._wrap(arr, backend)
             if not self.zero and abs(self.a) != 1:
                 stack = scale_from_unit(stack, self.n, self.a)
-            coeffs, pairs = (np.array(s) for s in zip(*shears))
+            coeffs, pairs = _shears_from_uniforms(u[:, 2 * k :], k, backend)
             yield Matrix._wrap(_sheared(stack.array, backend, coeffs, pairs), backend)
             count -= size
             size = min(2 * size, _MAX_CHUNK)
 
 
 def _row(stack: Matrix, r: int) -> Matrix:
-    return Matrix._wrap(stack.array[r], stack.backend)
+    """Matrix r of a stack, with int64 entries as Python ints."""
+    row = stack.array[r]
+    return Matrix._wrap(row.astype(object) if row.dtype == np.int64 else row, stack.backend)
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def generate_candidates(inst: ProblemInstance, count: int, seed: int) -> Iterator[Matrix]:
@@ -440,20 +449,19 @@ def generate_candidates(inst: ProblemInstance, count: int, seed: int) -> Iterato
     never satisfy X^n = a*I.
     For |a| not in {0, 1} the unit-case candidate is scaled by |a|^(1/n).
     They are built in chunks of 4, 8, 16, ... (at most 64) candidates, one
-    stack of one backend per chunk, and yielded row by row; candidate i of a
-    seed is the same matrix whatever ``count`` is.
+    stack of one backend and one generator call per chunk, and yielded row
+    by row, with Python int entries on the rational backend; candidate i of
+    a seed is the same matrix whatever ``count`` is.  seed is an int >= 0.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    _check_seed(seed)
     for stack in _Candidates(inst, seed).chunks(count):
         yield from (_row(stack, r) for r in range(len(stack.array)))
 
 
 def search_counterexample(
-    inst: ProblemInstance,
-    budget: int,
-    seed: int,
-    tol: Tolerance = DEFAULT_TOLERANCE,
+    inst: ProblemInstance, budget: int, seed: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> Verdict:
     """Try up to `budget` random candidates against the applicable sentence.
 
@@ -463,9 +471,14 @@ def search_counterexample(
     ``generate_candidates(inst, budget, seed)`` are checked a chunk at a
     time, each chunk's stack by one ``evaluate``; ``trials`` is the stream
     index of the violator plus one, as if they were checked one by one.
+    Where no real root of a*I exists (``minus_identity_root_exists``), it
+    draws nothing and reports SearchExhausted at once.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    _check_seed(seed)
+    if inst.regime is Regime.NEGATIVE_EVEN_N and not minus_identity_root_exists(inst.k, inst.n):
+        return Verdict(holds=True, mode=VerdictMode.SEARCH_EXHAUSTED, trials=budget)
     first = 0
     for stack in _Candidates(inst, seed).chunks(budget):
         clauses = evaluate(stack, inst, tol)

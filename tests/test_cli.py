@@ -358,6 +358,12 @@ def test_search_exhausts_true_cell(capsys):
     assert parse_line(out)["mode"] == "search-exhausted"
 
 
+def test_search_rejects_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "search", "--k", "3", "--n", "3", "--a", "1", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
 def test_search_notes_vacuous_negative_cells(capsys):
     code, out, err = run_cli(
         capsys, "search", "--k", "3", "--n", "4", "--a", "-1",

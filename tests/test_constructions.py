@@ -40,7 +40,7 @@ from matroot import (
 )
 
 from matroot.constructions import (
-    _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _shear_draws, construct,
+    _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _shear_draws, _sheared, construct,
 )
 
 TOL = Tolerance(1e-9, 1e-9)
@@ -486,6 +486,26 @@ def test_conjugation_matches_the_list_shear_reference(backend):
                 assert got.array.tobytes() == want.tobytes()  # bit for bit
             assert [type(e) for e in got.entries()] == [type(e) for r in ref for e in r]
         assert np.array_equal(m.array, before) and not m.array.flags.writeable
+
+
+@pytest.mark.parametrize("top, dtype", [(1, np.int64), (2**59, object)])
+def test_int64_shears_match_the_list_shear_reference(top, dtype):
+    # |c| <= 2 triples max|entry| per row or column operation at most, so the
+    # running bound of 48 operations passes 2**63 on order 8: with small entries
+    # it is re-read and the stack stays int64; near 2**59 it moves to Python ints.
+    rng = np.random.default_rng(7)
+    for seed in range(12):
+        m = Matrix([[int(v) for v in row] for row in rng.integers(-top, top + 1, (8, 8))])
+        draws = [_shear_draws(np.random.default_rng(s), 8, "rational") for s in (seed, seed + 1)]
+        coeffs, pairs = (np.stack(d) for d in zip(*draws))
+        stack = np.stack([m.array.astype(np.int64)] * 2)
+        got = _sheared(stack, "rational", coeffs, pairs)
+        assert got.dtype == dtype
+        for r, s in enumerate((seed, seed + 1)):
+            ref = _list_shear_conjugate(m, s)
+            assert got[r].tolist() == ref
+            assert all(type(e) is int for e in got[r].astype(object).flat)
+        assert stack.dtype == np.int64 and (stack == m.array).all()  # the input is kept
 
 
 def test_float_shear_draws_match_rng_choice():

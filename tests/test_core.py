@@ -195,6 +195,53 @@ def test_power_additivity_on_floats_within_tolerance():
             assert mat_eq(lhs, rhs, tol)
 
 
+# --- the int64 kernel -------------------------------------------------------------
+# Inside the library a rational stack of integer matrices may be held on int64.  A
+# product stays there only while k * max|A| * max|B| <= 2**63 - 1, and is taken on
+# Python ints otherwise.
+
+EDGE = math.isqrt((2**63 - 1) // 4)  # the largest max|entry| whose 4 x 4 square fits
+
+
+def _int64_stack(top):
+    signs = np.array([[1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1], [1, 1, 1, -1]])
+    arr = np.stack([np.full((4, 4), top), top * signs, np.eye(4, dtype=int)])
+    return Matrix._wrap(arr.astype(np.int64), "rational")
+
+
+def _object_power(x, n):
+    arr = x.array.astype(object)
+    out = arr
+    for _ in range(n - 1):
+        out = out @ arr
+    return out
+
+
+def test_int64_products_just_below_the_bound_stay_int64():
+    x = _int64_stack(EDGE)
+    assert 4 * EDGE**2 <= 2**63 - 1 < 4 * (EDGE + 1) ** 2
+    for got in (mat_mul(x, x), mat_pow(x, 2)):
+        assert got.array.dtype == np.int64
+        assert (got.array.astype(object) == _object_power(x, 2)).all()
+    assert got.array[0].max() == 4 * EDGE**2  # the bound is reached exactly
+
+
+@pytest.mark.parametrize("top", [EDGE + 1, 2**31])
+def test_int64_products_past_the_bound_are_exact_python_ints(top):
+    x = _int64_stack(top)
+    for got, n in ((mat_mul(x, x), 2), (mat_pow(x, 2), 2), (mat_pow(x, 3), 3), (mat_pow(x, 8), 8)):
+        want = _object_power(x, n)
+        assert got.array.dtype == object and (got.array == want).all()
+        assert all(type(e) is int for e in got.array.flat)
+
+
+def test_int64_power_moves_to_python_ints_only_where_needed():
+    x = _int64_stack(EDGE)
+    got = mat_pow(x, 3)  # the square fits, the cube does not
+    assert got.array.dtype == object and (got.array == _object_power(x, 3)).all()
+    assert all(type(e) is int for e in got.array.flat)
+
+
 # --- mat_eq -------------------------------------------------------------------
 
 

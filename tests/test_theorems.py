@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -495,6 +496,29 @@ def test_search_refutes_zero_a_cells_with_n_below_k(cell):
     verdict = search_counterexample(ProblemInstance(*cell), 50, 0)
     assert verdict.mode is VerdictMode.WITNESS_FOUND and verdict.trials <= 2
     assert verify_witness(verdict.witness)
+    # the search computes on int64, but its witness holds Python ints
+    matrix = verdict.witness.matrix
+    assert matrix.array.dtype == object and all(type(e) is int for e in matrix.entries())
+    entries = witness_to_json(verdict.witness)["matrix"]["entries"]
+    assert all(e.endswith("/1") for e in entries) and "1/1" in entries
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_search_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    inst = ProblemInstance(3, 3, 1)
+    message = f"seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        search_counterexample(inst, 10, seed)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(generate_candidates(inst, 10, seed))
+    with pytest.raises(ValueError, match=re.escape(message)):  # before the no-draw shortcut
+        search_counterexample(ProblemInstance(5, 4, -1), 10, seed)
+
+
+def test_search_accepts_numpy_integer_seeds():
+    inst = ProblemInstance(4, 4, 1)
+    want = verdict_to_json(search_counterexample(inst, 20, 5))
+    assert verdict_to_json(search_counterexample(inst, 20, np.int64(5))) == want
 
 
 def test_candidate_stream_is_deterministic():
@@ -611,26 +635,21 @@ def test_scale_factor_outside_the_float_range_is_a_value_error():
 
 
 # --- stacked search against the per-candidate reference -----------------------------
-# The reference builds, conjugates and checks one Matrix per candidate; the stacked
-# search must yield the same candidates, byte for byte, and the same verdicts,
-# witnesses and trials.  For a > 0 and odd-n a < 0 it draws one block per real
-# quadratic factor (w < n/2), and only 1 x 1 blocks when there is none (n = 2,
-# a > 0).  The backend is fixed per cell: rational for a = 0, and for cells with
-# no quadratic factor and a rational |a|^(1/n); real otherwise.  On odd-k
-# sentence-2 cells the last block is a +-1 pad, so no candidate is a root.
+# The reference draws, builds, conjugates and checks one Matrix per candidate; the
+# stacked search must yield the same candidates, byte for byte, and the same
+# verdicts, witnesses and trials.  Each candidate is a function of its own slice of
+# the seed's uniform stream: k uniforms for its block orders, k for its blocks'
+# picks, then 3 per shear (coefficient, i, j).  For a > 0 and odd-n a < 0 it draws
+# one block per real quadratic factor (w < n/2), and only 1 x 1 blocks when there
+# is none (n = 2, a > 0).  The backend is fixed per cell: rational for a = 0, and
+# for cells with no quadratic factor and a rational |a|^(1/n); real otherwise.  On
+# odd-k sentence-2 cells the last block is a +-1 pad, so no candidate is a root.
 
 
-def _reference_block_sum(inst, rng):
-    k, n = inst.k, inst.n
-    if inst.a == 0:
-        rows = [[0] * k for _ in range(k)]
-        at = 0
-        while at < k:
-            size = int(rng.integers(1, k - at + 1))
-            for i in range(at, at + size - 1):
-                rows[i][i + 1] = 1
-            at += size
-        return Matrix(rows, backend="rational")
+def _reference_factors(inst):
+    """The 1 x 1 block values, the rotation angles (negated blocks when negate)
+    and the backend of a cell with a != 0."""
+    n = inst.n
     if inst.a > 0:
         scalars = [1, -1] if n % 2 == 0 else [1]
         angles = [2.0 * math.pi * w / n for w in range(1, (n + 1) // 2)]
@@ -644,42 +663,47 @@ def _reference_block_sum(inst, rng):
         angles = [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
         negate = False
     exact = not angles and exact_nth_root(abs(inst.a), n) is not None
-    backend = "rational" if exact else "real"
-    sizes = []
-    rem = k
-    while rem:
-        if rem == 1 or not angles or (scalars and rng.random() < 0.4):
-            sizes.append(1)
-            rem -= 1
-        else:
-            sizes.append(2)
-            rem -= 2
+    return scalars, angles, negate, "rational" if exact else "real"
+
+
+def _reference_block_sum(inst, u):
+    k, n = inst.k, inst.n
+    if inst.a == 0:
+        rows = [[0] * k for _ in range(k)]
+        at = t = 0
+        while at < k:
+            size = 1 + int(u[t] * min(n, k - at))
+            for i in range(at, at + size - 1):
+                rows[i][i + 1] = 1
+            at, t = at + size, t + 1
+        return Matrix(rows, backend="rational")
+    scalars, angles, negate, backend = _reference_factors(inst)
     pad = scalars or [1, -1]  # the +-1 pad of an odd-k sentence-2 candidate
     blocks = []
-    for size in sizes:
-        if size == 1:
-            s = pad[int(rng.integers(0, len(pad)))]
+    at = t = 0
+    while at < k:
+        pick = u[k + t]
+        if k - at == 1 or not angles or (scalars and u[t] < 0.4):
+            s = pad[int(pick * len(pad))]
             blocks.append(Matrix([[float(s)]], backend="real") if backend == "real"
                           else Matrix([[s]], backend="rational"))
+            at += 1
         else:
-            block = rotation(angles[int(rng.integers(0, len(angles)))])
+            block = rotation(angles[int(pick * len(angles))])
             if negate:
                 block = scalar_mul(-1.0, block)
             blocks.append(block)
+            at += 2
+        t += 1
     return block_diag(blocks)
 
 
-def _reference_conjugate(m, rng):
-    k = m.order
-    if m.backend == "rational":
-        count = _RATIONAL_SHEARS_PER_ORDER * k
-        coeffs = rng.integers(-2, 3, size=count)
-    else:
-        count = _FLOAT_SHEARS
-        coeffs = rng.choice((-1, 1), size=count)
-    pairs = rng.integers(0, k, size=(count, 2))
+def _reference_conjugate(m, u):
+    k, rational = m.order, m.backend == "rational"
     arr = m.array.copy()
-    for (i, j), c in zip(pairs.tolist(), coeffs.tolist()):
+    for s in range(len(u) // 3):
+        c = int(u[3 * s] * 5) - 2 if rational else (-1, 1)[int(u[3 * s] * 2)]
+        i, j = int(u[3 * s + 1] * k), int(u[3 * s + 2] * k)
         if i == j or c == 0:
             continue
         arr[i] += c * arr[j]
@@ -689,11 +713,15 @@ def _reference_conjugate(m, rng):
 
 def _reference_candidates(inst, seed):
     rng = np.random.default_rng(seed)
+    k = inst.k
+    rational = inst.a == 0 or _reference_factors(inst)[3] == "rational"
+    width = 2 * k + 3 * (_RATIONAL_SHEARS_PER_ORDER * k if rational else _FLOAT_SHEARS)
     while True:
-        cand = _reference_block_sum(inst, rng)
+        u = rng.random(width).tolist()  # this candidate's slice, drawn on its own
+        cand = _reference_block_sum(inst, u)
         if inst.a != 0 and abs(inst.a) != 1:
             cand = scale_from_unit(cand, inst.n, inst.a)
-        yield _reference_conjugate(cand, rng)
+        yield _reference_conjugate(cand, u[2 * k :])
 
 
 def _same_matrix(got, want):
@@ -706,9 +734,9 @@ def _same_matrix(got, want):
 
 
 def _parity_cells():
-    """Both acceptance grids but the a = 0, n < k cells, whose stream draws block
-    sizes up to n now, plus scaled a: rational candidates turn real before their
-    shears (a = 2) or stay exact (a = 4)."""
+    """Both acceptance grids but the a = 0, n < k cells, which refute early (see
+    test_search_refutes_zero_a_cells_with_n_below_k), plus scaled a: rational
+    candidates turn real before their shears (a = 2) or stay exact (a = 4)."""
     cells = [(k, n, a) for k in range(2, 9) for n in range(2, 10) for a in (1, -1, 0)
              if (a != -1 or n % 2 == 1) and (a != 0 or n >= k)]
     cells += [(k, n, -1) for n in (2, 4, 6, 8) for k in range(2, 10)]
@@ -766,3 +794,36 @@ def test_each_candidate_stream_has_one_backend(cell, backend):
     for seed in (0, 1, 2):
         cands = list(generate_candidates(inst, 61, seed))
         assert len(cands) == 61 and {c.backend for c in cands} == {backend}, seed
+
+
+@pytest.mark.parametrize("cell", [(4, 2, 1), (4, 3, 1), (5, 6, 0), (7, 4, -1), (3, 4, 2)], ids=str)
+def test_the_first_candidates_do_not_depend_on_count(cell):
+    # rational, real, a = 0, odd-k pad and scaled cells: candidate i is drawn from
+    # its own slice of the stream, so the chunk sizes do not move it
+    inst = ProblemInstance(*cell)
+    for seed in (0, 1):
+        full = list(generate_candidates(inst, 61, seed))
+        for count in (1, 5, 13, 50, 61):
+            prefix = list(generate_candidates(inst, count, seed))
+            assert len(prefix) == count
+            for got, want in zip(prefix, full):
+                _same_matrix(got, want)
+
+
+class _NoCandidates:
+    def __init__(self, *args):
+        raise AssertionError("the search drew candidates")
+
+
+@pytest.mark.parametrize("cell", [(5, 4, -1), (9, 8, -1), (3, 2, -5)], ids=str)
+def test_odd_k_sentence_2_search_draws_nothing(cell, monkeypatch):
+    # no real odd-order matrix has an even power equal to a negative multiple of I
+    inst = ProblemInstance(*cell)
+    assert len(list(generate_candidates(inst, 50, 3))) == 50  # the padded stream is intact
+    monkeypatch.setattr(theorems, "_Candidates", _NoCandidates)
+    for budget, seed in ((1, 0), (50, 3), (400, 7)):
+        verdict = search_counterexample(inst, budget, seed)
+        assert json.dumps(verdict_to_json(verdict)) == (
+            '{"holds": true, "mode": "search-exhausted", "witness": null, '
+            f'"trials": {budget}, "quarantined": false}}'
+        )
