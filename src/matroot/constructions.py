@@ -32,8 +32,8 @@ from .core import (
     RATIONAL,
     REAL,
     Matrix,
-    _abs_max,
     Scalar,
+    _abs_max,
     block_diag,
     scalar_kind,
     scalar_matrix,

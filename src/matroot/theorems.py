@@ -430,9 +430,13 @@ class _Candidates:
 
 
 def _row(stack: Matrix, r: int) -> Matrix:
-    """Matrix r of a stack, with int64 entries as Python ints."""
-    row = stack.array[r]
-    return Matrix._wrap(row.astype(object) if row.dtype == np.int64 else row, stack.backend)
+    return Matrix._wrap(stack.array[r], stack.backend)
+
+
+def _public(stack: Matrix) -> Matrix:
+    """The stack with int64 entries as Python ints, as a public Matrix holds them."""
+    arr = stack.array
+    return Matrix._wrap(arr.astype(object), stack.backend) if arr.dtype == np.int64 else stack
 
 
 def _check_seed(seed) -> None:
@@ -456,7 +460,7 @@ def generate_candidates(inst: ProblemInstance, count: int, seed: int) -> Iterato
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_seed(seed)
-    for stack in _Candidates(inst, seed).chunks(count):
+    for stack in map(_public, _Candidates(inst, seed).chunks(count)):
         yield from (_row(stack, r) for r in range(len(stack.array)))
 
 
@@ -484,7 +488,7 @@ def search_counterexample(
         clauses = evaluate(stack, inst, tol)
         bad = np.flatnonzero(~clauses.holds)
         if bad.size:
-            matrix = _row(stack, bad[0])
+            matrix = _row(_public(stack), bad[0])
             w = Witness(matrix, None, inst.k, inst.n, inst.a, refutes_sentence=clauses.sentence)
             return Verdict(False, VerdictMode.WITNESS_FOUND, w, trials=first + int(bad[0]) + 1)
         first += len(stack.array)
