@@ -223,7 +223,7 @@ def test_int64_products_just_below_the_bound_stay_int64():
     for got in (mat_mul(x, x), mat_pow(x, 2)):
         assert got.array.dtype == np.int64
         assert (got.array.astype(object) == _object_power(x, 2)).all()
-    assert got.array[0].max() == 4 * EDGE**2  # the bound is reached exactly
+        assert got.array[0].max() == 4 * EDGE**2  # the bound is reached exactly
 
 
 @pytest.mark.parametrize("top", [EDGE + 1, 2**31])
