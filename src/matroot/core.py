@@ -239,10 +239,10 @@ def _abs_max(arr: np.ndarray) -> int:
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y, on int64 only while k * max|x| * max|y|, a bound on every partial
-    sum, fits in int64; otherwise exactly, on Python ints."""
+    """x @ y; on int64 only while k * max|x| * max|y| fits, else exactly on Python ints."""
     if x.dtype == np.int64 or y.dtype == np.int64:
-        if x.dtype != y.dtype or x.shape[-1] * _abs_max(x) * _abs_max(y) > _INT64_MAX:
+        bound = x.shape[-1] * (top := _abs_max(x)) * (top if y is x else _abs_max(y))
+        if x.dtype != y.dtype or bound > _INT64_MAX:  # bound caps every partial sum
             x, y = x.astype(object), y.astype(object)
     return x @ y
 
