@@ -27,13 +27,11 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    _INT64_MAX,
     COMPLEX,
     RATIONAL,
     REAL,
     Matrix,
     Scalar,
-    _abs_max,
     block_diag,
     scalar_kind,
     scalar_matrix,
@@ -272,77 +270,28 @@ def _shear_draws(rng: np.random.Generator, k: int, backend: str):
     return coeffs, rng.integers(0, k, size=(count, 2))
 
 
-def _shears_from_uniforms(u: np.ndarray, k: int, backend: str):
-    """The shears of each row of u, three uniforms in [0, 1) per shear: its
-    coefficient, from -2..2 on the rational backend and +-1 on the float ones,
-    then i and j."""
-    u, values = u.reshape(len(u), -1, 3), np.arange(-2, 3) if backend == RATIONAL else _SIGNS
-    return values[(u[..., 0] * len(values)).astype(np.intp)], (u[..., 1:] * k).astype(np.intp)
-
-
-def _sheared(stack: np.ndarray, backend: str, coeffs: np.ndarray, pairs: np.ndarray):
-    """A copy of the (m, k, k) stack with each matrix c conjugated by its own
-    shears I + coeffs[c, s] * E[pairs[c, s]], in order s: row i += c * row j,
-    then column j -= c * column i.  Shears with i = j or c = 0 are skipped.
-    An int64 stack goes to ``_int64_sheared``."""
-    arr = stack.copy()
-    live = (pairs[..., 0] != pairs[..., 1]) & (coeffs != 0)
-    if arr.dtype == np.int64:
-        return _int64_sheared(arr, coeffs * live, pairs)
-    if len(arr) == 1:  # one matrix: read its live shears out once, then slice plainly
-        x = arr[0]
-        for (i, j), c in zip(pairs[0, live[0]].tolist(), coeffs[0, live[0]].tolist()):
-            x[i] += c * x[j]
-            x[:, j] -= c * x[:, i]
-        return arr
-    if backend == RATIONAL:
-        coeffs = coeffs.astype(object)  # Python ints, so entries stay ints and Fractions
-    for s in np.flatnonzero(live.any(axis=0)):
-        at = np.flatnonzero(live[:, s])
-        if len(at) == 1:  # one live matrix: plain slicing beats fancy indexing
-            x, (i, j), c = arr[at[0]], pairs[at[0], s].tolist(), coeffs[at[0], s]
-            x[i] += c * x[j]
-            x[:, j] -= c * x[:, i]
-            continue
-        i, j, c = pairs[at, s, 0], pairs[at, s, 1], coeffs[at, s, None]
-        arr[at, i] += c * arr[at, j]
-        arr[at, :, j] -= c * arr[at, :, i]
-    return arr
-
-
-def _int64_sheared(arr: np.ndarray, coeffs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """_sheared on an int64 stack whose dead shears have c = 0, so every shear
-    runs on the whole stack: all row operations, then all column operations as
-    rows of the transpose (left and right products commute).  An operation at
-    most triples max|entry|, as |c| <= 2; that bound is re-read from the stack
-    before it could pass the int64 range, and where even the true maximum
-    could, the remaining operations run on Python ints."""
-    m, k = arr.shape[:2]
-    at = np.arange(m)[:, None] * k  # matrix r's row i is row r * k + i of a (m * k, k) view
-    ri, rj, c = (pairs[..., 0] + at).T, (pairs[..., 1] + at).T, coeffs.T[:, :, None]
-    a, bound = arr.reshape(m * k, k), _abs_max(arr)
-    for _ in range(2):  # rows, then columns; each pass ends with a transpose
-        for s in range(len(c)):
-            if a.dtype == np.int64 and 3 * bound > _INT64_MAX:
-                if 3 * (bound := _abs_max(a)) > _INT64_MAX:
-                    a, c = a.astype(object), c.astype(object)
-            a[ri[s]] = a.take(ri[s], 0) + c[s] * a.take(rj[s], 0)
-            bound *= 3
-        a = a.reshape(m, k, k).transpose(0, 2, 1).copy().reshape(m * k, k)
-        ri, rj, c = rj, ri, -c
-    return a.reshape(m, k, k)
+def _checked_int(name: str, value, least: int) -> int:
+    """value as an int, if it is an int or numpy integer (not a bool) >= least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def conjugate_matrix(m: Matrix, seed: int) -> Matrix:
     """P * M * P^-1 for a seed-deterministic random unimodular integer P
-    (a short product of elementary shears): the one-matrix case of the shear
-    kernel that the candidate search applies to whole stacks."""
-    k = m.order
+    (a short product of elementary shears), on one copy of the array: for
+    each shear I + c * E[i, j] with i != j and c != 0, in order, row i += c *
+    row j, then column j -= c * column i.  seed is an int >= 0."""
+    seed, k = _checked_int("seed", seed, 0), m.order
     if k < 2:
         return m
-    coeffs, pairs = _shear_draws(np.random.default_rng(int(seed)), k, m.backend)
-    arr = _sheared(m.array[None], m.backend, coeffs[None], pairs[None])[0]
-    return Matrix._wrap(arr, m.backend)
+    coeffs, pairs = _shear_draws(np.random.default_rng(seed), k, m.backend)
+    x = m.array.copy()
+    for (i, j), c in zip(pairs.tolist(), coeffs.tolist()):  # Python ints keep entries exact
+        if i != j and c:
+            x[i] += c * x[j]
+            x[:, j] -= c * x[:, i]
+    return Matrix._wrap(x, m.backend)
 
 
 def conjugate_random(w: Witness, seed: int) -> Witness:

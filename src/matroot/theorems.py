@@ -43,12 +43,14 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import (
+    _INT64_MAX,
     DEFAULT_TOLERANCE,
     RATIONAL,
     REAL,
     DimensionMismatch,
     Matrix,
     Tolerance,
+    _abs_max,
     _is_scalar,
     is_zero,
     mat_mul,
@@ -64,8 +66,8 @@ from .constructions import (
     Witness,
     _FLOAT_SHEARS,
     _RATIONAL_SHEARS_PER_ORDER,
-    _sheared,
-    _shears_from_uniforms,
+    _SIGNS,
+    _checked_int,
     construct,
     scale_from_unit,
     scale_to_unit,
@@ -355,6 +357,41 @@ _FIRST_CHUNK = 4
 _MAX_CHUNK = 64
 
 
+def _shears_from_uniforms(u: np.ndarray, k: int, backend: str):
+    """The shears of each row of u, three uniforms in [0, 1) per shear: its
+    coefficient, from -2..2 on the rational backend and +-1 on the float ones,
+    then i and j."""
+    u, values = u.reshape(len(u), -1, 3), np.arange(-2, 3) if backend == RATIONAL else _SIGNS
+    return values[(u[..., 0] * len(values)).astype(np.intp)], (u[..., 1:] * k).astype(np.intp)
+
+
+def _sheared(arr: np.ndarray, coeffs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """A copy of the (m, k, k) int64 or float stack arr with each matrix r
+    conjugated by its own shears I + coeffs[r, s] * E[pairs[r, s]], in order s.
+    Every shear runs on the whole stack, with c = 0 where i = j: all row
+    operations (row i += c * row j), then all column operations (column j -=
+    c * column i) as rows of the transpose, since left and right products
+    commute.  On int64 an operation at most triples max|entry|, as |c| <= 2;
+    that bound is re-read from the stack before it could pass the int64
+    range, and where even the true maximum could, the remaining operations
+    run on Python ints."""
+    m, k = arr.shape[:2]
+    at = np.arange(m)[:, None] * k  # matrix r's row i is row r * k + i of a (m * k, k) view
+    ri, rj = (pairs[..., 0] + at).T, (pairs[..., 1] + at).T
+    c = (coeffs * (pairs[..., 0] != pairs[..., 1])).T[:, :, None]
+    a, bound = arr.reshape(m * k, k).copy(), _abs_max(arr) if arr.dtype == np.int64 else 0
+    for _ in range(2):  # rows, then columns; each pass ends with a transpose
+        for s in range(len(c)):
+            if a.dtype == np.int64 and 3 * bound > _INT64_MAX:
+                if 3 * (bound := _abs_max(a)) > _INT64_MAX:
+                    a, c = a.astype(object), c.astype(object)
+            a[ri[s]] = a.take(ri[s], 0) + c[s] * a.take(rj[s], 0)
+            bound *= 3
+        a = a.reshape(m, k, k).transpose(0, 2, 1).copy().reshape(m * k, k)
+        ri, rj, c = rj, ri, -c
+    return a.reshape(m, k, k)
+
+
 class _Candidates:
     """The seed-deterministic candidate stream of ``generate_candidates``,
     built a chunk at a time as one (m, k, k) stack from one
@@ -368,12 +405,12 @@ class _Candidates:
     real roots and u[t] < 0.4; else 2 x 2, the block of a real quadratic
     factor.  When a < 0, n is even and k is odd, no such sum exists (the
     determinant obstruction), so the last block is a +-1 pad and the
-    candidate deliberately violates X^n = a*I.  The sum is scaled by
-    |a|^(1/n), then conjugated by its shears, 3 uniforms each, from u[2k:].
+    candidate deliberately violates X^n = a*I.  The sum is conjugated at unit
+    scale by its shears, 3 uniforms each, from u[2k:], then scaled by |a|^(1/n).
 
-    The backend is fixed per cell: rational when a = 0 (on int64, see
-    ``core``), or when the table has no quadratic factor and |a|^(1/n) is
-    rational, so every candidate stays exact; real otherwise.
+    The backend is fixed per cell: rational when a = 0, or when the table has
+    no quadratic factor and |a|^(1/n) is rational, so every candidate stays
+    exact; real otherwise.  The unit-scale stack is int64 (see ``core``) or float.
     """
 
     def __init__(self, inst: ProblemInstance, seed: int) -> None:
@@ -383,7 +420,7 @@ class _Candidates:
         self.roots, self.quads = unit_factors(n, 1 if a > 0 else -1)
         exact = self.zero or (not len(self.quads) and exact_nth_root(abs(a), n) is not None)
         self.backend = RATIONAL if exact else REAL
-        self.dtype = np.int64 if self.zero else object if exact else float
+        self.dtype = np.int64 if exact else float
         self.width = 2 * k + 3 * (_RATIONAL_SHEARS_PER_ORDER * k if exact else _FLOAT_SHEARS)
 
     def _fill(self, arr: np.ndarray, u: np.ndarray) -> None:
@@ -413,18 +450,20 @@ class _Candidates:
 
     def chunks(self, count: int) -> Iterator[Matrix]:
         """Yield the first ``count`` candidates as stacks of 4, 8, 16, ...
-        (at most 64) matrices, each scaled and conjugated."""
+        (at most 64) matrices, each conjugated at unit scale, then scaled."""
         k, backend, size = self.k, self.backend, _FIRST_CHUNK
         while count > 0:
             size = min(size, count)
             u = self.rng.random((size, self.width))
             arr = np.zeros((size, k, k), self.dtype)
             self._fill(arr, u)
-            stack = Matrix._wrap(arr, backend)
-            if not self.zero and abs(self.a) != 1:
-                stack = scale_from_unit(stack, self.n, self.a)
             coeffs, pairs = _shears_from_uniforms(u[:, 2 * k :], k, backend)
-            yield Matrix._wrap(_sheared(stack.array, backend, coeffs, pairs), backend)
+            stack = Matrix._wrap(_sheared(arr, coeffs, pairs), backend)
+            if not self.zero:  # a = 0 stacks are evaluated on int64
+                stack = _public(stack)
+                if abs(self.a) != 1:
+                    stack = scale_from_unit(stack, self.n, self.a)
+            yield stack
             count -= size
             size = min(2 * size, _MAX_CHUNK)
 
@@ -439,11 +478,6 @@ def _public(stack: Matrix) -> Matrix:
     return Matrix._wrap(arr.astype(object), stack.backend) if arr.dtype == np.int64 else stack
 
 
-def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def generate_candidates(inst: ProblemInstance, count: int, seed: int) -> Iterator[Matrix]:
     """Yield `count` seed-deterministic candidate roots of a*I.
 
@@ -455,11 +489,10 @@ def generate_candidates(inst: ProblemInstance, count: int, seed: int) -> Iterato
     They are built in chunks of 4, 8, 16, ... (at most 64) candidates, one
     stack of one backend and one generator call per chunk, and yielded row
     by row, with Python int entries on the rational backend; candidate i of
-    a seed is the same matrix whatever ``count`` is.  seed is an int >= 0.
+    a seed is the same matrix whatever ``count`` is.  count is an int >= 1
+    and seed an int >= 0.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    _check_seed(seed)
+    count, seed = _checked_int("count", count, 1), _checked_int("seed", seed, 0)
     for stack in map(_public, _Candidates(inst, seed).chunks(count)):
         yield from (_row(stack, r) for r in range(len(stack.array)))
 
@@ -476,11 +509,10 @@ def search_counterexample(
     time, each chunk's stack by one ``evaluate``; ``trials`` is the stream
     index of the violator plus one, as if they were checked one by one.
     Where no real root of a*I exists (``minus_identity_root_exists``), it
-    draws nothing and reports SearchExhausted at once.
+    draws nothing and reports SearchExhausted at once.  budget is an int >= 1
+    and seed an int >= 0.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    _check_seed(seed)
+    budget, seed = _checked_int("budget", budget, 1), _checked_int("seed", seed, 0)
     if inst.regime is Regime.NEGATIVE_EVEN_N and not minus_identity_root_exists(inst.k, inst.n):
         return Verdict(holds=True, mode=VerdictMode.SEARCH_EXHAUSTED, trials=budget)
     first = 0

@@ -364,6 +364,13 @@ def test_search_rejects_a_negative_seed(capsys):
     assert err == "error: seed must be an integer >= 0, got -1\n"
 
 
+def test_construct_rejects_a_negative_conjugation_seed(capsys):
+    code, out, err = run_cli(capsys, "construct", "--tag", "case-i", "--k", "4", "--n", "4",
+                             "--conjugate-seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
 def test_search_notes_vacuous_negative_cells(capsys):
     code, out, err = run_cli(
         capsys, "search", "--k", "3", "--n", "4", "--a", "-1",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -40,8 +41,9 @@ from matroot import (
 )
 
 from matroot.constructions import (
-    _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _shear_draws, _sheared, construct,
+    _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _shear_draws, construct,
 )
+from matroot.theorems import _sheared
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -499,13 +501,27 @@ def test_int64_shears_match_the_list_shear_reference(top, dtype):
         draws = [_shear_draws(np.random.default_rng(s), 8, "rational") for s in (seed, seed + 1)]
         coeffs, pairs = (np.stack(d) for d in zip(*draws))
         stack = np.stack([m.array.astype(np.int64)] * 2)
-        got = _sheared(stack, "rational", coeffs, pairs)
+        got = _sheared(stack, coeffs, pairs)
         assert got.dtype == dtype
         for r, s in enumerate((seed, seed + 1)):
             ref = _list_shear_conjugate(m, s)
             assert got[r].tolist() == ref
             assert all(type(e) is int for e in got[r].astype(object).flat)
         assert stack.dtype == np.int64 and (stack == m.array).all()  # the input is kept
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_conjugation_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    message = f"seed must be an integer >= 0, got {seed!r}"
+    for m in (swap_block(), Matrix([[2]])):  # also at order 1, which has no shears
+        with pytest.raises(ValueError, match=re.escape(message)):
+            conjugate_matrix(m, seed)
+
+
+def test_conjugation_accepts_numpy_integer_seeds():
+    m = case_counterexample(CaseTag.CASE_III, 6, 5).matrix
+    got, want = conjugate_matrix(m, np.int64(5)), conjugate_matrix(m, 5)
+    assert got.array.tobytes() == want.array.tobytes()
 
 
 def test_float_shear_draws_match_rng_choice():

@@ -521,6 +521,89 @@ def test_search_accepts_numpy_integer_seeds():
     assert verdict_to_json(search_counterexample(inst, 20, np.int64(5))) == want
 
 
+@pytest.mark.parametrize("value", [0, -3, 2.5, True, "4", np.float64(3.0)], ids=repr)
+def test_search_rejects_a_budget_or_count_that_is_not_a_positive_integer(value):
+    message = "{} must be an integer >= 1, got " + repr(value)
+    for inst in (ProblemInstance(3, 3, 1), ProblemInstance(5, 4, -1)):  # draws, and draws nothing
+        with pytest.raises(ValueError, match=re.escape(message.format("budget"))):
+            search_counterexample(inst, value, 0)
+        with pytest.raises(ValueError, match=re.escape(message.format("count"))):
+            next(generate_candidates(inst, value, 0))
+
+
+def test_search_accepts_numpy_integer_budgets_and_counts():
+    for inst in (ProblemInstance(4, 4, 1), ProblemInstance(2, 3, 1), ProblemInstance(5, 4, -1)):
+        verdict = search_counterexample(inst, np.int64(20), 5)
+        assert type(verdict.trials) is int
+        want = json.dumps(verdict_to_json(search_counterexample(inst, 20, 5)))
+        assert json.dumps(verdict_to_json(verdict)) == want
+        got, want = generate_candidates(inst, np.int64(7), 5), generate_candidates(inst, 7, 5)
+        assert [c.entries() for c in got] == [c.entries() for c in want]
+
+
+@pytest.mark.parametrize("cell", [(4, 2, 1), (5, 2, 4), (4, 2, Fraction(1, 4)), (5, 3, 0)], ids=str)
+def test_no_int64_leaves_the_search(cell):
+    # exact stacks are built and sheared on int64; what the search hands out holds
+    # Python ints and Fractions, with every integral entry an int
+    inst = ProblemInstance(*cell)
+    matrices, witnesses = [], 0
+    for seed in (0, 1, 2):
+        matrices += generate_candidates(inst, 61, seed)
+        verdict = search_counterexample(inst, 61, seed)
+        if verdict.witness is not None:
+            matrices.append(verdict.witness.matrix)
+            witnesses += 1
+    assert witnesses == 3
+    for m in matrices:
+        assert m.backend == "rational" and m.array.dtype == object
+        assert all(type(e) is int or type(e) is Fraction and e.denominator != 1
+                   for e in m.entries())
+
+
+# The trials of seeds 0, 1 and 2 at budget 50 on every cell of both acceptance
+# grids, in the order of _acceptance_cells; "-" marks a cell whose three searches
+# exhaust (holds, trials 50).  Two lines per k = 2..8 of the sentence-1 grid
+# (n = 2..5, then n = 6..9), then one per n = 2, 4, 6, 8 of the sentence-2 grid.
+# The acceptance tests check verdicts only, so this table is what notices a stream
+# change that moves a refuting search's trials.  A deliberate change of the
+# candidate stream regenerates it and says so in CHANGES.md.
+PINNED_TRIALS = """
+2,1,1 1,1,2 - - - 2,12,1 - - - -
+2,12,1 - - - - 2,12,1 - - - -
+1,1,1 1,1,2 1,1,2 1,1,2 2,2,2 2,1,1 - 1,1,2 1,1,2 -
+2,1,1 - 1,1,2 1,1,2 - 2,1,1 - 1,1,2 1,1,2 -
+2,1,1 1,1,1 1,2,1 1,2,1 3,2,2 3,2,6 4,2,4 1,2,1 1,2,1 -
+3,2,6 - 1,2,1 1,2,1 - 3,2,6 - 1,2,1 1,2,1 -
+2,1,1 1,1,1 1,1,1 1,1,1 4,1,1 2,1,1 5,2,2 1,1,1 1,1,1 5,10,2
+2,1,1 - 1,1,1 1,1,1 - 2,1,1 - 1,1,1 1,1,1 -
+1,1,1 1,1,1 1,1,1 1,1,1 2,1,1 4,1,1 2,3,3 1,1,1 1,1,1 2,3,3
+4,1,1 4,3,3 1,1,1 1,1,1 - 4,1,1 - 1,1,1 1,1,1 -
+1,1,1 1,1,1 1,1,1 1,1,1 2,1,1 2,1,1 2,1,6 1,1,1 1,1,1 2,2,6
+2,1,1 2,2,6 1,1,1 1,1,1 2,2,6 2,1,1 - 1,1,1 1,1,1 -
+1,1,1 1,1,1 1,1,1 1,1,1 1,1,1 1,1,1 2,1,1 1,1,1 1,1,1 13,1,2
+1,1,1 13,18,2 1,1,1 1,1,1 14,18,9 1,1,1 14,18,9 1,1,1 1,1,1 -
+- - - - - - - -
+- - 2,4,3 - 3,1,2 - 1,1,1 -
+- - 2,1,1 - 1,1,2 - 1,1,1 -
+- - 2,3,2 - 2,1,1 - 1,1,1 -
+"""
+
+
+def _acceptance_cells():
+    cells = [(k, n, a) for k in range(2, 9) for n in range(2, 10) for a in (1, -1, 0)
+             if a != -1 or n % 2 == 1]
+    return cells + [(k, n, -1) for n in (2, 4, 6, 8) for k in range(2, 10)]
+
+
+def test_search_verdicts_on_the_acceptance_grids_are_pinned():
+    cells, pinned = _acceptance_cells(), PINNED_TRIALS.split()
+    assert len(cells) == len(pinned) == 172
+    for cell, trials in zip(cells, pinned):
+        want = [(True, 50)] * 3 if trials == "-" else [(False, int(t)) for t in trials.split(",")]
+        got = [search_counterexample(ProblemInstance(*cell), 50, seed) for seed in (0, 1, 2)]
+        assert [(v.holds, v.trials) for v in got] == want, cell
+
+
 def test_candidate_stream_is_deterministic():
     inst = ProblemInstance(4, 5, 1)
     first = [c for c in generate_candidates(inst, 50, seed=29)]
@@ -635,10 +718,10 @@ def test_scale_factor_outside_the_float_range_is_a_value_error():
 
 
 # --- stacked search against the per-candidate reference -----------------------------
-# The reference draws, builds, conjugates and checks one Matrix per candidate; the
-# stacked search must yield the same candidates, byte for byte, and the same
-# verdicts, witnesses and trials.  Each candidate is a function of its own slice of
-# the seed's uniform stream: k uniforms for its block orders, k for its blocks'
+# The reference draws, builds, conjugates at unit scale, scales and checks one Matrix
+# per candidate; the stacked search must yield the same candidates, byte for byte,
+# and the same verdicts, witnesses and trials.  Each candidate is a function of its
+# own slice of the seed's uniform stream: k uniforms for its block orders, k for its blocks'
 # picks, then 3 per shear (coefficient, i, j).  For a > 0 and odd-n a < 0 it draws
 # one block per real quadratic factor (w < n/2), and only 1 x 1 blocks when there
 # is none (n = 2, a > 0).  The backend is fixed per cell: rational for a = 0, and
@@ -699,14 +782,19 @@ def _reference_block_sum(inst, u):
 
 
 def _reference_conjugate(m, u):
+    """m conjugated by the live shears of the slice u: every row operation,
+    then every column operation, each in shear order."""
     k, rational = m.order, m.backend == "rational"
-    arr = m.array.copy()
+    shears = []
     for s in range(len(u) // 3):
         c = int(u[3 * s] * 5) - 2 if rational else (-1, 1)[int(u[3 * s] * 2)]
         i, j = int(u[3 * s + 1] * k), int(u[3 * s + 2] * k)
-        if i == j or c == 0:
-            continue
+        if i != j and c != 0:
+            shears.append((i, j, c))
+    arr = m.array.copy()
+    for i, j, c in shears:
         arr[i] += c * arr[j]
+    for i, j, c in shears:
         arr[:, j] -= c * arr[:, i]
     return Matrix._wrap(arr, m.backend)
 
@@ -718,10 +806,10 @@ def _reference_candidates(inst, seed):
     width = 2 * k + 3 * (_RATIONAL_SHEARS_PER_ORDER * k if rational else _FLOAT_SHEARS)
     while True:
         u = rng.random(width).tolist()  # this candidate's slice, drawn on its own
-        cand = _reference_block_sum(inst, u)
+        cand = _reference_conjugate(_reference_block_sum(inst, u), u[2 * k :])
         if inst.a != 0 and abs(inst.a) != 1:
             cand = scale_from_unit(cand, inst.n, inst.a)
-        yield _reference_conjugate(cand, u[2 * k :])
+        yield cand
 
 
 def _same_matrix(got, want):
@@ -735,8 +823,8 @@ def _same_matrix(got, want):
 
 def _parity_cells():
     """Both acceptance grids but the a = 0, n < k cells, which refute early (see
-    test_search_refutes_zero_a_cells_with_n_below_k), plus scaled a: rational
-    candidates turn real before their shears (a = 2) or stay exact (a = 4)."""
+    test_search_refutes_zero_a_cells_with_n_below_k), plus scaled a: candidates
+    sheared at unit scale, then scaled to floats (a = 2) or exactly (a = 4)."""
     cells = [(k, n, a) for k in range(2, 9) for n in range(2, 10) for a in (1, -1, 0)
              if (a != -1 or n % 2 == 1) and (a != 0 or n >= k)]
     cells += [(k, n, -1) for n in (2, 4, 6, 8) for k in range(2, 10)]
