@@ -75,23 +75,20 @@ def unit_factors(n: int, sign: int) -> Tuple[Tuple[int, ...], np.ndarray]:
 def _int_nth_root(m: int, n: int) -> Optional[int]:
     """Exact integer n-th root of m >= 0, or None.
 
-    Binary search on integers, so arbitrarily large inputs are safe.
+    Integer Newton steps down from a start x >= m^(1/n) reach floor(m^(1/n)),
+    the first step that does not decrease; the start is a float estimate
+    rounded up, or 2^ceil(bits / n) where that estimate would overflow, so
+    arbitrarily large inputs are safe.
     """
     if m < 0:
         return None
     if m in (0, 1):
         return m
-    lo, hi = 1, 1 << (m.bit_length() // n + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        power = mid**n
-        if power == m:
-            return mid
-        if power < m:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    b = -(-m.bit_length() // n)  # m^(1/n) <= 2^b
+    x = 1 << b if b > 1000 else int(math.exp(math.log(m) / n) * (1 + 1e-9)) + 1
+    while (y := ((n - 1) * x + m // x ** (n - 1)) // n) < x:
+        x = y
+    return x if x**n == m else None
 
 
 def exact_nth_root(a, n: int) -> Optional[Fraction]:

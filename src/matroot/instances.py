@@ -46,10 +46,11 @@ class ProblemInstance:
     a: "int | float | Fraction"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        for name in ("k", "n"):  # any Integral, as a built-in int; a bool is < 2
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < 2:
+                raise ValueError(f"{name} must be an integer >= 2, got {v!r}")
+            object.__setattr__(self, name, int(v))
         a = self.a
         if isinstance(a, complex) or not isinstance(a, numbers.Real):
             raise ValueError(f"a must be a real number, got {a!r}")

@@ -350,8 +350,9 @@ def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict
 # --- randomized cross-checking search ----------------------------------------
 
 
-# Candidates are built and checked a chunk at a time: 4, 8, 16, ... up to
-# _MAX_CHUNK, so an early violator costs few spare candidates and the memory
+# Candidates are built and checked a chunk at a time: a probe of _FIRST_CHUNK,
+# so an early violator costs few spare candidates, then full chunks of
+# _MAX_CHUNK, as a chunk's shears cost much the same at any size; the memory
 # a chunk holds does not grow with the budget.
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 64
@@ -394,8 +395,9 @@ def _sheared(arr: np.ndarray, coeffs: np.ndarray, pairs: np.ndarray) -> np.ndarr
 
 class _Candidates:
     """The seed-deterministic candidate stream of ``generate_candidates``,
-    built a chunk at a time as one (m, k, k) stack from one
-    ``rng.random((m, width))`` call: row i of it, alone, makes candidate i.
+    built a chunk at a time (4, then 64) as one (m, k, k) stack from one
+    ``rng.random((m, width))`` call: row i of it, alone, makes candidate i,
+    so the chunk sizes do not move the stream.
 
     A candidate is a block direct sum.  Block t draws its order from u[t] and
     its pick from u[k + t].  For a = 0 it is a first-superdiagonal shift of
@@ -449,8 +451,9 @@ class _Candidates:
         arr[rows[two][:, None, None], at + [[0], [1]], at + [[0, 1]]] = quads
 
     def chunks(self, count: int) -> Iterator[Matrix]:
-        """Yield the first ``count`` candidates as stacks of 4, 8, 16, ...
-        (at most 64) matrices, each conjugated at unit scale, then scaled."""
+        """Yield the first ``count`` candidates as stacks of 4, then 64, 64,
+        ... matrices (the last holds what is left), each conjugated at unit
+        scale, then scaled."""
         k, backend, size = self.k, self.backend, _FIRST_CHUNK
         while count > 0:
             size = min(size, count)
@@ -464,8 +467,7 @@ class _Candidates:
                 if abs(self.a) != 1:
                     stack = scale_from_unit(stack, self.n, self.a)
             yield stack
-            count -= size
-            size = min(2 * size, _MAX_CHUNK)
+            count, size = count - size, _MAX_CHUNK
 
 
 def _row(stack: Matrix, r: int) -> Matrix:
@@ -486,15 +488,15 @@ def generate_candidates(inst: ProblemInstance, count: int, seed: int) -> Iterato
     random unimodular integer shears; raw random matrices would essentially
     never satisfy X^n = a*I.
     For |a| not in {0, 1} the unit-case candidate is scaled by |a|^(1/n).
-    They are built in chunks of 4, 8, 16, ... (at most 64) candidates, one
-    stack of one backend and one generator call per chunk, and yielded row
-    by row, with Python int entries on the rational backend; candidate i of
-    a seed is the same matrix whatever ``count`` is.  count is an int >= 1
-    and seed an int >= 0.
+    They are built in chunks of 4, then 64 candidates, one stack of one
+    backend and one generator call per chunk, and yielded row by row, with
+    Python int entries on the rational backend; candidate i of a seed is the
+    same matrix whatever ``count`` is.  count is an int >= 1 and seed an
+    int >= 0, checked at the call, before anything is drawn.
     """
     count, seed = _checked_int("count", count, 1), _checked_int("seed", seed, 0)
-    for stack in map(_public, _Candidates(inst, seed).chunks(count)):
-        yield from (_row(stack, r) for r in range(len(stack.array)))
+    stacks = map(_public, _Candidates(inst, seed).chunks(count))
+    return (_row(stack, r) for stack in stacks for r in range(len(stack.array)))
 
 
 def search_counterexample(

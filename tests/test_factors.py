@@ -38,7 +38,7 @@ from matroot import (
     triangular_power_formula,
     zeros,
 )
-from matroot.factors import _float_square, _lift_for_root, unit_factors
+from matroot.factors import _float_square, _int_nth_root, _lift_for_root, unit_factors
 
 
 def naive_pow(m, n):
@@ -70,6 +70,16 @@ def test_exact_nth_root_finds_perfect_powers():
     assert exact_nth_root(2, 2) is None
     assert exact_nth_root(-4, 2) is None
     assert exact_nth_root(0, 5) == 0
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_int_nth_root_is_exact_on_large_powers_and_their_neighbours(n):
+    # past 2^53 a float root is inexact; past 2^1000 a float estimate overflows
+    for r in (2, 3, 10**6 + 3, 2**53 + 1, 3**40, 7**150, 2**1100 + 1):
+        assert _int_nth_root(r**n, n) == r
+        assert _int_nth_root(r**n - 1, n) is None and _int_nth_root(r**n + 1, n) is None
+    for m in range(300):
+        assert _int_nth_root(m, n) == next((r for r in range(m + 1) if r**n == m), None)
 
 
 def test_real_convention_signs_and_consistency():

@@ -78,6 +78,27 @@ def test_instance_validation():
         ProblemInstance(3, 3, 1j)
 
 
+@pytest.mark.parametrize("k, n", [(np.int64(4), 3), (4, np.int32(3)), (np.uint8(4), np.int64(3))],
+                         ids=repr)
+def test_instance_stores_numpy_integers_as_ints(k, n):
+    inst, plain = ProblemInstance(k, n, 1), ProblemInstance(4, 3, 1)
+    assert type(inst.k) is int and type(inst.n) is int
+    assert inst == plain and hash(inst) == hash(plain) and repr(inst) == repr(plain)
+    assert json.dumps(verdict_to_json(decide(inst))) == json.dumps(verdict_to_json(decide(plain)))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("k", True), ("k", 4.0), ("k", np.float64(4.0)), ("k", np.int64(1)), ("k", "4"),
+     ("n", False), ("n", 3.0), ("n", np.float64(3.0)), ("n", np.bool_(True)), ("n", Fraction(3))],
+    ids=repr,
+)
+def test_instance_rejects_what_is_not_an_integer_at_least_2(name, value):
+    message = f"{name} must be an integer >= 2, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProblemInstance(**{"k": 4, "n": 3, "a": 1, name: value})
+
+
 # --- closed forms -----------------------------------------------------------------
 
 
@@ -531,6 +552,14 @@ def test_search_rejects_a_budget_or_count_that_is_not_a_positive_integer(value):
             next(generate_candidates(inst, value, 0))
 
 
+def test_generate_candidates_checks_its_arguments_at_the_call():
+    for inst in (ProblemInstance(3, 3, 1), ProblemInstance(5, 4, -1)):  # draws, and draws nothing
+        with pytest.raises(ValueError, match=re.escape("count must be an integer >= 1, got 0")):
+            generate_candidates(inst, 0, 0)
+        with pytest.raises(ValueError, match=re.escape("seed must be an integer >= 0, got -1")):
+            generate_candidates(inst, 5, -1)
+
+
 def test_search_accepts_numpy_integer_budgets_and_counts():
     for inst in (ProblemInstance(4, 4, 1), ProblemInstance(2, 3, 1), ProblemInstance(5, 4, -1)):
         verdict = search_counterexample(inst, np.int64(20), 5)
@@ -833,11 +862,11 @@ def _parity_cells():
     return cells + [(k, n, a) for a in scaled for k, n in ((2, 3), (4, 2), (3, 4))]
 
 
-# The stacked chunks end after 4, 12, 28, 60, 124, ... candidates.  Budget 400
-# (chunks up to the 64 cap) runs on seed 0 only: on a holding cell the reference
-# builds and checks every candidate one by one, and three seeds would triple the
-# suite's slowest test.
-PARITY_BUDGETS = (1, 4, 5, 12, 13, 50, 400)
+# The stacked chunks end after 4, 68, 132, 196, ... candidates, and budgets 5, 12,
+# 13 and 50 cut the second one short.  Budget 400 (six full chunks and a short one)
+# runs on seed 0 only: on a holding cell the reference builds and checks every
+# candidate one by one, and three seeds would triple the suite's slowest test.
+PARITY_BUDGETS = (1, 4, 5, 12, 13, 50, 68, 69, 400)
 
 
 def _check_against_the_reference(inst, seed, budgets):
@@ -845,7 +874,7 @@ def _check_against_the_reference(inst, seed, budgets):
     got = generate_candidates(inst, 50, seed)
     violator = None
     for trial in range(1, budgets[-1] + 1):
-        if violator is not None and trial > 13:  # past the first two chunks
+        if violator is not None and trial > 13:  # past the probe, into the second chunk
             break
         cand = next(stream)
         if trial <= 50:
@@ -896,6 +925,37 @@ def test_the_first_candidates_do_not_depend_on_count(cell):
             assert len(prefix) == count
             for got, want in zip(prefix, full):
                 _same_matrix(got, want)
+
+
+@pytest.mark.parametrize(
+    "count, sizes",
+    [(1, (1,)), (4, (4,)), (5, (4, 1)), (50, (4, 46)), (68, (4, 64)), (69, (4, 64, 1))],
+)
+def test_chunks_are_a_probe_of_4_then_full_chunks_of_64(count, sizes):
+    for cell in ((4, 3, 1), (4, 2, 1), (5, 3, 0)):  # real, exact and a = 0 stacks
+        chunks = theorems._Candidates(ProblemInstance(*cell), 0).chunks(count)
+        assert tuple(len(stack.array) for stack in chunks) == sizes, cell
+
+
+@pytest.mark.parametrize(
+    "cell, seed, want",
+    [((2, 2, 1), 0, (False, 2, [4])), ((4, 3, 0), 0, (False, 3, [4])),
+     ((4, 4, 1), 0, (False, 3, [4])), ((4, 4, 0), 0, (False, 4, [4])),
+     ((4, 4, -1), 1, (False, 4, [4])), ((5, 4, 0), 0, (False, 5, [4, 46])),
+     ((2, 3, 1), 0, (True, 50, [4, 46]))],
+    ids=str,
+)
+def test_a_violator_among_the_first_4_builds_one_chunk_of_4(cell, seed, want, monkeypatch):
+    built, chunks = [], theorems._Candidates.chunks
+
+    def recorded(self, count):
+        for stack in chunks(self, count):
+            built.append(len(stack.array))
+            yield stack
+
+    monkeypatch.setattr(theorems._Candidates, "chunks", recorded)
+    verdict = search_counterexample(ProblemInstance(*cell), 50, seed)
+    assert (verdict.holds, verdict.trials, built) == want
 
 
 class _NoCandidates:
