@@ -421,7 +421,10 @@ def scalar_from_json(value, backend: str) -> Scalar:
     if backend == RATIONAL:
         if not isinstance(value, str):
             raise MatrixError(f"rational entry must be a 'num/den' string, got {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise MatrixError(f"rational entry {value!r} is not a finite rational") from None
     if backend == REAL:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise MatrixError(f"real entry must be a number, got {value!r}")

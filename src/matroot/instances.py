@@ -52,7 +52,7 @@ class ProblemInstance:
                 raise ValueError(f"{name} must be an integer >= 2, got {v!r}")
             object.__setattr__(self, name, int(v))
         a = self.a
-        if isinstance(a, complex) or not isinstance(a, numbers.Real):
+        if isinstance(a, (bool, complex)) or not isinstance(a, numbers.Real):
             raise ValueError(f"a must be a real number, got {a!r}")
         if not isinstance(a, (int, Fraction)) and not math.isfinite(float(a)):
             raise ValueError(f"a must be finite, got {a!r}")

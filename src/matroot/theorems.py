@@ -193,10 +193,12 @@ class Clauses:
     """Clause values of the applicable sentence (``sentence``, 1 or 2) at x,
     one matrix or a (m, k, k) stack of them: each clause is a bool, or a
     boolean array with one entry per stacked matrix, computed on first use.
-    ``holds`` computes only what the implication needs: a factor polynomial
-    runs only on the matrices that satisfy X^n = aI and are not simple
-    roots, and sentence 2 stops at each matrix's first vanishing quadratic.
-    Sentence 2 has no real linear factor, so its ``simple_root`` is False."""
+    ``holds`` computes only what the implication needs: at one matrix, a
+    factor polynomial runs only on a root of aI that is not a simple root,
+    and sentence 2 stops at the first vanishing quadratic; on a stack, each
+    clause runs on the whole stack while any matrix is open, masked to the
+    open ones.  Sentence 2 has no real linear factor, so its ``simple_root``
+    is False."""
 
     def __init__(self, x: Matrix, n: int, a, sentence: int, tol: Tolerance) -> None:
         self.x, self.n, self.a, self.sentence, self.tol = x, n, a, sentence, tol
@@ -249,28 +251,21 @@ class Clauses:
                 yield i
 
     def _settle(self, open_, clause):
-        """open_ less the matrices at which clause(c) is true.  clause runs only
-        on the matrices marked open: c is self when all of them are, else the
-        Clauses of just the open ones."""
+        """open_ less the matrices at which clause() is true.  clause runs only
+        while some matrix is open, and then on the whole stack."""
         if isinstance(open_, bool):  # one matrix
-            return open_ and not clause(self)
-        if open_.all():
-            return ~clause(self)
-        if open_.any():
-            x = Matrix._wrap(self.x.array[open_], self.x.backend)
-            open_ = open_.copy()
-            open_[open_] = ~clause(Clauses(x, self.n, self.a, self.sentence, self.tol))
-        return open_
+            return open_ and not clause()
+        return open_ & ~clause() if open_.any() else open_
 
     @_lazy
     def holds(self):
         open_ = self.equation  # the roots whose implication is not settled yet
         if self.sentence == 1:
-            open_ = self._settle(open_, lambda c: c.simple_root)
-            open_ = self._settle(open_, lambda c: c.factor_sum_zero)
+            open_ = self._settle(open_, lambda: self.simple_root)
+            open_ = self._settle(open_, lambda: self.factor_sum_zero)
         else:
             for i in range(1, self.n // 2 + 1):
-                open_ = self._settle(open_, lambda c: c._quadratic_zero(i))
+                open_ = self._settle(open_, lambda: self._quadratic_zero(i))
         return not open_ if isinstance(open_, bool) else ~open_
 
 
@@ -412,7 +407,8 @@ class _Candidates:
 
     The backend is fixed per cell: rational when a = 0, or when the table has
     no quadratic factor and |a|^(1/n) is rational, so every candidate stays
-    exact; real otherwise.  The unit-scale stack is int64 (see ``core``) or float.
+    exact; real otherwise.  The unit-scale stack is int64 (see ``core``) or
+    float, and is scaled, on Python ints if exact, only where |a| is not 0 or 1.
     """
 
     def __init__(self, inst: ProblemInstance, seed: int) -> None:
@@ -453,7 +449,7 @@ class _Candidates:
     def chunks(self, count: int) -> Iterator[Matrix]:
         """Yield the first ``count`` candidates as stacks of 4, then 64, 64,
         ... matrices (the last holds what is left), each conjugated at unit
-        scale, then scaled."""
+        scale, then scaled where |a| is not 0 or 1."""
         k, backend, size = self.k, self.backend, _FIRST_CHUNK
         while count > 0:
             size = min(size, count)
@@ -462,10 +458,8 @@ class _Candidates:
             self._fill(arr, u)
             coeffs, pairs = _shears_from_uniforms(u[:, 2 * k :], k, backend)
             stack = Matrix._wrap(_sheared(arr, coeffs, pairs), backend)
-            if not self.zero:  # a = 0 stacks are evaluated on int64
-                stack = _public(stack)
-                if abs(self.a) != 1:
-                    stack = scale_from_unit(stack, self.n, self.a)
+            if abs(self.a) not in (0, 1):  # unit-scale stacks are evaluated as built
+                stack = scale_from_unit(_public(stack), self.n, self.a)
             yield stack
             count, size = count - size, _MAX_CHUNK
 
@@ -522,7 +516,7 @@ def search_counterexample(
         clauses = evaluate(stack, inst, tol)
         bad = np.flatnonzero(~clauses.holds)
         if bad.size:
-            matrix = _row(_public(stack), bad[0])
+            matrix = _public(_row(stack, bad[0]))
             w = Witness(matrix, None, inst.k, inst.n, inst.a, refutes_sentence=clauses.sentence)
             return Verdict(False, VerdictMode.WITNESS_FOUND, w, trials=first + int(bad[0]) + 1)
         first += len(stack.array)

@@ -320,6 +320,16 @@ def test_verify_garbage_json_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flags", [("verify", ("--k", "2")), ("factor", ())])
+def test_a_zero_denominator_entry_is_a_usage_error(capsys, tmp_path, command, flags):
+    path = tmp_path / "bad.json"
+    entries = ["1/1", "1/0", "0/1", "1/1"]
+    path.write_text(json.dumps({"backend": "rational", "order": 2, "entries": entries}))
+    code, out, err = run_cli(capsys, command, str(path), *flags, "--n", "2", "--a", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: rational entry '1/0' is not a finite rational\n"
+
+
 def test_verify_tolerance_env_override(capsys, tmp_path, monkeypatch):
     # a sloppy tolerance makes a float witness's factor sum look like zero;
     # exact backends ignore tolerances, so use the rotation-based family

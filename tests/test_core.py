@@ -486,6 +486,8 @@ def test_json_serialization_is_byte_stable():
         {"backend": "complex", "order": 1, "entries": [[1.0]]},
         {"backend": "real", "order": 0, "entries": []},
         {"order": 1, "entries": [1.0]},
+        {"backend": "rational", "order": 1, "entries": ["1/0"]},
+        {"backend": "rational", "order": 1, "entries": ["abc"]},
     ],
 )
 def test_matrix_from_json_rejects_malformed_payloads(broken):

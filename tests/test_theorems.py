@@ -76,6 +76,9 @@ def test_instance_validation():
         ProblemInstance(3, 3, float("nan"))
     with pytest.raises(ValueError):
         ProblemInstance(3, 3, 1j)
+    for flag in (True, False):  # a bool is not taken as a = 1 or a = 0
+        with pytest.raises(ValueError, match="a must be a real number"):
+            ProblemInstance(3, 3, flag)
 
 
 @pytest.mark.parametrize("k, n", [(np.int64(4), 3), (4, np.int32(3)), (np.uint8(4), np.int64(3))],
@@ -320,6 +323,39 @@ def test_sentence_two_squares_each_matrix_once(monkeypatch):
     calls.clear()
     assert list(evaluate(stack, inst).holds) == [False, False]
     assert calls == [(2, 4, 4)]
+
+
+def test_a_stack_computes_its_power_once(monkeypatch):
+    # the zero matrix settles as a simple root and the order-3 shift stays open;
+    # its factor sum X^3 is read from the stack's own power, not recomputed
+    calls = []
+
+    def counted(x, n):
+        calls.append((x.array.shape, n))
+        return mat_pow(x, n)
+
+    monkeypatch.setattr(theorems, "mat_pow", counted)
+    arr = np.zeros((2, 3, 3), np.int64)
+    arr[1, [0, 1], [1, 2]] = 1
+    clauses = evaluate(Matrix._wrap(arr, "rational"), ProblemInstance(3, 4, 0))
+    assert list(clauses.holds) == [True, True]
+    assert list(clauses.simple_root) == [True, False]
+    assert list(clauses.factor_sum_zero) == [True, True]
+    assert calls == [((2, 3, 3), 3)]
+
+
+def test_exact_unit_stacks_are_evaluated_on_int64(monkeypatch):
+    dtypes, evaluate_stack = [], theorems.evaluate
+
+    def recorded(x, inst, tol=TOL):
+        dtypes.append(x.array.dtype)
+        return evaluate_stack(x, inst, tol)
+
+    monkeypatch.setattr(theorems, "evaluate", recorded)
+    verdict = search_counterexample(ProblemInstance(4, 2, 1), 50, 0)
+    assert not verdict.holds and dtypes and set(dtypes) == {np.dtype(np.int64)}
+    assert {type(e) for e in verdict.witness.matrix.entries()} == {int}
+    assert verify_witness(verdict.witness)
 
 
 # --- decide ------------------------------------------------------------------------------
