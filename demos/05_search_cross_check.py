@@ -1,9 +1,10 @@
 """Randomized cross-checking of the closed-form verdicts.
 
 The search harness generates structured candidates -- block direct sums of
-admissible scalar, rotation, and nilpotent blocks, conjugated by random
-unimodular integer shears -- because a raw random matrix essentially never
-satisfies X^n = a*I.  On cells where the closed form says the sentence
+admissible scalar, rotation, and nilpotent blocks, the real ones conjugated
+by random unimodular integer shears -- because a raw random matrix
+essentially never satisfies X^n = a*I.  An exact sum is checked as built:
+integer similarity cannot change whether a factor polynomial vanishes.  On cells where the closed form says the sentence
 fails, the search should stumble on a counterexample; where it says the
 sentence holds, the search should come back empty-handed.
 """

@@ -21,7 +21,6 @@ import math
 import cmath
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -35,6 +34,7 @@ from .core import (
     block_diag,
     scalar_kind,
     scalar_matrix,
+    scalar_from_json,
     scalar_mul,
     scalar_to_json,
     matrix_from_json,
@@ -111,20 +111,14 @@ def witness_to_json(w: Witness) -> dict:
 
 
 def witness_from_json(data: dict) -> Witness:
-    tag = data.get("tag")
-    a = data["a"]
-    if isinstance(a, str):
-        a_val: Scalar = Fraction(a)
-    elif isinstance(a, list):
-        a_val = complex(float(a[0]), float(a[1]))
-    else:
-        a_val = float(a)
+    tag, a = data.get("tag"), data["a"]
+    backend = RATIONAL if isinstance(a, str) else COMPLEX if isinstance(a, list) else REAL
     return Witness(
         matrix=matrix_from_json(data["matrix"]),
         tag=CaseTag(tag) if tag is not None else None,
-        k=int(data["k"]),
-        n=int(data["n"]),
-        a=a_val,
+        k=_checked_int("k", data["k"], 1),
+        n=_checked_int("n", data["n"], 1),
+        a=scalar_from_json(a, backend),  # the wire form of a names its backend
         refutes_sentence=data.get("refutes_sentence"),
     )
 

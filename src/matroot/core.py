@@ -417,6 +417,10 @@ def scalar_to_json(value: Scalar, backend: str):
     return [z.real, z.imag]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def scalar_from_json(value, backend: str) -> Scalar:
     if backend == RATIONAL:
         if not isinstance(value, str):
@@ -426,11 +430,11 @@ def scalar_from_json(value, backend: str) -> Scalar:
         except (ValueError, ZeroDivisionError):
             raise MatrixError(f"rational entry {value!r} is not a finite rational") from None
     if backend == REAL:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_number(value):
             raise MatrixError(f"real entry must be a number, got {value!r}")
         return _coerce_real(value)
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise MatrixError(f"complex entry must be a [re, im] pair, got {value!r}")
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))):
+        raise MatrixError(f"complex entry must be a [re, im] pair of numbers, got {value!r}")
     return _coerce_complex(complex(float(value[0]), float(value[1])))
 
 

@@ -22,9 +22,9 @@ scale, as scale_to_unit(X) against sign(a), and every tolerance applies at
 
 Every "false" verdict carries a concrete witness that is re-verified before
 being returned.  A budget-bounded randomized search over structured block
-direct sums (conjugated by random unimodular shears) cross-checks the
-closed forms, a stacked chunk of candidates at a time; it reports
-SearchExhausted rather than claiming proof.
+direct sums (the real ones conjugated by random unimodular shears)
+cross-checks the closed forms, a stacked chunk of candidates at a time; it
+reports SearchExhausted rather than claiming proof.
 
 Quarantine: for k = 2, n >= 4, a < 0 even-n the closed form above says
 "false", yet every 2 x 2 real root of a*I is a single scaled rotation block
@@ -43,14 +43,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import (
-    _INT64_MAX,
     DEFAULT_TOLERANCE,
     RATIONAL,
     REAL,
     DimensionMismatch,
     Matrix,
     Tolerance,
-    _abs_max,
     _is_scalar,
     is_zero,
     mat_mul,
@@ -347,42 +345,33 @@ def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict
 
 # Candidates are built and checked a chunk at a time: a probe of _FIRST_CHUNK,
 # so an early violator costs few spare candidates, then full chunks of
-# _MAX_CHUNK, as a chunk's shears cost much the same at any size; the memory
-# a chunk holds does not grow with the budget.
+# _MAX_CHUNK, as a real chunk's shears cost much the same at any size; the
+# memory a chunk holds does not grow with the budget.
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 64
 
 
-def _shears_from_uniforms(u: np.ndarray, k: int, backend: str):
+def _shears_from_uniforms(u: np.ndarray, k: int):
     """The shears of each row of u, three uniforms in [0, 1) per shear: its
-    coefficient, from -2..2 on the rational backend and +-1 on the float ones,
-    then i and j."""
-    u, values = u.reshape(len(u), -1, 3), np.arange(-2, 3) if backend == RATIONAL else _SIGNS
-    return values[(u[..., 0] * len(values)).astype(np.intp)], (u[..., 1:] * k).astype(np.intp)
+    coefficient, +-1, then i and j."""
+    u = u.reshape(len(u), -1, 3)
+    return _SIGNS[(u[..., 0] * 2).astype(np.intp)], (u[..., 1:] * k).astype(np.intp)
 
 
 def _sheared(arr: np.ndarray, coeffs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """A copy of the (m, k, k) int64 or float stack arr with each matrix r
-    conjugated by its own shears I + coeffs[r, s] * E[pairs[r, s]], in order s.
-    Every shear runs on the whole stack, with c = 0 where i = j: all row
-    operations (row i += c * row j), then all column operations (column j -=
-    c * column i) as rows of the transpose, since left and right products
-    commute.  On int64 an operation at most triples max|entry|, as |c| <= 2;
-    that bound is re-read from the stack before it could pass the int64
-    range, and where even the true maximum could, the remaining operations
-    run on Python ints."""
+    """A copy of the (m, k, k) float stack arr with each matrix r conjugated
+    by its own shears I + coeffs[r, s] * E[pairs[r, s]], in order s.  Every
+    shear runs on the whole stack, with c = 0 where i = j: all row operations
+    (row i += c * row j), then all column operations (column j -= c * column
+    i) as rows of the transpose, since left and right products commute."""
     m, k = arr.shape[:2]
     at = np.arange(m)[:, None] * k  # matrix r's row i is row r * k + i of a (m * k, k) view
     ri, rj = (pairs[..., 0] + at).T, (pairs[..., 1] + at).T
     c = (coeffs * (pairs[..., 0] != pairs[..., 1])).T[:, :, None]
-    a, bound = arr.reshape(m * k, k).copy(), _abs_max(arr) if arr.dtype == np.int64 else 0
+    a = arr.reshape(m * k, k).copy()
     for _ in range(2):  # rows, then columns; each pass ends with a transpose
         for s in range(len(c)):
-            if a.dtype == np.int64 and 3 * bound > _INT64_MAX:
-                if 3 * (bound := _abs_max(a)) > _INT64_MAX:
-                    a, c = a.astype(object), c.astype(object)
             a[ri[s]] = a.take(ri[s], 0) + c[s] * a.take(rj[s], 0)
-            bound *= 3
         a = a.reshape(m, k, k).transpose(0, 2, 1).copy().reshape(m * k, k)
         ri, rj, c = rj, ri, -c
     return a.reshape(m, k, k)
@@ -402,13 +391,15 @@ class _Candidates:
     real roots and u[t] < 0.4; else 2 x 2, the block of a real quadratic
     factor.  When a < 0, n is even and k is odd, no such sum exists (the
     determinant obstruction), so the last block is a +-1 pad and the
-    candidate deliberately violates X^n = a*I.  The sum is conjugated at unit
-    scale by its shears, 3 uniforms each, from u[2k:], then scaled by |a|^(1/n).
+    candidate deliberately violates X^n = a*I.  A real sum is conjugated at
+    unit scale by its shears, 3 uniforms each, from u[2k:]; then the sum is
+    scaled by |a|^(1/n).
 
     The backend is fixed per cell: rational when a = 0, or when the table has
     no quadratic factor and |a|^(1/n) is rational, so every candidate stays
-    exact; real otherwise.  The unit-scale stack is int64 (see ``core``) or
-    float, and is scaled, on Python ints if exact, only where |a| is not 0 or 1.
+    exact; real otherwise.  An exact sum is not sheared (see ``width``).  The
+    unit-scale stack is int64 (see ``core``) or float, and is scaled, on
+    Python ints if exact, only where |a| is not 0 or 1.
     """
 
     def __init__(self, inst: ProblemInstance, seed: int) -> None:
@@ -419,6 +410,11 @@ class _Candidates:
         exact = self.zero or (not len(self.quads) and exact_nth_root(abs(a), n) is not None)
         self.backend = RATIONAL if exact else REAL
         self.dtype = np.int64 if exact else float
+        # An exact row keeps the width of its shears, which go unread, so
+        # candidate i keeps its block draws.  Every clause is p(X) = 0 for some
+        # p (X - rI, X^n - aI, a factor of x^n - a), and for an integer
+        # unimodular P, p(P X P^-1) = P p(X) P^-1 is zero exactly when p(X) is:
+        # compared exactly, a shear moves no clause, verdict or trials.
         self.width = 2 * k + 3 * (_RATIONAL_SHEARS_PER_ORDER * k if exact else _FLOAT_SHEARS)
 
     def _fill(self, arr: np.ndarray, u: np.ndarray) -> None:
@@ -449,15 +445,16 @@ class _Candidates:
     def chunks(self, count: int) -> Iterator[Matrix]:
         """Yield the first ``count`` candidates as stacks of 4, then 64, 64,
         ... matrices (the last holds what is left), each conjugated at unit
-        scale, then scaled where |a| is not 0 or 1."""
+        scale if real, then scaled where |a| is not 0 or 1."""
         k, backend, size = self.k, self.backend, _FIRST_CHUNK
         while count > 0:
             size = min(size, count)
             u = self.rng.random((size, self.width))
             arr = np.zeros((size, k, k), self.dtype)
             self._fill(arr, u)
-            coeffs, pairs = _shears_from_uniforms(u[:, 2 * k :], k, backend)
-            stack = Matrix._wrap(_sheared(arr, coeffs, pairs), backend)
+            if backend == REAL:
+                arr = _sheared(arr, *_shears_from_uniforms(u[:, 2 * k :], k))
+            stack = Matrix._wrap(arr, backend)
             if abs(self.a) not in (0, 1):  # unit-scale stacks are evaluated as built
                 stack = scale_from_unit(_public(stack), self.n, self.a)
             yield stack
@@ -478,9 +475,10 @@ def generate_candidates(inst: ProblemInstance, count: int, seed: int) -> Iterato
     """Yield `count` seed-deterministic candidate roots of a*I.
 
     Candidates are direct sums of shifts (a = 0) or of the factor blocks of
-    x^n - sign(a) (every real root of a*I is similar to one), conjugated by
-    random unimodular integer shears; raw random matrices would essentially
-    never satisfy X^n = a*I.
+    x^n - sign(a) (every real root of a*I is similar to one), on the real
+    backend conjugated by random unimodular integer shears; an exact sum is
+    yielded as built, since such a similarity moves no exact clause.  Raw
+    random matrices would essentially never satisfy X^n = a*I.
     For |a| not in {0, 1} the unit-case candidate is scaled by |a|^(1/n).
     They are built in chunks of 4, then 64 candidates, one stack of one
     backend and one generator call per chunk, and yielded row by row, with

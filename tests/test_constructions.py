@@ -11,6 +11,7 @@ import pytest
 from matroot import (
     CaseTag,
     Matrix,
+    MatrixError,
     RootConvention,
     Tolerance,
     Witness,
@@ -43,7 +44,6 @@ from matroot import (
 from matroot.constructions import (
     _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _shear_draws, construct,
 )
-from matroot.theorems import _sheared
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -490,26 +490,6 @@ def test_conjugation_matches_the_list_shear_reference(backend):
         assert np.array_equal(m.array, before) and not m.array.flags.writeable
 
 
-@pytest.mark.parametrize("top, dtype", [(1, np.int64), (2**59, object)])
-def test_int64_shears_match_the_list_shear_reference(top, dtype):
-    # |c| <= 2 triples max|entry| per row or column operation at most, so the
-    # running bound of 48 operations passes 2**63 on order 8: with small entries
-    # it is re-read and the stack stays int64; near 2**59 it moves to Python ints.
-    rng = np.random.default_rng(7)
-    for seed in range(12):
-        m = Matrix([[int(v) for v in row] for row in rng.integers(-top, top + 1, (8, 8))])
-        draws = [_shear_draws(np.random.default_rng(s), 8, "rational") for s in (seed, seed + 1)]
-        coeffs, pairs = (np.stack(d) for d in zip(*draws))
-        stack = np.stack([m.array.astype(np.int64)] * 2)
-        got = _sheared(stack, coeffs, pairs)
-        assert got.dtype == dtype
-        for r, s in enumerate((seed, seed + 1)):
-            ref = _list_shear_conjugate(m, s)
-            assert got[r].tolist() == ref
-            assert all(type(e) is int for e in got[r].astype(object).flat)
-        assert stack.dtype == np.int64 and (stack == m.array).all()  # the input is kept
-
-
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
 def test_conjugation_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     message = f"seed must be an integer >= 0, got {seed!r}"
@@ -591,16 +571,38 @@ def test_scaling_rejects_zero():
         theorem2_counterexample(6, 4),
         complex_counterexample(3, 4, 2 + 1j),
         Witness(shift_nilpotent(5, 3), CaseTag.NILPOTENT_SHIFT, 5, 3, 0, 1),
+        construct(CaseTag.CASE_II, 5, 2),
+        construct(CaseTag.CASE_III, 4, 3),
+        construct(CaseTag.CASE_IV, 5, 3),
+        construct(CaseTag.CASE_V, 6, 5),
+        construct(CaseTag.NILPOTENT_SHIFT, 4, 4),
+        conjugate_random(construct(CaseTag.CASE_I, 6, 2), 7),
+        conjugate_random(construct(CaseTag.THEOREM2_CE, 4, 6), 3),
+        complex_counterexample(2, 2, -0.5j),
     ],
 )
 def test_witness_json_round_trip(witness):
-    data = witness_to_json(witness)
-    again = witness_from_json(json.loads(json.dumps(data)))
+    data = json.loads(json.dumps(witness_to_json(witness)))
+    again = witness_from_json(data)
+    assert witness_to_json(again) == data and type(again.k) is type(again.n) is int
     assert again.matrix == witness.matrix
     assert again.tag == witness.tag
     assert (again.k, again.n) == (witness.k, witness.n)
     assert again.a == witness.a
     assert again.refutes_sentence == witness.refutes_sentence
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [("k", 2.7, ValueError), ("n", True, ValueError), ("n", "2", ValueError),
+     ("n", 2.0, ValueError), ("a", True, MatrixError), ("a", "abc", MatrixError),
+     ("a", [1, "0"], MatrixError), ("a", None, MatrixError)],
+)
+def test_witness_from_json_rejects_malformed_fields(key, value, error):
+    data = witness_to_json(case_counterexample(CaseTag.CASE_I, 2, 2))
+    data[key] = value
+    with pytest.raises(error):
+        witness_from_json(data)
 
 
 def test_witness_validates_order():

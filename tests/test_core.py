@@ -488,6 +488,11 @@ def test_json_serialization_is_byte_stable():
         {"order": 1, "entries": [1.0]},
         {"backend": "rational", "order": 1, "entries": ["1/0"]},
         {"backend": "rational", "order": 1, "entries": ["abc"]},
+        {"backend": "complex", "order": 1, "entries": [["abc", 1]]},
+        {"backend": "complex", "order": 1, "entries": [[None, 0]]},
+        {"backend": "complex", "order": 1, "entries": [[[1], 0]]},
+        {"backend": "complex", "order": 1, "entries": [["1.5", 0]]},
+        {"backend": "complex", "order": 1, "entries": [[True, 0]]},
     ],
 )
 def test_matrix_from_json_rejects_malformed_payloads(broken):

@@ -358,6 +358,32 @@ def test_exact_unit_stacks_are_evaluated_on_int64(monkeypatch):
     assert verify_witness(verdict.witness)
 
 
+def test_only_real_streams_are_sheared(monkeypatch):
+    # integer similarity moves no exact clause, so exact sums are searched as built
+    sheared, calls = theorems._sheared, []
+
+    def refused(*args):
+        raise AssertionError("an exact stack was sheared")
+
+    monkeypatch.setattr(theorems, "_sheared", refused)
+    for cell in ((5, 3, 0), (4, 2, 1), (4, 2, 4)):
+        inst = ProblemInstance(*cell)
+        for seed in (0, 1, 2):
+            search_counterexample(inst, 50, seed)
+            cands = np.array([c.array.tolist() for c in generate_candidates(inst, 50, seed)])
+            if inst.a == 0:  # 0/1 shifts: ones on the superdiagonal and nowhere else
+                assert set(np.unique(cands)) <= {0, 1}
+                assert not np.triu(cands, 2).any() and not np.tril(cands).any()
+
+    def recorded(*args):
+        calls.append(args[0].dtype)
+        return sheared(*args)
+
+    monkeypatch.setattr(theorems, "_sheared", recorded)
+    search_counterexample(ProblemInstance(3, 4, 1), 50, 0)
+    assert calls and set(calls) == {np.dtype(float)}
+
+
 # --- decide ------------------------------------------------------------------------------
 
 
@@ -847,12 +873,12 @@ def _reference_block_sum(inst, u):
 
 
 def _reference_conjugate(m, u):
-    """m conjugated by the live shears of the slice u: every row operation,
-    then every column operation, each in shear order."""
-    k, rational = m.order, m.backend == "rational"
+    """Real m conjugated by the live shears of the slice u: every row
+    operation, then every column operation, each in shear order."""
+    k = m.order
     shears = []
     for s in range(len(u) // 3):
-        c = int(u[3 * s] * 5) - 2 if rational else (-1, 1)[int(u[3 * s] * 2)]
+        c = (-1, 1)[int(u[3 * s] * 2)]
         i, j = int(u[3 * s + 1] * k), int(u[3 * s + 2] * k)
         if i != j and c != 0:
             shears.append((i, j, c))
@@ -871,7 +897,9 @@ def _reference_candidates(inst, seed):
     width = 2 * k + 3 * (_RATIONAL_SHEARS_PER_ORDER * k if rational else _FLOAT_SHEARS)
     while True:
         u = rng.random(width).tolist()  # this candidate's slice, drawn on its own
-        cand = _reference_conjugate(_reference_block_sum(inst, u), u[2 * k :])
+        cand = _reference_block_sum(inst, u)
+        if not rational:  # an exact sum is left unsheared, its shear uniforms unread
+            cand = _reference_conjugate(cand, u[2 * k :])
         if inst.a != 0 and abs(inst.a) != 1:
             cand = scale_from_unit(cand, inst.n, inst.a)
         yield cand
