@@ -31,9 +31,8 @@ from .core import (
     REAL,
     Matrix,
     Scalar,
-    block_diag,
+    _BACKEND_DTYPE,
     scalar_kind,
-    scalar_matrix,
     scalar_from_json,
     scalar_mul,
     scalar_to_json,
@@ -89,7 +88,8 @@ class Witness:
     def __post_init__(self) -> None:
         if self.matrix.order != self.k:
             raise ValueError(f"matrix order {self.matrix.order} != k = {self.k}")
-        if self.refutes_sentence not in (None, 1, 2):
+        rs = self.refutes_sentence  # the int 1 or 2: not a bool, 1.0 or "1"
+        if rs is not None and (type(rs) is not int or rs not in (1, 2)):
             raise ValueError("refutes_sentence must be 1, 2 or None")
 
     @property
@@ -143,15 +143,19 @@ def shift_nilpotent(k: int, n: int) -> Matrix:
         raise ValueError(f"n must be >= 2, got {n}")
     if n > k:
         raise ValueError(f"need n <= k (no index-{n} nilpotent fits in order {k})")
-    arr = np.full((k, k), 0, dtype=object)
-    if n == 2 or n == k:
-        offset = k - n + 1
-        for i in range(k - offset):
-            arr[i, i + offset] = 1
-    else:
-        for i in range(n - 1):
-            arr[i, i + 1] = 1
+    arr = np.zeros((k, k), dtype=object)  # int 0 entries
+    offset = k - n + 1 if n in (2, k) else 1  # n - 1 ones either way
+    arr[range(n - 1), range(offset, offset + n - 1)] = 1
     return Matrix._wrap(arr, RATIONAL)
+
+
+def _block_sum(k: int, lead: tuple, blocks: np.ndarray, backend: str) -> Matrix:
+    """diag(*lead, B1, B2, ...) of order k, the B a stack or copies of one 2x2 block."""
+    arr = np.zeros((k, k), _BACKEND_DTYPE[backend])  # int 0 on the object dtype
+    arr[range(len(lead)), range(len(lead))] = lead
+    at = np.arange(len(lead), k, 2)[:, None, None]
+    arr[at + [[0], [1]], at + [[0, 1]]] = blocks
+    return Matrix._wrap(arr, backend)
 
 
 def case_counterexample(tag: CaseTag, k: int, n: int) -> Witness:
@@ -172,16 +176,13 @@ def case_counterexample(tag: CaseTag, k: int, n: int) -> Witness:
         raise ValueError(f"{tag.value} needs {'odd n >= 3' if n_odd else 'even n'}, got {n}")
     if n_odd:
         roots, blocks = unit_factors(n, sign)
-        lead, block = roots * (2 - k_odd), Matrix(blocks[0], backend=REAL)
+        lead, block, backend = roots * (2 - k_odd), blocks[0], REAL
     else:
-        lead, block = (1,) * k_odd, swap_block()
+        lead, block, backend = (1,) * k_odd, np.array([[0, 1], [1, 0]], object), RATIONAL
     if k < len(lead) + 2 or (k - len(lead)) % 2:
         parity = "odd" if k_odd else "even"
         raise ValueError(f"{tag.value} needs {parity} k >= {len(lead) + 2}, got {k}")
-    blocks = [block] * ((k - len(lead)) // 2)
-    if lead:
-        blocks.insert(0, scalar_matrix(lead[0], len(lead), block.backend))
-    return Witness(matrix=block_diag(blocks), tag=tag, k=k, n=n, a=sign, refutes_sentence=1)
+    return Witness(_block_sum(k, lead, block, backend), tag, k, n, a=sign, refutes_sentence=1)
 
 
 def theorem2_counterexample(k: int, n: int) -> Witness:
@@ -204,8 +205,7 @@ def theorem2_counterexample(k: int, n: int) -> Witness:
         raise ValueError("k = 2 admits only single-block roots, which satisfy "
                          "their own quadratic; need k >= 4")
     _, blocks = unit_factors(n, -1)
-    r1, r2 = (Matrix(b, backend=REAL) for b in blocks[:2])
-    m = block_diag([r1] + [r2] * (k // 2 - 1))
+    m = _block_sum(k, (), blocks[[0] + [1] * (k // 2 - 1)], REAL)
     return Witness(matrix=m, tag=CaseTag.THEOREM2_CE, k=k, n=n, a=-1, refutes_sentence=2)
 
 

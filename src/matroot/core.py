@@ -19,7 +19,8 @@ Inside the library a Matrix may also hold a (m, k, k) stack of matrices of
 one backend: the arithmetic below broadcasts over the leading axis, and
 ``mat_eq`` / ``is_zero`` then give one bool per stacked matrix.  Kernels such
 as ``mat_pow`` compute on the bare arrays and wrap each result once.  An
-internal rational stack may be held on int64, which no public Matrix holds.
+internal rational stack, or an all-int matrix that ``theorems.evaluate``
+checks, may be held on int64 (``_on_int64``), which no public Matrix holds.
 """
 
 from __future__ import annotations
@@ -90,14 +91,17 @@ def _coerce_rational(value) -> RationalScalar:
 def _coerce_real(value) -> float:
     if isinstance(value, (complex, np.complexfloating)):
         raise BackendMismatch("real backend cannot hold complex entries")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise MatrixError("entry is beyond the float range") from None
     if not math.isfinite(x):
         raise MatrixError(f"non-finite real entry: {value!r}")
     return x
 
 
 def _coerce_complex(value) -> complex:
-    z = complex(value)
+    z = complex(_coerce_real(value) if isinstance(value, numbers.Rational) else value)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise MatrixError(f"non-finite complex entry: {value!r}")
     return z
@@ -231,7 +235,7 @@ def _check_pair(a: Matrix, b: Matrix) -> None:
         raise BackendMismatch(f"backend mismatch: {a.backend} vs {b.backend}")
 
 
-_INT64_MAX = 2**63 - 1
+_INT64, _INT64_MAX = np.dtype(np.int64), 2**63 - 1
 
 
 def _abs_max(arr: np.ndarray) -> int:
@@ -240,11 +244,31 @@ def _abs_max(arr: np.ndarray) -> int:
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y; on int64 only while k * max|x| * max|y| fits, else exactly on Python ints."""
-    if x.dtype == np.int64 or y.dtype == np.int64:
+    if x.dtype == _INT64 or y.dtype == _INT64:
         bound = x.shape[-1] * (top := _abs_max(x)) * (top if y is x else _abs_max(y))
         if x.dtype != y.dtype or bound > _INT64_MAX:  # bound caps every partial sum
             x, y = x.astype(object), y.astype(object)
     return x @ y
+
+
+def _add_diagonal(acc: np.ndarray, c) -> np.ndarray:
+    """acc + c * I for c already in acc's backend, as ``_scalar_array`` builds it;
+    an int64 acc moves to Python ints first unless max|acc| + |c| fits in int64."""
+    k = acc.shape[-1]
+    if acc.dtype == _INT64 and (type(c) is not int or _abs_max(acc) + abs(c) > _INT64_MAX):
+        acc = acc.astype(object)
+    eye = np.zeros((k, k), acc.dtype)  # int 0 on the object dtype
+    eye.flat[:: k + 1] = c
+    return acc + eye
+
+
+def _on_int64(m: Matrix) -> Matrix:
+    """m on int64 if it holds 64 or more entries, all Python ints within +-(2^63 - 1);
+    else m, as on fewer entries ``_product``'s guards cost more than Python ints."""
+    ints = m.array.size >= 64 and m.array.dtype == object and set(map(type, m.array.flat)) == {int}
+    if not ints or max(map(abs, m.array.flat)) > _INT64_MAX:
+        return m
+    return Matrix._wrap(m.array.astype(np.int64), RATIONAL)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -332,6 +356,8 @@ def is_zero(m: Matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
 def _entries_close(x: np.ndarray, y, backend: str, tol: Tolerance):
     if backend == RATIONAL:
         close = x == y
+    elif isinstance(y, int):  # is_zero's 0: max(|x|, 0) = |x - 0| = |x|, and no target array
+        close = (mag := np.abs(x)) <= tol.absolute + tol.relative * mag
     else:
         bound = tol.absolute + tol.relative * np.maximum(np.abs(x), np.abs(y))
         close = np.abs(x - y) <= bound
@@ -435,7 +461,7 @@ def scalar_from_json(value, backend: str) -> Scalar:
         return _coerce_real(value)
     if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))):
         raise MatrixError(f"complex entry must be a [re, im] pair of numbers, got {value!r}")
-    return _coerce_complex(complex(float(value[0]), float(value[1])))
+    return _coerce_complex(complex(*(_coerce_real(v) if isinstance(v, int) else v for v in value)))
 
 
 def matrix_to_json(m: Matrix) -> dict:

@@ -33,8 +33,10 @@ from .core import (
     Matrix,
     Scalar,
     Tolerance,
+    _COERCE,
+    _add_diagonal,
     _is_scalar,
-    _scalar_array,
+    _product,
     as_backend,
     mat_pow,
     mat_sub,
@@ -176,6 +178,9 @@ class RootConvention:
         return cls(n=n, a=a, root=root, exact_root=exact)
 
 
+_unit_convention = lru_cache(maxsize=None)(RootConvention.real)  # (n, sign), sign 0 or +-1
+
+
 def _lift_for_root(x: Matrix, conv: RootConvention) -> Tuple[Matrix, Scalar]:
     """Move x to a backend that can hold conv's root, returning (x, c)."""
     if isinstance(conv.root, complex) or x.backend == COMPLEX:
@@ -200,12 +205,12 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     if c == 0:
         # all lower coefficients vanish; the sum collapses to X^(n-1)
         return mat_pow(xx, n - 1)
-    arr, k, backend = xx.array, xx.order, xx.backend
-    acc = arr + _scalar_array(c, k, backend)
-    cpow = c
+    arr, backend, coerce = xx.array, xx.backend, _COERCE[xx.backend]
+    c = cpow = coerce(c)  # c and each power in the backend: Fraction(1) powers would stay Fractions
+    acc = _add_diagonal(arr, c)
     for _ in range(n - 2):
-        cpow = cpow * c
-        acc = acc @ arr + _scalar_array(cpow, k, backend)
+        cpow = coerce(cpow * c)
+        acc = _add_diagonal(_product(acc, arr), cpow)
     return Matrix._wrap(acc, backend)
 
 
@@ -240,7 +245,7 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int, square=None) -> Matrix:
     _, blocks = unit_factors(n, -1)
     lin = -2.0 * b * float(blocks[i - 1, 0, 0])
     xx, x2, backend = _float_square(x) if square is None else square
-    return Matrix._wrap(x2 + lin * xx + _scalar_array(b * b, x.order, backend), backend)
+    return Matrix._wrap(_add_diagonal(x2 + lin * xx, _COERCE[backend](b * b)), backend)
 
 
 def odd_factorization_product(x: Matrix, n: int) -> Matrix:
@@ -254,12 +259,11 @@ def odd_factorization_product(x: Matrix, n: int) -> Matrix:
     if n < 3 or n % 2 == 0:
         raise ConventionError(f"odd factorization needs odd n >= 3, got {n}")
     xx, x2, backend = _float_square(x)
-    eye = _scalar_array(1, x.order, backend)
     result = None
     _, blocks = unit_factors(n, 1)
     for block in blocks:
         coeff = -2.0 * float(block[0, 0])
-        factor = x2 + coeff * xx + eye
+        factor = _add_diagonal(x2 + coeff * xx, 1.0)
         result = factor if result is None else result @ factor
     return Matrix._wrap(result, backend)
 

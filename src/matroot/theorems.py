@@ -50,13 +50,14 @@ from .core import (
     Matrix,
     Tolerance,
     _is_scalar,
+    _on_int64,
     is_zero,
     mat_mul,
     mat_pow,
 )
 from .factors import (
-    RootConvention, _float_square, _lift_for_root, exact_nth_root, geometric_factor_sum,
-    quadratic_factor_eval, unit_factors,
+    RootConvention, _float_square, _lift_for_root, _unit_convention, exact_nth_root,
+    geometric_factor_sum, quadratic_factor_eval, unit_factors,
 )
 from .constructions import (
     CASE_AT,
@@ -205,7 +206,7 @@ class Clauses:
     def conv(self) -> RootConvention:
         if isinstance(self.a, complex):
             return RootConvention.principal(self.n, self.a)
-        return RootConvention.real(self.n, self.a)
+        return _unit_convention(self.n, int(self.a))  # evaluate leaves a real a in {0, 1, -1}
 
     @_lazy
     def _tail(self) -> Matrix:
@@ -279,7 +280,7 @@ def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
     n, a, real = inst.n, inst.a, not isinstance(inst.a, complex)
     if real and a != 0 and abs(a) != 1:
         x, a = scale_to_unit(x, n, a), (1 if a > 0 else -1)
-    return Clauses(x, n, a, 2 if real and a < 0 and n % 2 == 0 else 1, tol)
+    return Clauses(_on_int64(x), n, a, 2 if real and a < 0 and n % 2 == 0 else 1, tol)
 
 
 def sentence1_holds_for(x: Matrix, inst: ProblemInstance,

@@ -596,7 +596,11 @@ def test_witness_json_round_trip(witness):
     "key, value, error",
     [("k", 2.7, ValueError), ("n", True, ValueError), ("n", "2", ValueError),
      ("n", 2.0, ValueError), ("a", True, MatrixError), ("a", "abc", MatrixError),
-     ("a", [1, "0"], MatrixError), ("a", None, MatrixError)],
+     ("a", [1, "0"], MatrixError), ("a", None, MatrixError),
+     pytest.param("a", 10**400, MatrixError, id="a-10**400-MatrixError"),
+     ("refutes_sentence", True, ValueError), ("refutes_sentence", 1.0, ValueError),
+     ("refutes_sentence", False, ValueError), ("refutes_sentence", 0, ValueError),
+     ("refutes_sentence", "1", ValueError)],
 )
 def test_witness_from_json_rejects_malformed_fields(key, value, error):
     data = witness_to_json(case_counterexample(CaseTag.CASE_I, 2, 2))

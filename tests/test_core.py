@@ -493,8 +493,19 @@ def test_json_serialization_is_byte_stable():
         {"backend": "complex", "order": 1, "entries": [[[1], 0]]},
         {"backend": "complex", "order": 1, "entries": [["1.5", 0]]},
         {"backend": "complex", "order": 1, "entries": [[True, 0]]},
+        {"backend": "real", "order": 1, "entries": [10**400]},
+        {"backend": "complex", "order": 1, "entries": [[10**400, 0]]},
+        {"backend": "complex", "order": 1, "entries": [[0.5, -(10**400)]]},
     ],
 )
 def test_matrix_from_json_rejects_malformed_payloads(broken):
     with pytest.raises(MatrixError):
         matrix_from_json(broken)
+
+
+@pytest.mark.parametrize("backend", ["real", "complex"])
+@pytest.mark.parametrize("entry", [10**400, -(10**400), Fraction(10**400, 3)],
+                         ids=["10**400", "-10**400", "10**400/3"])
+def test_matrix_rejects_entries_beyond_the_float_range(backend, entry):
+    with pytest.raises(MatrixError):
+        Matrix([[entry]], backend=backend)

@@ -605,3 +605,44 @@ def test_overflow_in_a_kernel_fails_loudly(kernel):
     for x in (Matrix(big.tolist()), Matrix._wrap(np.array([big, np.eye(2)]), "real")):
         with pytest.raises(MatrixError, match="operation produced non-finite entries"):
             OVERFLOWING_KERNELS[kernel](x)
+
+
+def _reference_horner(x: np.ndarray, n: int, c) -> np.ndarray:
+    """X^(n-1) + c X^(n-2) + ... + c^(n-1) I as X + cI, then acc @ X + c^j I,
+    each c^j I a fresh array with an exact 0 off the diagonal."""
+
+    def plus(acc, cj):
+        eye = np.zeros(acc.shape, acc.dtype)
+        np.fill_diagonal(eye, cj)
+        return acc + eye
+
+    acc, cj = plus(x, c), c
+    for _ in range(n - 2):
+        cj = cj * c
+        acc = plus(acc @ x, cj)
+    return acc
+
+
+_NEGATIVE_ZEROS = [
+    np.array([[1.0, -0.0, -0.0], [-0.0, -1.0, 2.0], [-0.0, -0.0, 0.5]]),
+    np.array([[1 + 1j, 1j], [0.5, -1j]]),  # x @ x has -0.0 + 1j off the diagonal
+    np.array([[complex(1, -0.0), complex(-0.0, 1)], [0.5, complex(-1, -0.0)]]),
+]
+
+
+@pytest.mark.parametrize("x", _NEGATIVE_ZEROS, ids=["real", "complex", "complex-diagonal"])
+@pytest.mark.parametrize(
+    "n, a",
+    [(n, a) for n in (2, 3, 4, 5) for a in (1, -1, complex(2, -0.0), 1j) if a != -1 or n % 2],
+    ids=str,
+)
+def test_geometric_factor_sum_keeps_the_reference_zeros(x, n, a):
+    if isinstance(a, complex):
+        c, x = RootConvention.principal(n, a), x.astype(complex)
+    else:
+        c = RootConvention.real(n, a)
+    backend = "complex" if x.dtype == complex else "real"
+    root = complex(c.root) if backend == "complex" else float(c.root)
+    got = geometric_factor_sum(Matrix._wrap(x.copy(), backend), n, c).array
+    want = _reference_horner(x, n, root)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

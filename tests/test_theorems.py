@@ -27,6 +27,7 @@ from matroot import (
     determinant,
     evaluate,
     generate_candidates,
+    geometric_factor_sum,
     identity,
     is_quarantined,
     mat_eq,
@@ -1039,3 +1040,87 @@ def test_odd_k_sentence_2_search_draws_nothing(cell, monkeypatch):
             '{"holds": true, "mode": "search-exhausted", "witness": null, '
             f'"trials": {budget}, "quarantined": false}}'
         )
+
+
+@pytest.mark.parametrize("cell", [(16, 12, 1), (16, 12, 0)], ids=str)
+def test_verify_witness_checks_an_exact_witness_on_int64(cell, monkeypatch):
+    import matroot.core as core
+    import matroot.factors as factors
+
+    seen, product = [], core._product
+
+    def recorded(x, y):
+        seen.append((x.dtype, y.dtype))
+        return product(x, y)
+
+    monkeypatch.setattr(core, "_product", recorded)
+    monkeypatch.setattr(factors, "_product", recorded)
+    w = decide(ProblemInstance(*cell)).witness
+    seen.clear()
+    assert verify_witness(w)
+    assert seen and set(seen) == {(np.dtype(np.int64), np.dtype(np.int64))}
+
+
+@pytest.mark.parametrize("cell", [(16, 12, 1), (16, 12, 0), (8, 2, 4), (5, 2, 4), (4, 6, 10**12)],
+                         ids=str)
+def test_exact_witnesses_and_verdicts_keep_python_types(cell):
+    w = decide(ProblemInstance(*cell)).witness
+    assert w.matrix.array.dtype == object
+    assert {type(e) for e in w.matrix.entries()} == {int}
+    clauses = evaluate(w.matrix, w)
+    values = (clauses.equation, clauses.simple_root, clauses.factor_sum_zero, clauses.holds)
+    assert {type(v) for v in values} == {bool} and type(verify_witness(w)) is bool
+    assert {type(e) for e in w.matrix.entries()} == {int}  # evaluating left w as it was
+
+
+def _python_power_and_sum(rows, n, a):
+    """X^n and the Horner sum X^(n-1) + a X^(n-2) + ... + a^(n-1) I at an
+    integer matrix X, for a in {0, 1, -1} (its own n-th root), on Python ints."""
+    k = len(rows)
+
+    def mul(x, y):
+        return [[sum(x[i][l] * y[l][j] for l in range(k)) for j in range(k)] for i in range(k)]
+
+    def plus(x, c):
+        return [[x[i][j] + (c if i == j else 0) for j in range(k)] for i in range(k)]
+
+    power, acc = rows, plus(rows, a)
+    for j in range(2, n + 1):
+        power = mul(power, rows)
+        if j < n:
+            acc = plus(mul(acc, rows), a**j)
+    return power, acc
+
+
+_BIG = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "rows, n, a",
+    [
+        ([[_BIG, 0], [0, 1]], 2, 1),  # the first diagonal add passes 2^63 - 1
+        ([[-_BIG, 0], [0, 1]], 3, -1),
+        ([[_BIG, 1], [0, -1]], 3, 1),
+        ([[2**20, 1], [0, 1]], 5, 1),  # the first products fit, later ones do not
+        ([[2**31, 0], [1, -1]], 5, -1),
+        ([[2**32, 0], [0, 0]], 2, 0),  # X^2 = 2^64 E11 would wrap to zero on int64
+        ([[0, 1], [-1, 0]], 4, 1),  # a root of I that is not simple
+        ([[2**62, 2**62], [-(2**62), -(2**62)]], 2, 0),  # nilpotent, huge products
+        ([[2**63, 0], [0, 1]], 2, 1),  # beyond int64: stays on Python ints
+        ([[-(2**63), 0], [0, 1]], 3, 1),
+    ],
+    ids=str,
+)
+def test_int64_clauses_match_python_ints_past_the_int64_range(rows, n, a):
+    # padded by a * I to order 8, where evaluate moves a matrix of Python ints to int64
+    rows = [r + [0] * (8 - len(rows)) for r in rows]
+    rows += [[a if j == i else 0 for j in range(8)] for i in range(len(rows), 8)]
+    clauses = evaluate(Matrix(rows, backend="rational"), ProblemInstance(8, n, a))
+    assert (clauses.x.array.dtype == np.int64) == (max(abs(e) for r in rows for e in r) <= _BIG)
+    power, horner = _python_power_and_sum(rows, n, a)
+    scalar = [[a if j == i else 0 for j in range(8)] for i in range(8)]
+    want = (power == scalar, rows == scalar, horner == [[0] * 8] * 8)
+    assert (clauses.equation, clauses.simple_root, clauses.factor_sum_zero) == want
+    assert clauses.holds == (not want[0] or want[1] or want[2])
+    value = geometric_factor_sum(clauses.x, n, clauses.conv)  # the sum on clauses.x's int64
+    assert [int(e) for e in value.array.flat] == [e for r in horner for e in r]
