@@ -27,8 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    COMPLEX, DEFAULT_TOLERANCE, Matrix, Tolerance, as_backend, is_zero, matrix_from_json,
-    matrix_to_json,
+    DEFAULT_TOLERANCE, Matrix, Tolerance, is_zero, matrix_from_json, matrix_to_json,
 )
 from .factors import RootConvention, _float_square, geometric_factor_sum, quadratic_factor_eval
 from .constructions import (
@@ -136,9 +135,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     m = _load_matrix(args.matrix_file)
     a = _parse_scalar(args.a)
-    if isinstance(a, complex):
-        # the complex variant of sentence 1, as verify_witness checks a complex witness
-        m = as_backend(m, COMPLEX)
+    if isinstance(a, complex):  # the complex variant of sentence 1, as for a complex witness
         inst = Witness(m, tag=None, k=args.k, n=args.n, a=a, refutes_sentence=None)
     else:
         inst = ProblemInstance(args.k, args.n, a)

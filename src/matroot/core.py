@@ -20,7 +20,8 @@ one backend: the arithmetic below broadcasts over the leading axis, and
 ``mat_eq`` / ``is_zero`` then give one bool per stacked matrix.  Kernels such
 as ``mat_pow`` compute on the bare arrays and wrap each result once.  An
 internal rational stack, or an all-int matrix that ``theorems.evaluate``
-checks, may be held on int64 (``_on_int64``), which no public Matrix holds.
+checks, may be held on int64, which no public Matrix holds: ``_on_int64`` chooses
+it once, under a row-sum bound that lets the kernels multiply and add unguarded.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ BACKENDS = (RATIONAL, REAL, COMPLEX)
 
 _BACKEND_RANK = {RATIONAL: 0, REAL: 1, COMPLEX: 2}
 _BACKEND_DTYPE = {RATIONAL: object, REAL: np.float64, COMPLEX: np.complex128}
+_INT64, _INT64_MAX = np.dtype(np.int64), 2**63 - 1
 
 RationalScalar = Union[int, Fraction]
 Scalar = Union[int, Fraction, float, complex]
@@ -190,12 +192,15 @@ class Matrix:
         return f"Matrix({self.rows()!r}, backend={self.backend!r})"
 
 
-def _scalar_array(c: Scalar, k: int, backend: str) -> np.ndarray:
-    """A fresh k x k array of c * I: c coerced into the backend, exact 0 elsewhere."""
+def _scalar_array(c: Scalar, k: int, dtype) -> np.ndarray:
+    """A fresh k x k array of c * I for c already in its backend, exact 0 elsewhere, of
+    the given dtype; of the object dtype where int64 would truncate a c that is not an int."""
     if k < 1:
         raise DimensionMismatch("order must be >= 1")
-    arr = np.zeros((k, k), dtype=_BACKEND_DTYPE[backend])  # int 0 on the object dtype
-    arr.flat[:: k + 1] = _COERCE[backend](c)
+    if type(c) is not int and dtype == _INT64:
+        dtype = object
+    arr = np.zeros((k, k), dtype)  # int 0 on the object dtype
+    arr.flat[:: k + 1] = c
     return arr
 
 
@@ -210,7 +215,7 @@ def zeros(k: int, backend: str = RATIONAL) -> Matrix:
 
 def scalar_matrix(c: Scalar, k: int, backend: str) -> Matrix:
     """c * I_k over the given backend."""
-    return Matrix._wrap(_scalar_array(c, k, backend), backend)
+    return Matrix._wrap(_scalar_array(_COERCE[backend](c), k, _BACKEND_DTYPE[backend]), backend)
 
 
 _LIKE = {RATIONAL: Fraction, REAL: float, COMPLEX: complex}
@@ -223,8 +228,8 @@ def scalar_matrix_like(c: Scalar, m: Matrix) -> Matrix:
 
 
 def _is_scalar(m: Matrix, c: Scalar, tol: Tolerance):
-    """mat_eq(m, scalar_matrix_like(c, m), tol), against the bare array of c * I."""
-    target = _scalar_array(_LIKE[m.backend](c), m.order, m.backend)
+    """mat_eq(m, scalar_matrix_like(c, m), tol), against a bare c * I of m's dtype."""
+    target = _scalar_array(_COERCE[m.backend](_LIKE[m.backend](c)), m.order, m.array.dtype)
     return _entries_close(m.array, target, m.backend, tol)
 
 
@@ -235,46 +240,29 @@ def _check_pair(a: Matrix, b: Matrix) -> None:
         raise BackendMismatch(f"backend mismatch: {a.backend} vs {b.backend}")
 
 
-_INT64, _INT64_MAX = np.dtype(np.int64), 2**63 - 1
-
-
-def _abs_max(arr: np.ndarray) -> int:
-    return int(np.abs(arr).max())
-
-
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y; on int64 only while k * max|x| * max|y| fits, else exactly on Python ints."""
-    if x.dtype == _INT64 or y.dtype == _INT64:
-        bound = x.shape[-1] * (top := _abs_max(x)) * (top if y is x else _abs_max(y))
-        if x.dtype != y.dtype or bound > _INT64_MAX:  # bound caps every partial sum
-            x, y = x.astype(object), y.astype(object)
-    return x @ y
-
-
 def _add_diagonal(acc: np.ndarray, c) -> np.ndarray:
-    """acc + c * I for c already in acc's backend, as ``_scalar_array`` builds it;
-    an int64 acc moves to Python ints first unless max|acc| + |c| fits in int64."""
-    k = acc.shape[-1]
-    if acc.dtype == _INT64 and (type(c) is not int or _abs_max(acc) + abs(c) > _INT64_MAX):
-        acc = acc.astype(object)
-    eye = np.zeros((k, k), acc.dtype)  # int 0 on the object dtype
-    eye.flat[:: k + 1] = c
-    return acc + eye
+    """acc + c * I for c already in acc's backend, exact (see ``_scalar_array``)."""
+    return acc + _scalar_array(c, acc.shape[-1], acc.dtype)
 
 
-def _on_int64(m: Matrix) -> Matrix:
-    """m on int64 if it holds 64 or more entries, all Python ints within +-(2^63 - 1);
-    else m, as on fewer entries ``_product``'s guards cost more than Python ints."""
-    ints = m.array.size >= 64 and m.array.dtype == object and set(map(type, m.array.flat)) == {int}
-    if not ints or max(map(abs, m.array.flat)) > _INT64_MAX:
+def _on_int64(m: Matrix, n: int) -> Matrix:
+    """m on int64 if its entries are ints and n * max(1, r)^n <= 2^63 - 1 for r =
+    ||m||_inf, its largest absolute row sum; else m on Python ints.  The norm is
+    submultiplicative, so the bound caps every entry, partial sum and c * I add of the
+    powers up to m^n and the unit-coefficient Horner sums: none of them needs a guard."""
+    arr = m.array
+    if arr.dtype != _INT64 and (arr.dtype != object or set(map(type, arr.flat)) != {int}):
         return m
-    return Matrix._wrap(m.array.astype(np.int64), RATIONAL)
+    r = int(np.abs(arr).sum(axis=-1).max())
+    fits = r <= 1 or (n < 63 and n * r**n <= _INT64_MAX)  # r >= 2 fails for n >= 63
+    dtype = _INT64 if fits else np.dtype(object)
+    return m if arr.dtype == dtype else Matrix._wrap(arr.astype(dtype), RATIONAL)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; exact on the rational backend."""
+    """Matrix product; exact on the rational backend (int64 only as ``_on_int64`` bounds it)."""
     _check_pair(a, b)
-    return Matrix._wrap(_product(a.array, b.array), a.backend)
+    return Matrix._wrap(a.array @ b.array, a.backend)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -321,7 +309,7 @@ def scalar_mul(c: Scalar, m: Matrix) -> Matrix:
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
     """n-th power by binary exponentiation on the array, wrapped once; n = 0
-    gives the identity.  Each product is guarded as in ``mat_mul``."""
+    gives the identity.  Exact as ``mat_mul``: no power above n is formed."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise MatrixError(f"exponent must be an integer, got {n!r}")
     n = int(n)
@@ -331,12 +319,12 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
         return identity(a.order, a.backend)
     x = a.array
     while not n & 1:  # square up to the lowest set bit, which starts the product
-        x, n = _product(x, x), n >> 1
+        x, n = x @ x, n >> 1
     result = x
     while n := n >> 1:
-        x = _product(x, x)
+        x = x @ x
         if n & 1:
-            result = _product(result, x)
+            result = result @ x
     return a if result is a.array else Matrix._wrap(result, a.backend)
 
 
@@ -375,7 +363,7 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
     if any(b.backend != backend for b in blocks):
         raise BackendMismatch("all blocks must share one backend")
     total = sum(b.order for b in blocks)
-    out = _scalar_array(0, total, backend)
+    out = _scalar_array(0, total, _BACKEND_DTYPE[backend])
     at = 0
     for b in blocks:
         k = b.order

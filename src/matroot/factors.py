@@ -36,7 +36,6 @@ from .core import (
     _COERCE,
     _add_diagonal,
     _is_scalar,
-    _product,
     as_backend,
     mat_pow,
     mat_sub,
@@ -210,7 +209,7 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     acc = _add_diagonal(arr, c)
     for _ in range(n - 2):
         cpow = coerce(cpow * c)
-        acc = _add_diagonal(_product(acc, arr), cpow)
+        acc = _add_diagonal(acc @ arr, cpow)
     return Matrix._wrap(acc, backend)
 
 

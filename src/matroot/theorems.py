@@ -43,6 +43,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import (
+    COMPLEX,
     DEFAULT_TOLERANCE,
     RATIONAL,
     REAL,
@@ -51,6 +52,7 @@ from .core import (
     Tolerance,
     _is_scalar,
     _on_int64,
+    as_backend,
     is_zero,
     mat_mul,
     mat_pow,
@@ -271,16 +273,19 @@ class Clauses:
 def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
     """The clauses at x of the sentence that applies to ``inst``, a
     ProblemInstance or a Witness: sentence 2 when a < 0 and n is even, else
-    sentence 1 with the real root convention, or with the principal root
-    when a is complex (the complex variant of sentence 1); at unit scale for
-    a real a outside {0, 1, -1} (see the module docstring).  x may be a
-    (m, k, k) stack, and each clause then has one value per matrix."""
+    sentence 1 with the real root convention, or with the principal root on
+    x lifted to the complex backend when a is complex (the complex variant of
+    sentence 1); at unit scale for a real a outside {0, 1, -1} (see the
+    module docstring).  x may be a (m, k, k) stack, and each clause then has
+    one value per matrix."""
     if x.order != inst.k:
         raise DimensionMismatch(f"matrix order {x.order} != k = {inst.k}")
     n, a, real = inst.n, inst.a, not isinstance(inst.a, complex)
-    if real and a != 0 and abs(a) != 1:
+    if not real:
+        x = as_backend(x, COMPLEX)
+    elif a != 0 and abs(a) != 1:
         x, a = scale_to_unit(x, n, a), (1 if a > 0 else -1)
-    return Clauses(_on_int64(x), n, a, 2 if real and a < 0 and n % 2 == 0 else 1, tol)
+    return Clauses(_on_int64(x, n), n, a, 2 if real and a < 0 and n % 2 == 0 else 1, tol)
 
 
 def sentence1_holds_for(x: Matrix, inst: ProblemInstance,

@@ -290,6 +290,20 @@ def test_verify_complex_witness_against_its_own_a(capsys, tmp_path):
     assert verify_witness(witness_from_json(json.loads(path.read_text())))
 
 
+@pytest.mark.parametrize("backend", ["rational", "real", "complex"])
+def test_verify_with_a_complex_a_is_the_same_on_every_backend(capsys, tmp_path, backend):
+    # diag(2, -2) squares to 4 I, is not the principal root 2 and X + 2 I is not O
+    path = write_matrix(tmp_path, Matrix([[2, 0], [0, -2]], backend=backend))
+    code, out, err = run_cli(capsys, "verify", path, "--k", "2", "--n", "2", "--a", "4+0j")
+    assert (code, err) == (3, "")
+    assert out == (
+        '{"equation_satisfied": true, "is_simple_root": false, '
+        '"factor_sum_zero": false, "sentence_value": false}\n'
+    )
+    code, out, _ = run_cli(capsys, "verify", path, "--k", "2", "--n", "2", "--a", "1+0.5j")
+    assert code == 0 and parse_line(out)["equation_satisfied"] is False
+
+
 def test_verify_takes_a_negative_literal_after_a_space(capsys, tmp_path):
     kn = ("--k", "4", "--n", "3")
     path = tmp_path / "w.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matroot.core as core
 from matroot import (
     BackendMismatch,
     CaseTag,
@@ -196,9 +197,9 @@ def test_power_additivity_on_floats_within_tolerance():
 
 
 # --- the int64 kernel -------------------------------------------------------------
-# Inside the library a rational stack of integer matrices may be held on int64.  A
-# product stays there only while k * max|A| * max|B| <= 2**63 - 1, and is taken on
-# Python ints otherwise.
+# Inside the library a rational stack of integer matrices may be held on int64, once
+# ``theorems.evaluate`` has bounded all its arithmetic (``core._on_int64``); products
+# are then plain int64 products, and c * I is added or compared in the array's dtype.
 
 EDGE = math.isqrt((2**63 - 1) // 4)  # the largest max|entry| whose 4 x 4 square fits
 
@@ -226,20 +227,27 @@ def test_int64_products_just_below_the_bound_stay_int64():
         assert got.array[0].max() == 4 * EDGE**2  # the bound is reached exactly
 
 
-@pytest.mark.parametrize("top", [EDGE + 1, 2**31])
-def test_int64_products_past_the_bound_are_exact_python_ints(top):
-    x = _int64_stack(top)
-    for got, n in ((mat_mul(x, x), 2), (mat_pow(x, 2), 2), (mat_pow(x, 3), 3), (mat_pow(x, 8), 8)):
-        want = _object_power(x, n)
-        assert got.array.dtype == object and (got.array == want).all()
-        assert all(type(e) is int for e in got.array.flat)
+def test_is_scalar_compares_an_int64_matrix_against_an_int64_target(monkeypatch):
+    targets, close = [], core._entries_close
 
+    def recorded(x, y, backend, tol):
+        targets.append(y.dtype)
+        return close(x, y, backend, tol)
 
-def test_int64_power_moves_to_python_ints_only_where_needed():
+    monkeypatch.setattr(core, "_entries_close", recorded)
     x = _int64_stack(EDGE)
-    got = mat_pow(x, 3)  # the square fits, the cube does not
-    assert got.array.dtype == object and (got.array == _object_power(x, 3)).all()
-    assert all(type(e) is int for e in got.array.flat)
+    for c, want in ((1, [False, False, True]), (Fraction(3), [False, False, False])):
+        assert list(core._is_scalar(x, c, TIGHT)) == want
+    assert targets == [np.dtype(np.int64)] * 2
+
+
+def test_a_fraction_c_on_int64_is_exact_on_the_object_dtype():
+    # stored into int64, 1/2 would truncate to 0: the zero stack would "equal" c * I
+    x, half = Matrix._wrap(np.zeros((2, 3, 3), np.int64), "rational"), Fraction(1, 2)
+    added = core._add_diagonal(x.array, half)
+    assert added.dtype == object and (added == np.eye(3, dtype=int) * half).all()
+    assert list(core._is_scalar(x, half, TIGHT)) == [False, False]
+    assert list(core._is_scalar(Matrix._wrap(added, "rational"), half, TIGHT)) == [True, True]
 
 
 # --- mat_eq -------------------------------------------------------------------

@@ -1042,23 +1042,45 @@ def test_odd_k_sentence_2_search_draws_nothing(cell, monkeypatch):
         )
 
 
-@pytest.mark.parametrize("cell", [(16, 12, 1), (16, 12, 0)], ids=str)
+@pytest.mark.parametrize("cell", [(16, 12, 1), (16, 12, 0), (4, 6, 1)], ids=str)
 def test_verify_witness_checks_an_exact_witness_on_int64(cell, monkeypatch):
-    import matroot.core as core
-    import matroot.factors as factors
+    seen = []
 
-    seen, product = [], core._product
+    def recorded(kernel):
+        def call(x, *args):
+            seen.append((kernel.__name__, x.array.dtype))
+            return kernel(x, *args)
+        return call
 
-    def recorded(x, y):
-        seen.append((x.dtype, y.dtype))
-        return product(x, y)
-
-    monkeypatch.setattr(core, "_product", recorded)
-    monkeypatch.setattr(factors, "_product", recorded)
+    for name in ("mat_pow", "geometric_factor_sum"):
+        monkeypatch.setattr(theorems, name, recorded(getattr(theorems, name)))
     w = decide(ProblemInstance(*cell)).witness
     seen.clear()
     assert verify_witness(w)
-    assert seen and set(seen) == {(np.dtype(np.int64), np.dtype(np.int64))}
+    kernels = {"mat_pow"} if cell[2] == 0 else {"mat_pow", "geometric_factor_sum"}
+    assert {name for name, _ in seen} == kernels
+    assert {dtype for _, dtype in seen} == {np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("cell", [(4, 40, 1), (3, 64, 1), (24, 20, 0)], ids=str)
+def test_exact_decide_witnesses_are_evaluated_on_int64_at_any_order(cell):
+    # every exact witness has row sums of at most 1, so no power of it leaves int64
+    w = decide(ProblemInstance(*cell)).witness
+    assert evaluate(w.matrix, w).x.array.dtype == np.int64
+    assert verify_witness(w)
+
+
+@pytest.mark.parametrize("backend", ["rational", "real"])
+def test_a_complex_a_lifts_an_exact_or_real_matrix_to_complex(backend):
+    def witness(p, q, a):
+        return Witness(Matrix([[p, 0], [0, q]], backend=backend), None, 2, 2, a, 1)
+
+    assert verify_witness(witness(1, 1, 1 + 0.5j)) is False  # I^2 is not (1 + 0.5j) I
+    w = witness(2, -2, 4 + 0j)  # diag(2, -2) refutes at the principal root 2
+    clauses = evaluate(w.matrix, w)
+    assert clauses.x.backend == "complex" and w.matrix.backend == backend
+    values = (clauses.equation, clauses.simple_root, clauses.factor_sum_zero, clauses.holds)
+    assert values == (True, False, False, False) and verify_witness(w) is True
 
 
 @pytest.mark.parametrize("cell", [(16, 12, 1), (16, 12, 0), (8, 2, 4), (5, 2, 4), (4, 6, 10**12)],
@@ -1104,6 +1126,7 @@ _BIG = 2**63 - 1
         ([[2**20, 1], [0, 1]], 5, 1),  # the first products fit, later ones do not
         ([[2**31, 0], [1, -1]], 5, -1),
         ([[2**32, 0], [0, 0]], 2, 0),  # X^2 = 2^64 E11 would wrap to zero on int64
+        ([[2, 0], [0, 0]], 64, 0),  # so would X^64, from a row sum of only 2
         ([[0, 1], [-1, 0]], 4, 1),  # a root of I that is not simple
         ([[2**62, 2**62], [-(2**62), -(2**62)]], 2, 0),  # nilpotent, huge products
         ([[2**63, 0], [0, 1]], 2, 1),  # beyond int64: stays on Python ints
@@ -1112,15 +1135,35 @@ _BIG = 2**63 - 1
     ids=str,
 )
 def test_int64_clauses_match_python_ints_past_the_int64_range(rows, n, a):
-    # padded by a * I to order 8, where evaluate moves a matrix of Python ints to int64
+    # padded by a * I to order 8; evaluate moves a matrix of Python ints to int64 when
+    # n * max(1, r)^n <= 2^63 - 1 for r its largest absolute row sum
     rows = [r + [0] * (8 - len(rows)) for r in rows]
     rows += [[a if j == i else 0 for j in range(8)] for i in range(len(rows), 8)]
     clauses = evaluate(Matrix(rows, backend="rational"), ProblemInstance(8, n, a))
-    assert (clauses.x.array.dtype == np.int64) == (max(abs(e) for r in rows for e in r) <= _BIG)
+    r = max(sum(map(abs, row)) for row in rows)
+    assert (clauses.x.array.dtype == np.int64) == (n * max(1, r) ** n <= _BIG)
     power, horner = _python_power_and_sum(rows, n, a)
     scalar = [[a if j == i else 0 for j in range(8)] for i in range(8)]
     want = (power == scalar, rows == scalar, horner == [[0] * 8] * 8)
     assert (clauses.equation, clauses.simple_root, clauses.factor_sum_zero) == want
     assert clauses.holds == (not want[0] or want[1] or want[2])
     value = geometric_factor_sum(clauses.x, n, clauses.conv)  # the sum on clauses.x's int64
+    assert [int(e) for e in value.array.flat] == [e for r in horner for e in r]
+
+
+@pytest.mark.parametrize(
+    "rows, a, on_int64",
+    [([[2**31 - 1, 0], [0, 1]], 1, True), ([[2**31, 0], [0, 1]], 1, False),
+     ([[2**30, 1 - 2**30], [-1, 0]], 0, True), ([[2**30, 2**30], [-1, 0]], 0, False),
+     ([[-1, 2**31 - 2], [0, 1]], 1, True), ([[-1, 2**31 - 1], [0, 1]], 1, False)],
+    ids=str,
+)
+def test_int64_is_chosen_by_the_row_sum_bound_at_n_2(rows, a, on_int64):
+    # 2 * (2^31 - 1)^2 <= 2^63 - 1 < 2 * (2^31)^2, for r one entry or the sum of two
+    clauses = evaluate(Matrix(rows, backend="rational"), ProblemInstance(2, 2, a))
+    assert (clauses.x.array.dtype == np.int64) == on_int64
+    power, horner = _python_power_and_sum(rows, 2, a)
+    want = (power == [[a, 0], [0, a]], rows == [[a, 0], [0, a]], horner == [[0, 0], [0, 0]])
+    assert (clauses.equation, clauses.simple_root, clauses.factor_sum_zero) == want
+    value = geometric_factor_sum(clauses.x, 2, clauses.conv)
     assert [int(e) for e in value.array.flat] == [e for r in horner for e in r]
