@@ -33,6 +33,7 @@ from .factors import RootConvention, _float_square, geometric_factor_sum, quadra
 from .constructions import (
     CaseTag,
     Witness,
+    _checked_int,
     complex_counterexample,
     conjugate_random,
     construct,
@@ -136,7 +137,8 @@ def _cmd_verify(args) -> int:
     m = _load_matrix(args.matrix_file)
     a = _parse_scalar(args.a)
     if isinstance(a, complex):  # the complex variant of sentence 1, as for a complex witness
-        inst = Witness(m, tag=None, k=args.k, n=args.n, a=a, refutes_sentence=None)
+        k, n = _checked_int("k", args.k, 2), _checked_int("n", args.n, 2)  # as on the real path
+        inst = Witness(m, tag=None, k=k, n=n, a=a, refutes_sentence=None)
     else:
         inst = ProblemInstance(args.k, args.n, a)
     clauses = evaluate(m, inst, _tolerance(args))

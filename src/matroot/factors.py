@@ -131,6 +131,11 @@ def _float_root(mag, n: int, power: int) -> float:
         raise ValueError(f"|a|^({power}/{n}) is outside the float range") from None
 
 
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise ConventionError(f"n must be >= 2, got {n}")
+
+
 @dataclass(frozen=True)
 class RootConvention:
     """A committed choice of n-th root of a.
@@ -149,11 +154,11 @@ class RootConvention:
     exact_root: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConventionError(f"n must be >= 2, got {self.n}")
+        _check_n(self.n)
 
     @classmethod
     def real(cls, n: int, a) -> "RootConvention":
+        _check_n(n)  # before the root, which divides by n
         if isinstance(a, complex):
             raise ConventionError("real convention needs a real a; use principal()")
         if not isinstance(a, (int, Fraction)) and not math.isfinite(float(a)):
@@ -165,16 +170,12 @@ class RootConvention:
 
     @classmethod
     def principal(cls, n: int, a) -> "RootConvention":
+        _check_n(n)
         z = complex(a)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ConventionError(f"a must be finite, got {a!r}")
-        if z == 0:
-            root: complex | float = 0.0
-            exact: Optional[Fraction] = Fraction(0)
-        else:
-            root = cmath.exp(cmath.log(z) / n)
-            exact = None
-        return cls(n=n, a=a, root=root, exact_root=exact)
+        root = cmath.exp(cmath.log(z) / n) if z else 0.0
+        return cls(n=n, a=a, root=root, exact_root=None if z else Fraction(0))
 
 
 _unit_convention = lru_cache(maxsize=None)(RootConvention.real)  # (n, sign), sign 0 or +-1
@@ -196,8 +197,7 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     Exact when x is rational and the root is exactly rational (so a = 0 and
     a = +-1 witnesses never leave exact arithmetic).
     """
-    if n < 2:
-        raise ConventionError(f"n must be >= 2, got {n}")
+    _check_n(n)
     if conv.n != n:
         raise ConventionError(f"convention is for n = {conv.n}, called with n = {n}")
     xx, c = _lift_for_root(x, conv)

@@ -389,17 +389,18 @@ class _Candidates:
     ``rng.random((m, width))`` call: row i of it, alone, makes candidate i,
     so the chunk sizes do not move the stream.
 
-    A candidate is a block direct sum.  Block t draws its order from u[t] and
-    its pick from u[k + t].  For a = 0 it is a first-superdiagonal shift of
-    order 1 + floor(u[t] * min(n, indices left)), so X^n = 0.  Otherwise it
-    is a factor of x^n - sign(a) in ``unit_factors``: 1 x 1, a real root,
-    where one index is left, the table has no quadratic factor, or it has
-    real roots and u[t] < 0.4; else 2 x 2, the block of a real quadratic
-    factor.  When a < 0, n is even and k is odd, no such sum exists (the
-    determinant obstruction), so the last block is a +-1 pad and the
-    candidate deliberately violates X^n = a*I.  A real sum is conjugated at
-    unit scale by its shears, 3 uniforms each, from u[2k:]; then the sum is
-    scaled by |a|^(1/n).
+    A candidate is a block direct sum.  Block t draws its order from u[t]
+    and its pick from u[k + t]; it starts at the sum of the orders before it
+    (one prefix sum per row), and the blocks that start before k are kept,
+    the last cut to end at k.  For a = 0 a block is a superdiagonal shift of
+    order 1 + floor(u[t] * n), so X^n = 0.  Otherwise it is a factor of
+    x^n - sign(a) in ``unit_factors``: a 1 x 1 real root where the table has
+    no quadratic or has roots and u[t] < 0.4, else the 2 x 2 block of a real
+    quadratic.  When a < 0, n is even and k is odd, no such sum exists (the
+    determinant obstruction), so the last block, cut to 1 x 1, is a +-1 pad:
+    the candidate deliberately violates X^n = a*I.  A real sum is conjugated
+    at unit scale by its shears, 3 uniforms each, from u[2k:]; then the sum
+    is scaled by |a|^(1/n).
 
     The backend is fixed per cell: rational when a = 0, or when the table has
     no quadratic factor and |a|^(1/n) is rational, so every candidate stays
@@ -426,17 +427,13 @@ class _Candidates:
     def _fill(self, arr: np.ndarray, u: np.ndarray) -> None:
         """Write the block sum of each row of u into the zero stack arr."""
         k, n, roots, quads = self.k, self.n, self.roots, self.quads
-        blocks = []  # (row, first index, order, pick) of every block
-        for r, draws in enumerate(u[:, : 2 * k].tolist()):
-            at = t = 0
-            while at < k:
-                if self.zero:
-                    size = 1 + int(draws[t] * min(n, k - at))
-                else:
-                    size = 2 if at < k - 1 and len(quads) and not (roots and draws[t] < 0.4) else 1
-                blocks.append((r, at, size, draws[k + t]))
-                at, t = at + size, t + 1
-        rows, at, size, pick = (np.array(v) for v in zip(*blocks))
+        draws = u[:, :k]
+        order = (1 + (draws * n).astype(np.intp) if self.zero
+                 else np.where(bool(len(quads)) & ~(bool(roots) & (draws < 0.4)), 2, 1))
+        first = np.cumsum(order, axis=1) - order  # block t starts where those before it end
+        rows, t = np.nonzero(first < k)
+        at, pick = first[rows, t], u[rows, k + t]
+        size = np.minimum(order[rows, t], k - at)  # the last block of a row ends at k
         if self.zero:  # ones on the superdiagonal, but where a block ends
             diag, end = np.arange(k - 1), at + size
             arr[:, diag, diag + 1] = 1

@@ -304,6 +304,16 @@ def test_verify_with_a_complex_a_is_the_same_on_every_backend(capsys, tmp_path, 
     assert code == 0 and parse_line(out)["equation_satisfied"] is False
 
 
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 1), (2, 0)])
+def test_verify_checks_k_and_n_alike_for_a_real_and_a_complex_a(capsys, tmp_path, k, n):
+    # a complex a takes the Witness path, which checks neither k nor n itself
+    path = write_matrix(tmp_path, identity(k, "rational"))
+    bad = f"k must be an integer >= 2, got {k}" if k < 2 else f"n must be an integer >= 2, got {n}"
+    for a in ("1", "1+1j", "0j"):
+        code, out, err = run_cli(capsys, "verify", path, "--k", str(k), "--n", str(n), "--a", a)
+        assert (code, out, err) == (2, "", f"error: {bad}\n"), a
+
+
 def test_verify_takes_a_negative_literal_after_a_space(capsys, tmp_path):
     kn = ("--k", "4", "--n", "3")
     path = tmp_path / "w.json"

@@ -123,6 +123,20 @@ def test_principal_convention_matches_complex_root():
     assert abs(conv.root - 2.0) < 1e-12
     conv = RootConvention.principal(2, -1)
     assert abs(conv.root - 1j) < 1e-12
+    conv = RootConvention.principal(3, 0j)
+    assert (conv.root, conv.exact_root) == (0.0, Fraction(0))
+    assert type(conv.exact_root) is Fraction
+    assert RootConvention.principal(3, 8).exact_root is None
+
+
+@pytest.mark.parametrize("n", [0, 1, -2])
+@pytest.mark.parametrize(
+    "kind, a", [("real", 2), ("real", -1), ("real", 0), ("principal", 1 + 1j), ("principal", 0)]
+)
+def test_root_conventions_check_n_before_they_compute_the_root(kind, a, n):
+    # n = 0 would divide by zero in the root, and a < 0 would fail on n's parity
+    with pytest.raises(ConventionError, match=f"^n must be >= 2, got {n}$"):
+        getattr(RootConvention, kind)(n, a)
 
 
 # --- geometric_factor_sum --------------------------------------------------------

@@ -12,6 +12,7 @@ import matroot.theorems as theorems
 from matroot import (
     ApplicabilityError,
     CaseTag,
+    ConventionError,
     DimensionMismatch,
     Matrix,
     ProblemInstance,
@@ -847,7 +848,7 @@ def _reference_block_sum(inst, u):
         rows = [[0] * k for _ in range(k)]
         at = t = 0
         while at < k:
-            size = 1 + int(u[t] * min(n, k - at))
+            size = min(1 + int(u[t] * n), k - at)
             for i in range(at, at + size - 1):
                 rows[i][i + 1] = 1
             at, t = at + size, t + 1
@@ -918,10 +919,13 @@ def _same_matrix(got, want):
 def _parity_cells():
     """Both acceptance grids but the a = 0, n < k cells, which refute early (see
     test_search_refutes_zero_a_cells_with_n_below_k), plus scaled a: candidates
-    sheared at unit scale, then scaled to floats (a = 2) or exactly (a = 4)."""
+    sheared at unit scale, then scaled to floats (a = 2) or exactly (a = 4);
+    plus rows of many blocks, with many cut at k: small n at large k, an
+    odd-k pad, and two a = 0 cells with n < k."""
     cells = [(k, n, a) for k in range(2, 9) for n in range(2, 10) for a in (1, -1, 0)
              if (a != -1 or n % 2 == 1) and (a != 0 or n >= k)]
     cells += [(k, n, -1) for n in (2, 4, 6, 8) for k in range(2, 10)]
+    cells += [(12, 5, 1), (16, 12, -1), (15, 6, -1), (16, 4, 0), (13, 7, 0)]
     scaled = (2, -2, Fraction(1, 3), Fraction(-1, 3), 4, 27, 10**6, -(10**6),
               10**12, -(10**12), 1e300, Fraction(1, 10**30))
     return cells + [(k, n, a) for a in scaled for k, n in ((2, 3), (4, 2), (3, 4))]
@@ -1081,6 +1085,13 @@ def test_a_complex_a_lifts_an_exact_or_real_matrix_to_complex(backend):
     assert clauses.x.backend == "complex" and w.matrix.backend == backend
     values = (clauses.equation, clauses.simple_root, clauses.factor_sum_zero, clauses.holds)
     assert values == (True, False, False, False) and verify_witness(w) is True
+
+
+def test_verify_witness_with_n_below_2_raises_a_convention_error():
+    # a Witness does not check n, and its real root would divide by n = 0
+    w = Witness(identity(2, "rational"), None, 2, 0, 1, refutes_sentence=1)
+    with pytest.raises(ConventionError, match="n must be >= 2, got 0"):
+        verify_witness(w)
 
 
 @pytest.mark.parametrize("cell", [(16, 12, 1), (16, 12, 0), (8, 2, 4), (5, 2, 4), (4, 6, 10**12)],
