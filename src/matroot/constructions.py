@@ -116,8 +116,8 @@ def witness_from_json(data: dict) -> Witness:
     return Witness(
         matrix=matrix_from_json(data["matrix"]),
         tag=CaseTag(tag) if tag is not None else None,
-        k=_checked_int("k", data["k"], 1),
-        n=_checked_int("n", data["n"], 1),
+        k=_checked_int("k", data["k"], 2),
+        n=_checked_int("n", data["n"], 2),
         a=scalar_from_json(a, backend),  # the wire form of a names its backend
         refutes_sentence=data.get("refutes_sentence"),
     )
@@ -150,11 +150,12 @@ def shift_nilpotent(k: int, n: int) -> Matrix:
 
 
 def _block_sum(k: int, lead: tuple, blocks: np.ndarray, backend: str) -> Matrix:
-    """diag(*lead, B1, B2, ...) of order k, the B a stack or copies of one 2x2 block."""
+    """diag(*lead, B1, B2, ...) of order k, the B a stack or copies of one 2x2 block, written
+    through views: the flat diagonal, and the block diagonal of the trailing square."""
     arr = np.zeros((k, k), _BACKEND_DTYPE[backend])  # int 0 on the object dtype
-    arr[range(len(lead)), range(len(lead))] = lead
-    at = np.arange(len(lead), k, 2)[:, None, None]
-    arr[at + [[0], [1]], at + [[0, 1]]] = blocks
+    lo, q = len(lead), (k - len(lead)) // 2
+    arr.flat[: lo * (k + 1) : k + 1] = lead
+    np.einsum("iaib->iab", arr[lo:, lo:].reshape(q, 2, q, 2))[...] = blocks
     return Matrix._wrap(arr, backend)
 
 
@@ -223,9 +224,7 @@ def complex_counterexample(k: int, n: int, a: complex) -> Witness:
     z = cmath.exp(cmath.log(a) / n)
     zeta = cmath.exp(2j * math.pi / n)
     arr = np.zeros((k, k), dtype=np.complex128)
-    arr[0, 0] = z
-    for i in range(1, k):
-        arr[i, i] = z * zeta
+    arr.flat[:: k + 1] = [z] + [z * zeta] * (k - 1)
     return Witness(matrix=Matrix._wrap(arr, COMPLEX), tag=CaseTag.COMPLEX_CE, k=k, n=n, a=a,
                    refutes_sentence=1)
 

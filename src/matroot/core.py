@@ -22,6 +22,7 @@ as ``mat_pow`` compute on the bare arrays and wrap each result once.  An
 internal rational stack, or an all-int matrix that ``theorems.evaluate``
 checks, may be held on int64, which no public Matrix holds: ``_on_int64`` chooses
 it once, under a row-sum bound that lets the kernels multiply and add unguarded.
+A kernel's c * I target is shared and read-only for c the int or float +-1.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -112,12 +114,8 @@ def _coerce_complex(value) -> complex:
 _COERCE = {RATIONAL: _coerce_rational, REAL: _coerce_real, COMPLEX: _coerce_complex}
 
 
-def _quotient(x, d: int) -> RationalScalar:
-    q, r = divmod(x, d)
-    return q if r == 0 else Fraction(x, d)
-
-
-_over = np.frompyfunc(_quotient, 2, 1)  # x / d entrywise (d > 0), an int when integral
+# x / d entrywise (d > 0), an int when integral
+_over = np.frompyfunc(lambda x, d: x // d if x % d == 0 else Fraction(x, d), 2, 1)
 
 
 class Matrix:
@@ -204,6 +202,21 @@ def _scalar_array(c: Scalar, k: int, dtype) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=64, typed=True)
+def _shared_unit(c, k: int, dtype) -> np.ndarray:
+    """A read-only ``_scalar_array(c, k, dtype)``, cached by c's type as well as its value
+    (1, 1.0 and True never share); the cache retains at most 64 k x k arrays."""
+    arr = _scalar_array(c, k, dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def _scalar_target(c, k: int, dtype) -> np.ndarray:
+    """``_scalar_array(c, k, dtype)``, shared from ``_shared_unit`` for the int or float +-1."""
+    shared = type(c) in (int, float) and c in (1, -1)
+    return (_shared_unit if shared else _scalar_array)(c, k, dtype)
+
+
 def identity(k: int, backend: str = RATIONAL) -> Matrix:
     """k x k identity over the given backend."""
     return scalar_matrix(1, k, backend)
@@ -229,7 +242,7 @@ def scalar_matrix_like(c: Scalar, m: Matrix) -> Matrix:
 
 def _is_scalar(m: Matrix, c: Scalar, tol: Tolerance):
     """mat_eq(m, scalar_matrix_like(c, m), tol), against a bare c * I of m's dtype."""
-    target = _scalar_array(_COERCE[m.backend](_LIKE[m.backend](c)), m.order, m.array.dtype)
+    target = _scalar_target(_COERCE[m.backend](_LIKE[m.backend](c)), m.order, m.array.dtype)
     return _entries_close(m.array, target, m.backend, tol)
 
 
@@ -242,7 +255,7 @@ def _check_pair(a: Matrix, b: Matrix) -> None:
 
 def _add_diagonal(acc: np.ndarray, c) -> np.ndarray:
     """acc + c * I for c already in acc's backend, exact (see ``_scalar_array``)."""
-    return acc + _scalar_array(c, acc.shape[-1], acc.dtype)
+    return acc + _scalar_target(c, acc.shape[-1], acc.dtype)
 
 
 def _on_int64(m: Matrix, n: int) -> Matrix:
@@ -303,7 +316,8 @@ def scalar_mul(c: Scalar, m: Matrix) -> Matrix:
     backend = BACKENDS[max(_BACKEND_RANK[m.backend], _BACKEND_RANK[scalar_kind(c)])]
     if backend == RATIONAL:  # (p * M) / q, so int entries stay in int arithmetic
         c = Fraction(_coerce_rational(c))
-        return Matrix._wrap(_over(m.array * c.numerator, c.denominator), backend)
+        arr, d = m.array * c.numerator, c.denominator  # one // where q divides every entry
+        return Matrix._wrap(_over(arr, d) if (arr % d).any() else arr // d, backend)
     return Matrix._wrap(_COERCE[backend](c) * as_backend(m, backend).array, backend)
 
 

@@ -36,7 +36,7 @@ either answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -58,7 +58,7 @@ from .core import (
     mat_pow,
 )
 from .factors import (
-    RootConvention, _float_square, _lift_for_root, _unit_convention, exact_nth_root,
+    RootConvention, _check_n, _float_square, _lift_for_root, _unit_convention, exact_nth_root,
     geometric_factor_sum, quadratic_factor_eval, unit_factors,
 )
 from .constructions import (
@@ -277,7 +277,9 @@ def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
     x lifted to the complex backend when a is complex (the complex variant of
     sentence 1); at unit scale for a real a outside {0, 1, -1} (see the
     module docstring).  x may be a (m, k, k) stack, and each clause then has
-    one value per matrix."""
+    one value per matrix.  k and n must be at least 2."""
+    _check_n(inst.n)
+    _checked_int("k", inst.k, 2)
     if x.order != inst.k:
         raise DimensionMismatch(f"matrix order {x.order} != k = {inst.k}")
     n, a, real = inst.n, inst.a, not isinstance(inst.a, complex)
@@ -322,7 +324,7 @@ def _witness(inst: ProblemInstance) -> Witness:
     else:
         w = construct(CASE_AT[n % 2, k % 2, 1 if a > 0 else -1], k, n)
     matrix = w.matrix if abs(a) == 1 else scale_from_unit(w.matrix, n, a)
-    return replace(w, matrix=matrix, a=a)
+    return Witness(matrix, w.tag, k, n, a, w.refutes_sentence)
 
 
 def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict:

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+import matroot
 from matroot import (
     ProblemInstance,
     Tolerance,
@@ -245,9 +246,12 @@ def test_criterion_7_determinant_obstruction():
 def test_criterion_8_cli_round_trip_and_exit_codes():
     t0 = time.perf_counter()
 
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matroot.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
     def run(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "matroot", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "matroot", *argv], capture_output=True, text=True, env=env
         )
 
     # all four exit codes through real scripted invocations

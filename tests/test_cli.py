@@ -486,6 +486,12 @@ def test_factor_overflow_exits_two(capsys, tmp_path, a):
     assert "error: operation produced non-finite entries" in err
 
 
+def _subprocess_env() -> dict:
+    """The environment with this matroot's source tree first on PYTHONPATH."""
+    src = str(Path(matroot.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 @pytest.mark.parametrize("argv", [
     ["factor", "--n", "4", "--a", "1"],
     ["factor", "--n", "4", "--a", "-1"],
@@ -494,11 +500,9 @@ def test_factor_overflow_exits_two(capsys, tmp_path, a):
 def test_overflow_reports_only_the_error_line(tmp_path, argv):
     # pytest captures warnings in process, so numpy's RuntimeWarnings show only here
     path = write_matrix(tmp_path, Matrix([[1e200, 0.0], [0.0, 1.0]]))
-    src = str(Path(matroot.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
         [sys.executable, "-m", "matroot", argv[0], path, *argv[1:]],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_subprocess_env(),
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: operation produced non-finite entries\n"
@@ -512,6 +516,7 @@ def test_module_entry_point_runs_as_subprocess():
         [sys.executable, "-m", "matroot", "decide", "--k", "2", "--n", "3", "--a", "1"],
         capture_output=True,
         text=True,
+        env=_subprocess_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["holds"] is True

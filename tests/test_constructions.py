@@ -41,9 +41,11 @@ from matroot import (
     zeros,
 )
 
+import matroot.constructions as constructions
 from matroot.constructions import (
     _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _shear_draws, construct,
 )
+from matroot.factors import unit_factors
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -310,6 +312,47 @@ def test_construct_builds_each_real_tag(tag):
 def test_constructed_nilpotent_witness_keeps_an_exact_zero_a():
     w = construct(CaseTag.NILPOTENT_SHIFT, 5, 3)
     assert type(w.a) is int and witness_to_json(w)["a"] == "0/1"
+
+
+# --- block sums through views against the index-array layout ------------------------
+
+
+def _index_array_block_sum(k, lead, blocks, backend):
+    """The reference layout: the lead and each 2x2 block placed through index arrays."""
+    arr = np.zeros((k, k), constructions._BACKEND_DTYPE[backend])
+    arr[range(len(lead)), range(len(lead))] = lead
+    at = np.arange(len(lead), k, 2)[:, None, None]
+    arr[at + [[0], [1]], at + [[0, 1]]] = blocks
+    return arr
+
+
+@pytest.mark.parametrize("tag", [t for t in CaseTag if t.value.startswith("case-")]
+                         + [CaseTag.THEOREM2_CE], ids=lambda t: t.value)
+def test_block_sum_views_match_the_index_array_layout(tag, monkeypatch):
+    block_sum, calls = constructions._block_sum, []
+    monkeypatch.setattr(constructions, "_block_sum",
+                        lambda *args: calls.append(args) or block_sum(*args))
+    built = 0
+    for k in range(2, 17):
+        for n in range(2, 9):
+            try:
+                w = construct(tag, k, n)
+            except ValueError:
+                continue
+            built += 1
+            (_, lead, blocks, backend), = calls
+            calls.clear()
+            table = unit_factors(n, w.a)[1]
+            assert not np.shares_memory(w.matrix.array, table)
+            for b in ("rational", "real"):
+                got = block_sum(k, lead, blocks, b).array
+                want = _index_array_block_sum(k, lead, blocks, b)
+                assert got.dtype == want.dtype and (got == want).all()
+                assert [type(e) for e in got.flat] == [type(e) for e in want.flat]
+                assert not np.shares_memory(got, table) and not np.shares_memory(got, blocks)
+                if b == backend:
+                    assert (w.matrix.array == want).all()
+    assert built >= 15
 
 
 # --- theorem-2 counterexample -------------------------------------------------------

@@ -250,6 +250,74 @@ def test_a_fraction_c_on_int64_is_exact_on_the_object_dtype():
     assert list(core._is_scalar(Matrix._wrap(added, "rational"), half, TIGHT)) == [True, True]
 
 
+@pytest.mark.parametrize("c, dtype", [(1, np.int64), (-1, np.int64), (1, object), (-1, object),
+                                      (1.0, np.float64), (-1.0, np.float64)], ids=str)
+def test_unit_targets_are_shared_and_read_only(c, dtype):
+    target = core._scalar_target(c, 3, np.dtype(dtype))
+    assert target is core._scalar_target(c, 3, np.dtype(dtype))
+    assert target.dtype == dtype
+    if dtype is object:
+        assert type(target[1, 1]) is type(c)
+    assert (target == np.eye(3, dtype=int) * c).all()
+    with pytest.raises(ValueError):
+        target[0, 0] = 2
+    added = core._add_diagonal(np.ones((3, 3), dtype), c)  # a new array: target unchanged
+    assert not np.shares_memory(added, target) and (target == np.eye(3, dtype=int) * c).all()
+
+
+def test_one_one_point_oh_and_true_never_share_a_target():
+    # 1 == 1.0 == True, and they hash alike: the cache is keyed by type as well
+    int64, obj, f64 = (np.dtype(d) for d in (np.int64, object, np.float64))
+    assert core._scalar_target(1.0, 4, f64).dtype == f64
+    assert core._scalar_target(1, 4, int64).dtype == int64
+    assert core._scalar_target(1, 4, obj).dtype == obj
+    assert core._scalar_target(1.0, 4, f64).dtype == f64  # asked again after the int keys
+    for c in (1, 1.0):
+        assert {type(e) for e in core._scalar_target(c, 4, obj).flat} == {int, type(c)}
+    fresh = core._scalar_target(True, 4, obj)
+    assert fresh.flags.writeable and type(fresh[0, 0]) is bool
+
+
+@pytest.mark.parametrize("c, dtype", [(Fraction(1), object), (Fraction(-1), object),
+                                      (1 + 0j, np.complex128), (2, np.int64), (-2.0, np.float64),
+                                      (0, object), (np.float64(1.0), np.float64)], ids=str)
+def test_other_targets_are_built_fresh(c, dtype):
+    first, second = (core._scalar_target(c, 3, np.dtype(dtype)) for _ in range(2))
+    assert first is not second and first.flags.writeable
+    assert (first == core._scalar_array(c, 3, np.dtype(dtype))).all()
+
+
+def test_the_shared_target_cache_is_bounded():
+    assert core._shared_unit.cache_info().maxsize == 64
+    assert "at most 64" in core._shared_unit.__doc__
+
+
+_INTS = [[2, -4, 0], [6, 10, -12], [0, 8, 2]]
+_ODDS = [[1, -3, 0], [5, 7, 9], [-11, 0, 2]]
+_FRACTIONS = [[Fraction(3, 2), Fraction(-5, 2), Fraction(1, 2)],
+              [Fraction(7, 2), Fraction(1, 2), Fraction(-9, 2)],
+              [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]]
+_MIXED = [[Fraction(3, 2), 2, 0], [Fraction(-1, 3), 4, Fraction(10, 7)], [6, Fraction(1, 10), -1]]
+
+
+@pytest.mark.parametrize("rows", [_INTS, _ODDS, _FRACTIONS, _MIXED],
+                         ids=["ints", "odd-ints", "fractions", "mixed"])
+@pytest.mark.parametrize("c", [2, -3, Fraction(1, 2), Fraction(3, 2), Fraction(-1, 10),
+                               Fraction(5, 1)], ids=str)
+def test_exact_scalar_mul_matches_the_per_entry_quotient(rows, c):
+    # the per-entry reference divides each entry of p * M by q on its own; a Fraction
+    # entry times a factor with q = 1 must not be floored (3/2 * 5 is 15/2, not 7)
+    m = Matrix(rows, backend="rational")
+    f = Fraction(c)
+    want = core._over(m.array * f.numerator, f.denominator)
+    for x, ref in ((m, want), (Matrix._wrap(np.stack([m.array, -m.array]), "rational"),
+                               np.stack([want, core._over(-m.array * f.numerator, f.denominator)]))):
+        got = scalar_mul(c, x).array
+        assert got.dtype == object and got.shape == ref.shape and (got == ref).all()
+        assert [type(e) for e in got.flat] == [type(e) for e in ref.flat]
+        assert (got == x.array * f).all()
+
+
 # --- mat_eq -------------------------------------------------------------------
 
 

@@ -47,6 +47,7 @@ from matroot import (
     theorem2_counterexample,
     verdict_to_json,
     verify_witness,
+    witness_from_json,
     witness_to_json,
     zeros,
 )
@@ -1092,6 +1093,22 @@ def test_verify_witness_with_n_below_2_raises_a_convention_error():
     w = Witness(identity(2, "rational"), None, 2, 0, 1, refutes_sentence=1)
     with pytest.raises(ConventionError, match="n must be >= 2, got 0"):
         verify_witness(w)
+
+
+@pytest.mark.parametrize("k, n, a", [(2, 1, 0), (1, 2, 1), (1, 2, 1 + 1j), (2, 1, 1 + 1j)],
+                         ids=str)
+def test_witnesses_with_k_or_n_below_2_are_refused_not_evaluated(k, n, a):
+    # outside k, n >= 2 neither sentence is defined: refused before any clause is computed
+    w = Witness(identity(k, "rational"), None, k, n, a, refutes_sentence=1)
+    error, message = ((ConventionError, "n must be >= 2") if n < 2
+                      else (ValueError, "k must be an integer >= 2"))
+    with pytest.raises(ValueError, match=f"^{message}, got 1$") as raised:
+        verify_witness(w)
+    assert raised.type is error
+    data = json.loads(json.dumps(witness_to_json(w)))
+    name = "n" if n < 2 else "k"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 2, got 1$"):
+        witness_from_json(data)
 
 
 @pytest.mark.parametrize("cell", [(16, 12, 1), (16, 12, 0), (8, 2, 4), (5, 2, 4), (4, 6, 10**12)],
