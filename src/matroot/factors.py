@@ -39,7 +39,6 @@ from .core import (
     as_backend,
     mat_pow,
     mat_sub,
-    rotation,
     scalar_matrix,
     scalar_mul,
 )
@@ -48,11 +47,12 @@ class ConventionError(ValueError):
     """Raised when (n, a) admits no root of the requested kind."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def unit_factors(n: int, sign: int) -> Tuple[Tuple[int, ...], np.ndarray]:
-    """(roots, blocks), the real factorization of x^n - sign for sign = +-1,
-    cached: x - r for each root r and, for each block of the read-only
-    (q, 2, 2) float array, its characteristic polynomial x^2 - 2 cos(t) x + 1.
+    """(roots, blocks), the real factorization of x^n - sign for sign = +-1:
+    x - r for each root r and, for each block of the read-only (q, 2, 2) float
+    array, its characteristic polynomial x^2 - 2 cos(t) x + 1.  The tables of
+    the 64 latest (n, sign) are cached.
 
     x^n - 1 has the roots 1 (and -1 for even n) and the blocks
     rotation(2*pi*w/n), w = 1 .. ceil(n/2) - 1.  For even n, x^n + 1 has no
@@ -66,7 +66,8 @@ def unit_factors(n: int, sign: int) -> Tuple[Tuple[int, ...], np.ndarray]:
         angles = [2.0 * math.pi * w / n for w in range(1, (n + 1) // 2)]
     else:
         roots, angles = (), [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
-    blocks = np.array([rotation(t).array for t in angles]).reshape(-1, 2, 2)
+    c, s = np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2).T
+    blocks = np.stack((c, -s, s, c), axis=1).reshape(-1, 2, 2)
     if sign == -1 and n % 2:
         blocks = -1.0 * blocks
     blocks.flags.writeable = False
@@ -178,7 +179,7 @@ class RootConvention:
         return cls(n=n, a=a, root=root, exact_root=None if z else Fraction(0))
 
 
-_unit_convention = lru_cache(maxsize=None)(RootConvention.real)  # (n, sign), sign 0 or +-1
+_unit_convention = lru_cache(maxsize=64)(RootConvention.real)  # (n, sign), sign 0 or +-1
 
 
 def _lift_for_root(x: Matrix, conv: RootConvention) -> Tuple[Matrix, Scalar]:

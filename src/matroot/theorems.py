@@ -327,6 +327,14 @@ def _witness(inst: ProblemInstance) -> Witness:
     return Witness(matrix, w.tag, k, n, a, w.refutes_sentence)
 
 
+def _closed_form_holds(inst: ProblemInstance) -> bool:
+    """Whether the closed form rules out a counterexample at (k, n, a): the
+    theorem of its regime holds, or the cell is quarantined."""
+    if inst.regime is Regime.NEGATIVE_EVEN_N:
+        return theorem2_holds(inst) or is_quarantined(inst)
+    return theorem1_holds(inst)
+
+
 def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict:
     """Decide the applicable sentence for (k, n, a) in closed form.
 
@@ -336,12 +344,9 @@ def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict
     """
     if is_quarantined(inst):
         return Verdict(holds=False, mode=VerdictMode.CLOSED_FORM, quarantined=True)
-    if inst.regime is Regime.NEGATIVE_EVEN_N:
-        if theorem2_holds(inst):
-            mode = VerdictMode.VACUOUS if inst.k % 2 == 1 else VerdictMode.CLOSED_FORM
-            return Verdict(holds=True, mode=mode)
-    elif theorem1_holds(inst):
-        return Verdict(holds=True, mode=VerdictMode.CLOSED_FORM)
+    if _closed_form_holds(inst):
+        vacuous = inst.regime is Regime.NEGATIVE_EVEN_N and inst.k % 2 == 1
+        return Verdict(holds=True, mode=VerdictMode.VACUOUS if vacuous else VerdictMode.CLOSED_FORM)
     w = _witness(inst)
     if not verify_witness(w, tol):
         raise RuntimeError(f"witness failed re-verification for {inst}")
@@ -351,10 +356,10 @@ def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict
 # --- randomized cross-checking search ----------------------------------------
 
 
-# Candidates are built and checked a chunk at a time: a probe of _FIRST_CHUNK,
-# so an early violator costs few spare candidates, then full chunks of
-# _MAX_CHUNK, as a real chunk's shears cost much the same at any size; the
-# memory a chunk holds does not grow with the budget.
+# Candidates are built and checked a chunk at a time: a probe of _FIRST_CHUNK
+# where the closed form expects a violator, so an early one costs few spares;
+# else, and after it, full chunks of _MAX_CHUNK, as a chunk's set-up costs much
+# the same at any size; the memory a chunk holds does not grow with the budget.
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 64
 
@@ -387,9 +392,9 @@ def _sheared(arr: np.ndarray, coeffs: np.ndarray, pairs: np.ndarray) -> np.ndarr
 
 class _Candidates:
     """The seed-deterministic candidate stream of ``generate_candidates``,
-    built a chunk at a time (4, then 64) as one (m, k, k) stack from one
-    ``rng.random((m, width))`` call: row i of it, alone, makes candidate i,
-    so the chunk sizes do not move the stream.
+    built a chunk at a time (``first``, then 64) as one (m, k, k) stack from
+    one ``rng.random((m, width))`` call: row i of it, alone, makes candidate
+    i, so the chunk sizes do not move the stream.
 
     A candidate is a block direct sum.  Block t draws its order from u[t]
     and its pick from u[k + t]; it starts at the sum of the orders before it
@@ -411,9 +416,9 @@ class _Candidates:
     Python ints if exact, only where |a| is not 0 or 1.
     """
 
-    def __init__(self, inst: ProblemInstance, seed: int) -> None:
+    def __init__(self, inst: ProblemInstance, seed: int, first: int = _FIRST_CHUNK) -> None:
         k, n, a = self.k, self.n, self.a = inst.k, inst.n, inst.a
-        self.rng = np.random.default_rng(seed)
+        self.rng, self.first = np.random.default_rng(seed), first
         self.zero = inst.regime is Regime.ZERO_A
         self.roots, self.quads = unit_factors(n, 1 if a > 0 else -1)
         exact = self.zero or (not len(self.quads) and exact_nth_root(abs(a), n) is not None)
@@ -448,10 +453,10 @@ class _Candidates:
         arr[rows[two][:, None, None], at + [[0], [1]], at + [[0, 1]]] = quads
 
     def chunks(self, count: int) -> Iterator[Matrix]:
-        """Yield the first ``count`` candidates as stacks of 4, then 64, 64,
-        ... matrices (the last holds what is left), each conjugated at unit
-        scale if real, then scaled where |a| is not 0 or 1."""
-        k, backend, size = self.k, self.backend, _FIRST_CHUNK
+        """Yield the first ``count`` candidates as stacks of ``first``, then
+        64, 64, ... matrices (the last holds what is left), each conjugated
+        at unit scale if real, then scaled where |a| is not 0 or 1."""
+        k, backend, size = self.k, self.backend, self.first
         while count > 0:
             size = min(size, count)
             u = self.rng.random((size, self.width))
@@ -507,6 +512,8 @@ def search_counterexample(
     ``generate_candidates(inst, budget, seed)`` are checked a chunk at a
     time, each chunk's stack by one ``evaluate``; ``trials`` is the stream
     index of the violator plus one, as if they were checked one by one.
+    The first chunk is a probe of 4 where the closed form expects a violator
+    and full elsewhere: that moves the cost, never a candidate or ``trials``.
     Where no real root of a*I exists (``minus_identity_root_exists``), it
     draws nothing and reports SearchExhausted at once.  budget is an int >= 1
     and seed an int >= 0.
@@ -515,7 +522,8 @@ def search_counterexample(
     if inst.regime is Regime.NEGATIVE_EVEN_N and not minus_identity_root_exists(inst.k, inst.n):
         return Verdict(holds=True, mode=VerdictMode.SEARCH_EXHAUSTED, trials=budget)
     first = 0
-    for stack in _Candidates(inst, seed).chunks(budget):
+    plan = _MAX_CHUNK if _closed_form_holds(inst) else _FIRST_CHUNK
+    for stack in _Candidates(inst, seed, plan).chunks(budget):
         clauses = evaluate(stack, inst, tol)
         bad = np.flatnonzero(~clauses.holds)
         if bad.size:

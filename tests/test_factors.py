@@ -38,7 +38,9 @@ from matroot import (
     triangular_power_formula,
     zeros,
 )
-from matroot.factors import _float_square, _int_nth_root, _lift_for_root, unit_factors
+from matroot.factors import (
+    _float_square, _int_nth_root, _lift_for_root, _unit_convention, unit_factors,
+)
 
 
 def naive_pow(m, n):
@@ -239,8 +241,9 @@ def test_unit_factor_blocks_are_distinct_rotations(sign):
 
 
 def test_unit_factor_blocks_keep_the_bits_of_the_factor_angles():
-    # the angles as the kernels, witnesses and search wrote them before the table
-    for n in range(1, 25):
+    # the angles as the kernels, witnesses and search wrote them before the table,
+    # each block as rotation() builds it
+    for n in range(1, 65):
         plus = [2.0 * math.pi * w / n for w in range(1, (n + 1) // 2)]
         minus = [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
         cells = [(1, plus, 1.0), (-1, plus, -1.0) if n % 2 else (-1, minus, 1.0)]
@@ -251,6 +254,8 @@ def test_unit_factor_blocks_keep_the_bits_of_the_factor_angles():
 
 def test_unit_factor_table_is_cached_and_checks_its_arguments():
     assert unit_factors(6, -1) is unit_factors(6, -1)
+    # one table per distinct n lives as long as the cache, so it is bounded
+    assert unit_factors.cache_info().maxsize == _unit_convention.cache_info().maxsize == 64
     roots = {(n, sign): unit_factors(n, sign)[0] for n in (1, 2, 3) for sign in (1, -1)}
     assert roots == {(1, 1): (1,), (1, -1): (-1,), (2, 1): (1, -1), (2, -1): (),
                      (3, 1): (1,), (3, -1): (-1,)}

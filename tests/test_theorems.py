@@ -932,11 +932,14 @@ def _parity_cells():
     return cells + [(k, n, a) for a in scaled for k, n in ((2, 3), (4, 2), (3, 4))]
 
 
-# The stacked chunks end after 4, 68, 132, 196, ... candidates, and budgets 5, 12,
-# 13 and 50 cut the second one short.  Budget 400 (six full chunks and a short one)
-# runs on seed 0 only: on a holding cell the reference builds and checks every
-# candidate one by one, and three seeds would triple the suite's slowest test.
-PARITY_BUDGETS = (1, 4, 5, 12, 13, 50, 68, 69, 400)
+# Where the closed form expects a violator, the stacked chunks end after 4, 68,
+# 132, ... candidates: budgets 5, 12, 13, 50, 64 and 65 cut the second one short,
+# and 68 and 69 straddle its end.  On a holding or quarantined cell they end after
+# 64, 128, ...: budgets 64 and 65 straddle the first edge, and 68 and 69 cut the
+# second chunk short.  Budget 400 (six full chunks and a short one) runs on seed 0
+# only: on a holding cell the reference builds and checks every candidate one by
+# one, and three seeds would triple the suite's slowest test.
+PARITY_BUDGETS = (1, 4, 5, 12, 13, 50, 64, 65, 68, 69, 400)
 
 
 def _check_against_the_reference(inst, seed, budgets):
@@ -1007,15 +1010,8 @@ def test_chunks_are_a_probe_of_4_then_full_chunks_of_64(count, sizes):
         assert tuple(len(stack.array) for stack in chunks) == sizes, cell
 
 
-@pytest.mark.parametrize(
-    "cell, seed, want",
-    [((2, 2, 1), 0, (False, 2, [4])), ((4, 3, 0), 0, (False, 3, [4])),
-     ((4, 4, 1), 0, (False, 3, [4])), ((4, 4, 0), 0, (False, 4, [4])),
-     ((4, 4, -1), 1, (False, 4, [4])), ((5, 4, 0), 0, (False, 5, [4, 46])),
-     ((2, 3, 1), 0, (True, 50, [4, 46]))],
-    ids=str,
-)
-def test_a_violator_among_the_first_4_builds_one_chunk_of_4(cell, seed, want, monkeypatch):
+def _record_chunks(monkeypatch) -> list:
+    """A list to which every search appends the size of each chunk it builds."""
     built, chunks = [], theorems._Candidates.chunks
 
     def recorded(self, count):
@@ -1024,8 +1020,47 @@ def test_a_violator_among_the_first_4_builds_one_chunk_of_4(cell, seed, want, mo
             yield stack
 
     monkeypatch.setattr(theorems._Candidates, "chunks", recorded)
-    verdict = search_counterexample(ProblemInstance(*cell), 50, seed)
+    return built
+
+
+@pytest.mark.parametrize(
+    "cell, seed, budget, want",
+    [((2, 2, 1), 0, 50, (False, 2, [4])), ((4, 3, 0), 0, 50, (False, 3, [4])),
+     ((4, 4, 1), 0, 50, (False, 3, [4])), ((4, 4, 0), 0, 50, (False, 4, [4])),
+     ((4, 4, -1), 1, 50, (False, 4, [4])), ((5, 4, 0), 0, 50, (False, 5, [4, 46])),
+     ((2, 3, 1), 0, 50, (True, 50, [50])), ((2, 4, -1), 0, 50, (True, 50, [50])),
+     ((3, 5, 0), 0, 50, (True, 50, [50])), ((2, 3, 1), 0, 200, (True, 200, [64, 64, 64, 8]))],
+    ids=str,
+)
+def test_a_violator_among_the_first_4_builds_one_chunk_of_4(cell, seed, budget, want,
+                                                             monkeypatch):
+    # where the closed form expects none (holding or quarantined cells), the
+    # first chunk is a full one
+    built = _record_chunks(monkeypatch)
+    verdict = search_counterexample(ProblemInstance(*cell), budget, seed)
     assert (verdict.holds, verdict.trials, built) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_wrong_closed_form_moves_only_the_chunk_plan(seed, monkeypatch):
+    # the plan reads the closed form, but every candidate, verdict, trials value
+    # and witness comes from the stream alone
+    truth, built = theorems._closed_form_holds, _record_chunks(monkeypatch)
+    runs = {}
+    for lie in (False, True):
+        monkeypatch.setattr(theorems, "_closed_form_holds", lambda inst: truth(inst) != lie)
+        for cell in _acceptance_cells():
+            inst = ProblemInstance(*cell)
+            draws = not (inst.sentence2_applicable and cell[0] % 2)  # odd k: no root
+            for budget in (1, 4, 5, 50, 64, 65, 69, 200):
+                del built[:]
+                v = search_counterexample(inst, budget, seed)
+                first = min(budget, 64 if truth(inst) != lie else 4)
+                assert built[:1] == ([first] if draws else []), (lie, cell, budget)
+                runs[lie, cell, budget] = (verdict_to_json(v),
+                                           v.witness.matrix.entries() if v.witness else None)
+    for (lie, cell, budget), run in runs.items():
+        assert run == runs[False, cell, budget], (cell, budget)
 
 
 class _NoCandidates:
