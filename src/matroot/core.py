@@ -262,7 +262,8 @@ def _on_int64(m: Matrix, n: int) -> Matrix:
     """m on int64 if its entries are ints and n * max(1, r)^n <= 2^63 - 1 for r =
     ||m||_inf, its largest absolute row sum; else m on Python ints.  The norm is
     submultiplicative, so the bound caps every entry, partial sum and c * I add of the
-    powers up to m^n and the unit-coefficient Horner sums: none of them needs a guard."""
+    powers up to m^n and of the unit-coefficient factor sums, ||G(j)||_inf <= j R^(j-1) for
+    R = max(1, r), whose steps G(b) (m^b + c^b I) and m^b G(j) + c^j G(b) stay under n R^n."""
     arr = m.array
     if arr.dtype != _INT64 and (arr.dtype != object or set(map(type, arr.flat)) != {int}):
         return m
@@ -331,15 +332,17 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
         raise MatrixError("negative powers are not supported")
     if n == 0:
         return identity(a.order, a.backend)
-    x = a.array
-    while not n & 1:  # square up to the lowest set bit, which starts the product
-        x, n = x @ x, n >> 1
-    result = x
-    while n := n >> 1:
-        x = x @ x
-        if n & 1:
-            result = result @ x
-    return a if result is a.array else Matrix._wrap(result, a.backend)
+    return _pow_ladder(a, n)[0]
+
+
+def _pow_ladder(a: Matrix, n: int) -> tuple:
+    """(a^n, the squares [X, X^2, ..., X^(2^i)] that form it, right to left), n >= 1."""
+    squares, result = [a.array], a.array if n & 1 else None
+    for i in range(1, n.bit_length()):
+        squares.append(squares[-1] @ squares[-1])
+        if n >> i & 1:
+            result = squares[i] if result is None else result @ squares[i]
+    return (a if result is a.array else Matrix._wrap(result, a.backend)), squares
 
 
 def mat_eq(a: Matrix, b: Matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

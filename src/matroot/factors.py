@@ -192,12 +192,11 @@ def _lift_for_root(x: Matrix, conv: RootConvention) -> Tuple[Matrix, Scalar]:
 
 
 def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
-    """Evaluate X^(n-1) + c X^(n-2) + ... + c^(n-2) X + c^(n-1) I at X = x,
-    where c = conv.root, by Horner's scheme on the array, wrapped once.
+    """Evaluate X^(n-1) + c X^(n-2) + ... + c^(n-2) X + c^(n-1) I at X = x, where
+    c = conv.root, by halving in O(log n) products (``_geometric_sum``), not Horner's n - 2.
 
     Exact when x is rational and the root is exactly rational (so a = 0 and
-    a = +-1 witnesses never leave exact arithmetic).
-    """
+    a = +-1 witnesses never leave exact arithmetic)."""
     _check_n(n)
     if conv.n != n:
         raise ConventionError(f"convention is for n = {conv.n}, called with n = {n}")
@@ -205,13 +204,25 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     if c == 0:
         # all lower coefficients vanish; the sum collapses to X^(n-1)
         return mat_pow(xx, n - 1)
-    arr, backend, coerce = xx.array, xx.backend, _COERCE[xx.backend]
-    c = cpow = coerce(c)  # c and each power in the backend: Fraction(1) powers would stay Fractions
-    acc = _add_diagonal(arr, c)
-    for _ in range(n - 2):
-        cpow = coerce(cpow * c)
-        acc = _add_diagonal(acc @ arr, cpow)
-    return Matrix._wrap(acc, backend)
+    return _geometric_sum(xx, n, c, [xx.array])
+
+
+def _geometric_sum(x: Matrix, n: int, c, squares: list) -> Matrix:
+    """G(n) at X = x for G(m) = X^(m-1) + c X^(m-2) + ... + c^(m-1) I, from squares = [X,
+    X^2, X^4, ...], extended in place as needed, by G(2b) = G(b) (X^b + c^b I) and G(m + b)
+    = X^b G(m) + c^m G(b) over the bits b of n, low to high: no X^j or c^j, j >= n, is formed."""
+    coerce, top = _COERCE[x.backend], n.bit_length() - 1
+    while len(squares) < (n - 1).bit_length():
+        squares.append(squares[-1] @ squares[-1])
+    acc, g, cm, cb = None, None, None, coerce(c)  # G(m), G(b) (None: I), c^m (None: m = 0), c^b
+    for i in range(top + 1):
+        if i:
+            half = _add_diagonal(squares[i - 1], cb)
+            g, cb = (half if g is None else g @ half), (coerce(cb * cb) if i < top else None)
+        if n >> i & 1:
+            acc = g if cm is None else (squares[i] if acc is None else squares[i] @ acc) + cm * g
+            cm = None if i == top else cb if cm is None else coerce(cm * cb)
+    return Matrix._wrap(acc, x.backend)
 
 
 def _float_square(x: Matrix) -> tuple:
@@ -241,11 +252,17 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int, square=None) -> Matrix:
     half = n // 2
     if not 1 <= i <= half:
         raise ValueError(f"factor index i must be in [1, {half}], got {i}")
-    b = _float_root(-a, n, 1)
-    _, blocks = unit_factors(n, -1)
-    lin = -2.0 * b * float(blocks[i - 1, 0, 0])
-    xx, x2, backend = _float_square(x) if square is None else square
-    return Matrix._wrap(_add_diagonal(x2 + lin * xx, _COERCE[backend](b * b)), backend)
+    square = _float_square(x) if square is None else square
+    return Matrix._wrap(_quadratics(square, n, a, i, i + 1)[0], square[2])
+
+
+def _quadratics(square: tuple, n: int, a, first: int, stop: int) -> np.ndarray:
+    """The quadratic factors i = first .. stop - 1 (up to n/2) at the X of ``square`` as one
+    array, unwrapped, by one broadcast over their cosines; each keeps the bits of its own."""
+    xx, x2, backend = square
+    b, cos = _float_root(-a, n, 1), unit_factors(n, -1)[1][first - 1 : stop - 1, 0, 0]
+    lin = (-2.0 * b * cos).reshape((-1,) + (1,) * xx.ndim)
+    return _add_diagonal(x2 + lin * xx, _COERCE[backend](b * b))
 
 
 def odd_factorization_product(x: Matrix, n: int) -> Matrix:

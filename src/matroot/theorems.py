@@ -52,14 +52,14 @@ from .core import (
     Tolerance,
     _is_scalar,
     _on_int64,
+    _pow_ladder,
     as_backend,
     is_zero,
     mat_mul,
-    mat_pow,
 )
 from .factors import (
-    RootConvention, _check_n, _float_square, _lift_for_root, _unit_convention, exact_nth_root,
-    geometric_factor_sum, quadratic_factor_eval, unit_factors,
+    RootConvention, _check_n, _float_square, _geometric_sum, _lift_for_root, _quadratics,
+    _unit_convention, exact_nth_root, unit_factors,
 )
 from .constructions import (
     CASE_AT,
@@ -194,12 +194,11 @@ class Clauses:
     """Clause values of the applicable sentence (``sentence``, 1 or 2) at x,
     one matrix or a (m, k, k) stack of them: each clause is a bool, or a
     boolean array with one entry per stacked matrix, computed on first use.
-    ``holds`` computes only what the implication needs: at one matrix, a
-    factor polynomial runs only on a root of aI that is not a simple root,
-    and sentence 2 stops at the first vanishing quadratic; on a stack, each
-    clause runs on the whole stack while any matrix is open, masked to the
-    open ones.  Sentence 2 has no real linear factor, so its ``simple_root``
-    is False."""
+    ``holds`` computes only what the implication needs: a factor polynomial
+    runs only on a root of aI that is not a simple root, each clause on the
+    whole stack while any matrix is open, and sentence 2's quadratics only up
+    to the first chunk that settles every matrix.  Sentence 2 has no real
+    linear factor, so its ``simple_root`` is False."""
 
     def __init__(self, x: Matrix, n: int, a, sentence: int, tol: Tolerance) -> None:
         self.x, self.n, self.a, self.sentence, self.tol = x, n, a, sentence, tol
@@ -211,16 +210,16 @@ class Clauses:
         return _unit_convention(self.n, int(self.a))  # evaluate leaves a real a in {0, 1, -1}
 
     @_lazy
-    def _tail(self) -> Matrix:
-        return mat_pow(self.x, self.n - 1)
+    def _ladder(self) -> tuple:  # X^e and the squares that formed it; e = n, or n - 1 at a = 0
+        return _pow_ladder(self.x, self.n - 1 if self.a == 0 else self.n)
 
     @_lazy
     def equation(self):
-        x = self.x
+        power = self._ladder[0]
         if self.a == 0:
             # share the power: X^n = X * X^(n-1), and the factor sum is X^(n-1)
-            return is_zero(mat_mul(x, self._tail), self.tol)
-        return _is_scalar(mat_pow(x, self.n), self.a, self.tol)
+            return is_zero(mat_mul(self.x, power), self.tol)
+        return _is_scalar(power, self.a, self.tol)
 
     @_lazy
     def simple_root(self):
@@ -234,22 +233,27 @@ class Clauses:
     @_lazy
     def factor_sum_zero(self):
         if self.a == 0:
-            return is_zero(self._tail, self.tol)
-        return is_zero(geometric_factor_sum(self.x, self.n, self.conv), self.tol)
+            return is_zero(self._ladder[0], self.tol)
+        x, c = _lift_for_root(self.x, self.conv)  # x itself: evaluate put it on c's backend
+        return is_zero(_geometric_sum(x, self.n, c, self._ladder[1]), self.tol)
 
     @_lazy
     def _square(self) -> tuple:
         return _float_square(self.x)
 
-    def _quadratic_zero(self, i: int):
-        value = quadratic_factor_eval(self.x, self.n, self.a, i, self._square)
-        return is_zero(value, self.tol)
+    @_lazy
+    def _firsts(self) -> range:  # the first index of each chunk of _QUADRATIC_ENTRIES entries
+        return range(1, self.n // 2 + 1, max(1, _QUADRATIC_ENTRIES // self.x.array.size))
+
+    def _quadratic_zeros(self, first: int):
+        """Whether each quadratic of the chunk from ``first`` vanishes, per matrix."""
+        values = _quadratics(self._square, self.n, self.a, first, first + self._firsts.step)
+        return is_zero(Matrix._wrap(values, self._square[2]), self.tol)
 
     def zero_quadratics(self) -> Iterator[int]:
         """The indices i whose quadratic factor vanishes at one matrix X, in order."""
-        for i in range(1, self.n // 2 + 1):
-            if self._quadratic_zero(i):
-                yield i
+        return (first + int(j) for first in self._firsts
+                for j in np.flatnonzero(self._quadratic_zeros(first)))
 
     def _settle(self, open_, clause):
         """open_ less the matrices at which clause() is true.  clause runs only
@@ -265,8 +269,8 @@ class Clauses:
             open_ = self._settle(open_, lambda: self.simple_root)
             open_ = self._settle(open_, lambda: self.factor_sum_zero)
         else:
-            for i in range(1, self.n // 2 + 1):
-                open_ = self._settle(open_, lambda: self._quadratic_zero(i))
+            for first in self._firsts:
+                open_ = self._settle(open_, lambda: self._quadratic_zeros(first).any(axis=0))
         return not open_ if isinstance(open_, bool) else ~open_
 
 
@@ -362,6 +366,7 @@ def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict
 # the same at any size; the memory a chunk holds does not grow with the budget.
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 64
+_QUADRATIC_ENTRIES = 2**14  # at most, in one chunk of sentence 2's quadratic factors
 
 
 def _shears_from_uniforms(u: np.ndarray, k: int):

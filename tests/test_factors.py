@@ -38,8 +38,9 @@ from matroot import (
     triangular_power_formula,
     zeros,
 )
+from matroot.core import _COERCE
 from matroot.factors import (
-    _float_square, _int_nth_root, _lift_for_root, _unit_convention, unit_factors,
+    _float_square, _int_nth_root, _lift_for_root, _quadratics, _unit_convention, unit_factors,
 )
 
 
@@ -179,6 +180,58 @@ def test_factor_sum_matches_monomial_oracle_on_floats():
         assert mat_eq(geometric_factor_sum(x, n, conv), naive_factor_sum(x, n, conv.root), tol)
 
 
+def _monomial_sum(x: np.ndarray, n: int, c) -> np.ndarray:
+    """sum_j c^(n-1-j) X^j with X^j = X^(j-1) @ X, one monomial at a time."""
+    power, total = np.eye(len(x), dtype=int).astype(object), 0
+    for j in range(n):
+        total = total + c ** (n - 1 - j) * power
+        power = power @ x
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_factor_sum_equals_the_monomial_sum_exactly_on_ints_and_fractions(n):
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-3, 4, size=(3, 3)).tolist()
+    fractions = [[Fraction(int(v), int(d)) for v, d in zip(r, q)]
+                 for r, q in zip(rng.integers(-3, 4, size=(3, 3)), rng.integers(1, 4, size=(3, 3)))]
+    roots = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    for rows in (ints, fractions):
+        x = Matrix(rows, backend="rational")
+        for c in roots if n % 2 else [c for c in roots if c > 0]:
+            got = geometric_factor_sum(x, n, RootConvention.real(n, Fraction(c) ** n))
+            assert got.array.tolist() == _monomial_sum(x.array, n, c).tolist(), c
+
+
+def test_factor_sum_stays_within_the_rounding_bound_of_horner_on_floats():
+    # each evaluation is within gamma_d * S of the exact sum, where S = sum_j |c|^(n-1-j) |X|^j
+    # and d its depth of roundings, about (k + 2) per step; Horner takes n - 1 steps and the
+    # halving recurrence about 2 log2(n), so they differ by at most n * (k + 2) * u * S
+    u = 2.0**-53
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        k, n = int(rng.integers(1, 9)), int(rng.integers(2, 65))
+        a = float(rng.choice([1.0, 2.0, 0.5, -1.0, -3.0]))
+        conv = RootConvention.real(n, a if n % 2 else abs(a))
+        x = rng.standard_normal((k, k)) * rng.choice([0.3, 1.0, 1.5])
+        got = geometric_factor_sum(Matrix._wrap(x.copy(), "real"), n, conv).array
+        c, total, power = abs(conv.root), np.zeros((k, k)), np.eye(k)
+        for j in range(n):
+            total, power = total + c ** (n - 1 - j) * power, power @ np.abs(x)
+        assert (np.abs(got - _reference_horner(x, n, conv.root)) <= n * (k + 2) * u * total).all()
+
+
+@pytest.mark.filterwarnings("error")  # an overflow, even in an unused square, fails
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8])
+def test_factor_sum_forms_no_power_of_degree_n(n):
+    # at a = 10^310, c^(n-1) and X^(n-1) stay below 10^272 while c^n and X^n overflow
+    conv = RootConvention.real(n, 10**310)
+    x = scalar_mul(conv.root, rotation(1.0))
+    got = geometric_factor_sum(x, n, conv).array
+    want = _reference_horner(x.array, n, conv.root)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_factor_sum_with_zero_root_collapses_to_top_power():
     x = Matrix([[1, 2], [3, 4]])
     conv = RootConvention.real(5, 0)
@@ -275,6 +328,22 @@ def test_shared_square_gives_the_same_quadratics():
                 want = quadratic_factor_eval(x, n, -1, i)
                 assert got.backend == want.backend
                 assert got.array.tobytes() == want.array.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["rational", "real", "complex"])
+def test_the_quadratic_broadcast_keeps_the_bits_of_each_factor(backend):
+    # every row of one broadcast over all n/2 cosines is its factor's Matrix-op evaluation
+    rng = np.random.default_rng(len(backend))
+    for shape in ((3, 3), (5, 2, 2)):
+        arr = random_matrix(backend, shape, rng)
+        x = as_matrix(arr, backend) if len(shape) == 2 else Matrix._wrap(arr, backend)
+        for n, a in [(2, -1), (4, -1), (8, -3), (12, -0.5)]:
+            rows = _quadratics(_float_square(x), n, a, 1, n // 2 + 1)
+            assert rows.shape == (n // 2, *shape)
+            for i in range(1, n // 2 + 1):
+                want = ref_quadratic_factor_eval(x, n, a, i)
+                assert rows[i - 1].tobytes() == want.array.tobytes()
+                assert rows[i - 1].dtype == want.array.dtype
 
 
 # --- quadratic factors ------------------------------------------------------------
@@ -479,13 +548,8 @@ def ref_geometric_factor_sum(x, n, conv):
     xx, c = _lift_for_root(x, conv)
     if c == 0:
         return ref_mat_pow(xx, n - 1)
-    k = xx.order
-    acc = mat_add(xx, scalar_matrix(c, k, xx.backend))
-    cpow = c
-    for _ in range(n - 2):
-        cpow = cpow * c
-        acc = mat_add(mat_mul(acc, xx), scalar_matrix(cpow, k, xx.backend))
-    return acc
+    coerce = _COERCE[xx.backend]
+    return Matrix._wrap(_reference_halving(xx.array, n, coerce(c), coerce), xx.backend)
 
 
 def ref_quadratic_factor_eval(x, n, a, i):
@@ -626,19 +690,57 @@ def test_overflow_in_a_kernel_fails_loudly(kernel):
             OVERFLOWING_KERNELS[kernel](x)
 
 
+def _plus(acc: np.ndarray, c) -> np.ndarray:
+    """acc + c I, c I a fresh array with an exact 0 off the diagonal."""
+    eye = np.zeros(acc.shape[-2:], acc.dtype)
+    np.fill_diagonal(eye, c)
+    return acc + eye
+
+
+def _reference_halving(x: np.ndarray, n: int, c, coerce=lambda v: v) -> np.ndarray:
+    """X^(n-1) + c X^(n-2) + ... + c^(n-1) I by the halving recurrence, written out:
+    with G(m) the m-term sum and b the top bit of m, G(1) = I, G(2) = X + c I,
+    G(2b) = G(b) (X^b + c^b I), and G(m) = X^b G(m - b) + c^(m - b) G(b) otherwise.
+    c^(2^i) comes from squaring and c^e from those of e's bits, low to high;
+    coerce puts each power into the backend."""
+
+    def cpow(e):
+        out, sq = None, coerce(c)
+        for i in range(e.bit_length()):
+            if e >> i & 1:
+                out = sq if out is None else coerce(out * sq)
+            if e >> (i + 1):
+                sq = coerce(sq * sq)
+        return out
+
+    def square(i):  # X^(2^i) by squaring
+        out = x
+        for _ in range(i):
+            out = out @ out
+        return out
+
+    def g(m):  # None for G(1) = I
+        top = m.bit_length() - 1
+        b = 1 << top
+        if m == 1:
+            return None
+        if m == 2:
+            return _plus(x, coerce(c))
+        if m == b:
+            return g(b // 2) @ _plus(square(top - 1), cpow(b // 2))
+        low = g(m - b)
+        head = square(top) if low is None else square(top) @ low
+        return head + cpow(m - b) * g(b)
+
+    return g(n)
+
+
 def _reference_horner(x: np.ndarray, n: int, c) -> np.ndarray:
-    """X^(n-1) + c X^(n-2) + ... + c^(n-1) I as X + cI, then acc @ X + c^j I,
-    each c^j I a fresh array with an exact 0 off the diagonal."""
-
-    def plus(acc, cj):
-        eye = np.zeros(acc.shape, acc.dtype)
-        np.fill_diagonal(eye, cj)
-        return acc + eye
-
-    acc, cj = plus(x, c), c
+    """X^(n-1) + c X^(n-2) + ... + c^(n-1) I as X + cI, then acc @ X + c^j I."""
+    acc, cj = _plus(x, c), c
     for _ in range(n - 2):
         cj = cj * c
-        acc = plus(acc @ x, cj)
+        acc = _plus(acc @ x, cj)
     return acc
 
 
@@ -663,5 +765,5 @@ def test_geometric_factor_sum_keeps_the_reference_zeros(x, n, a):
     backend = "complex" if x.dtype == complex else "real"
     root = complex(c.root) if backend == "complex" else float(c.root)
     got = geometric_factor_sum(Matrix._wrap(x.copy(), backend), n, c).array
-    want = _reference_horner(x, n, root)
+    want = _reference_halving(x, n, root)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

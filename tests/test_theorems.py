@@ -53,7 +53,8 @@ from matroot import (
 )
 from matroot.cli import main as cli_main
 from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER
-from matroot.factors import _float_square, exact_nth_root
+from matroot.core import _pow_ladder
+from matroot.factors import _float_square, exact_nth_root, unit_factors
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -293,8 +294,9 @@ def test_non_root_never_reaches_a_factor_polynomial(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a factor polynomial was evaluated")
 
-    monkeypatch.setattr(theorems, "geometric_factor_sum", forbidden)
-    monkeypatch.setattr(theorems, "quadratic_factor_eval", forbidden)
+    # the kernels the clauses call: the factor sum and the quadratic broadcast
+    monkeypatch.setattr(theorems, "_geometric_sum", forbidden)
+    monkeypatch.setattr(theorems, "_quadratics", forbidden)
     non_roots = [
         (scalar_matrix(2, 3, "rational"), ProblemInstance(3, 3, 1)),
         (Matrix([[2.0, 1.0], [0.0, 2.0]]), ProblemInstance(2, 5, 2)),
@@ -307,6 +309,8 @@ def test_non_root_never_reaches_a_factor_polynomial(monkeypatch):
         assert "factor_sum_zero" not in vars(clauses)
     with pytest.raises(AssertionError):  # a root does reach its factor sum
         evaluate(rotation(2.0 * math.pi / 5.0), ProblemInstance(2, 5, 1)).holds
+    with pytest.raises(AssertionError):  # and its quadratics
+        evaluate(theorem2_counterexample(4, 4).matrix, ProblemInstance(4, 4, -1)).holds
 
 
 def test_sentence_two_squares_each_matrix_once(monkeypatch):
@@ -335,9 +339,9 @@ def test_a_stack_computes_its_power_once(monkeypatch):
 
     def counted(x, n):
         calls.append((x.array.shape, n))
-        return mat_pow(x, n)
+        return _pow_ladder(x, n)
 
-    monkeypatch.setattr(theorems, "mat_pow", counted)
+    monkeypatch.setattr(theorems, "_pow_ladder", counted)
     arr = np.zeros((2, 3, 3), np.int64)
     arr[1, [0, 1], [1, 2]] = 1
     clauses = evaluate(Matrix._wrap(arr, "rational"), ProblemInstance(3, 4, 0))
@@ -345,6 +349,103 @@ def test_a_stack_computes_its_power_once(monkeypatch):
     assert list(clauses.simple_root) == [True, False]
     assert list(clauses.factor_sum_zero) == [True, True]
     assert calls == [((2, 3, 3), 3)]
+
+
+def _sentence2_pool():
+    """(x, inst) for sentence 2, plain, conjugated, and lifted to a = -3: the block sums
+    of one quadratic factor of x^n + 1, at which that factor vanishes, and the sum of two
+    different ones and the theorem-2 witness, at which none does."""
+    from matroot import conjugate_matrix
+
+    for k in (2, 4, 6):
+        for n in (2, 4, 6, 8, 12, 16):
+            blocks = [Matrix._wrap(b.copy(), "real") for b in unit_factors(n, -1)[1]]
+            sums = [block_diag([b] * (k // 2)) for b in blocks[:3]]
+            if k >= 4 and n >= 4:
+                sums += [block_diag([blocks[0], blocks[-1]] + blocks[:1] * (k // 2 - 2)),
+                         theorem2_counterexample(k, n).matrix]
+            for x in sums:
+                for y in (x, conjugate_matrix(x, k * n)):
+                    yield y, ProblemInstance(k, n, -1)
+                    yield scale_from_unit(y, n, -3), ProblemInstance(k, n, -3)
+
+
+@pytest.mark.parametrize("entries", [2**14, 16, 40], ids=str)
+def test_zero_quadratics_are_the_indices_of_the_vanishing_quadratic_factors(entries, monkeypatch):
+    # the broadcast, in chunks of one quadratic (16 entries at k = 4) up to all of them,
+    # finds the same indices as one quadratic_factor_eval per index
+    from matroot import is_zero, quadratic_factor_eval
+
+    monkeypatch.setattr(theorems, "_QUADRATIC_ENTRIES", entries)
+    for x, inst in _sentence2_pool():
+        clauses = evaluate(x, inst)
+        q = range(1, inst.n // 2 + 1)
+        want = [i for i in q if is_zero(quadratic_factor_eval(clauses.x, inst.n, -1, i))]
+        assert list(clauses.zero_quadratics()) == want
+        assert clauses.equation and clauses.holds is bool(want)
+
+
+def test_a_stack_settles_each_matrix_by_its_own_quadratics(monkeypatch):
+    monkeypatch.setattr(theorems, "_QUADRATIC_ENTRIES", 40)
+    pool = [(x, inst) for x, inst in _sentence2_pool() if inst.a == -1 and inst.k == 4]
+    for n in (4, 8, 16):
+        xs = [x.array for x, inst in pool if inst.n == n]
+        stack = evaluate(Matrix._wrap(np.stack(xs), "real"), ProblemInstance(4, n, -1))
+        want = [evaluate(Matrix._wrap(x.copy(), "real"), ProblemInstance(4, n, -1)).holds
+                for x in xs]
+        assert list(stack.holds) == want and True in want and False in want
+
+
+class _CountedArray(np.ndarray):
+    """An array that counts the matrix products taken of it, and of every array made from it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedArray.products += 1
+        out = getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
+        return out.view(_CountedArray) if isinstance(out, np.ndarray) else out
+
+
+@pytest.mark.parametrize("cell", [(4, 200001, 1), (4, 131072, 1), (3, 65535, -1)], ids=str)
+def test_the_equation_and_the_factor_sum_take_logarithmically_many_products(cell):
+    # the factor sum reads the squares of the equation's power: together they take at
+    # most 2 * (bit_length(n) + popcount(n)) products, where Horner alone took n - 2 more
+    n = cell[1]
+    w = decide(ProblemInstance(*cell)).witness
+    x = Matrix._wrap(w.matrix.array.view(_CountedArray), w.matrix.backend)
+    _CountedArray.products = 0
+    clauses = evaluate(x, w)
+    assert clauses.equation and not clauses.holds and "factor_sum_zero" in vars(clauses)
+    assert 0 < _CountedArray.products <= 2 * (n.bit_length() + bin(n).count("1"))
+
+
+@pytest.mark.parametrize("cell", [(4, 200001, 1), (4, 200000, -1), (8, 20000, -3)], ids=str)
+def test_large_n_cells_decide_and_verify(cell):
+    verdict = decide(ProblemInstance(*cell))
+    assert not verdict.holds and verify_witness(verdict.witness)
+    clauses = evaluate(verdict.witness.matrix, verdict.witness)
+    assert clauses.equation and not clauses.simple_root
+    if clauses.sentence == 2:
+        assert list(clauses.zero_quadratics()) == []
+    else:
+        assert not clauses.factor_sum_zero
+
+
+def test_sentence_two_holds_a_bounded_number_of_chunk_entries():
+    # 100000 quadratics at (4, 200000, -1): the broadcast holds a few chunks of at most
+    # _QUADRATIC_ENTRIES floats at a time, never one 4 x 4 matrix per quadratic (12.8 MB)
+    import tracemalloc
+
+    w = decide(ProblemInstance(4, 200000, -1)).witness
+    tracemalloc.start()
+    try:
+        assert verify_witness(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * theorems._QUADRATIC_ENTRIES
 
 
 def test_exact_unit_stacks_are_evaluated_on_int64(monkeypatch):
@@ -1089,15 +1190,17 @@ def test_verify_witness_checks_an_exact_witness_on_int64(cell, monkeypatch):
     def recorded(kernel):
         def call(x, *args):
             seen.append((kernel.__name__, x.array.dtype))
+            if kernel.__name__ == "_geometric_sum":  # and the ladder's squares it reads
+                seen.extend((kernel.__name__, square.dtype) for square in args[-1])
             return kernel(x, *args)
         return call
 
-    for name in ("mat_pow", "geometric_factor_sum"):
+    for name in ("_pow_ladder", "_geometric_sum"):
         monkeypatch.setattr(theorems, name, recorded(getattr(theorems, name)))
     w = decide(ProblemInstance(*cell)).witness
     seen.clear()
     assert verify_witness(w)
-    kernels = {"mat_pow"} if cell[2] == 0 else {"mat_pow", "geometric_factor_sum"}
+    kernels = {"_pow_ladder"} if cell[2] == 0 else {"_pow_ladder", "_geometric_sum"}
     assert {name for name, _ in seen} == kernels
     assert {dtype for _, dtype in seen} == {np.dtype(np.int64)}
 
@@ -1194,6 +1297,20 @@ _BIG = 2**63 - 1
         ([[2**62, 2**62], [-(2**62), -(2**62)]], 2, 0),  # nilpotent, huge products
         ([[2**63, 0], [0, 1]], 2, 1),  # beyond int64: stays on Python ints
         ([[-(2**63), 0], [0, 1]], 3, 1),
+        # the largest r with n * r^n <= 2^63 - 1 stays on int64, and r + 1 does not
+        ([[4499, 0], [0, 1]], 5, 1),
+        ([[4498, 1], [0, -1]], 5, -1),
+        ([[4500, 0], [0, 1]], 5, 1),
+        ([[1074, 0], [0, 1]], 6, 1),
+        ([[1073, -1], [1, 0]], 6, 1),
+        ([[1075, 0], [0, 1]], 6, 1),
+        ([[386, 1], [0, -1]], 7, -1),
+        ([[-387, 0], [0, 1]], 7, 1),
+        ([[388, 0], [0, 1]], 7, 1),
+        ([[30, 0], [0, 1]], 12, 1),
+        ([[29, 1], [1, 0]], 12, 1),
+        ([[15, 15], [-15, -15]], 12, 0),
+        ([[31, 0], [0, 1]], 12, 1),
     ],
     ids=str,
 )
