@@ -21,6 +21,7 @@ import math
 import cmath
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -300,6 +301,11 @@ def conjugate_random(w: Witness, seed: int) -> Witness:
 # --- scaling reductions ------------------------------------------------------
 
 
+# The exact n-th roots of the 256 latest (|a|, n), keyed by |a|'s type as well
+# (4, 4.0 and Fraction(4) never share); each entry retains |a| and its root.
+_exact_root = lru_cache(maxsize=256, typed=True)(exact_nth_root)
+
+
 def _scale(x: Matrix, n: int, a, power: int) -> Matrix:
     """|a|^(power/n) * X for power = +-1.  Stays on the rational backend when X
     is rational and |a| has a rational n-th root (a = 4, n = 2), else floats."""
@@ -309,12 +315,14 @@ def _scale(x: Matrix, n: int, a, power: int) -> Matrix:
         raise ValueError(f"n must be >= 2, got {n}")
     mag = abs(a)
     if x.backend == RATIONAL:
-        exact = exact_nth_root(mag, n)
+        exact = _exact_root(mag, n)
         if exact is not None:
             return scalar_mul(exact**power, x)
     factor = _float_root(mag, n, power)
     if not factor:  # scaling by 0 cannot be undone
         raise ValueError(f"|a|^({power}/{n}) is outside the float range")
+    if x.backend == REAL:  # scalar_mul's bits; _wrap still checks the product is finite
+        return Matrix._wrap(factor * x.array, REAL)
     return scalar_mul(factor, x)
 
 

@@ -63,13 +63,16 @@ def unit_factors(n: int, sign: int) -> Tuple[Tuple[int, ...], np.ndarray]:
         raise ValueError(f"need n >= 1 and sign 1 or -1, got n = {n}, sign = {sign!r}")
     if sign == 1 or n % 2:
         roots = (sign,) if n % 2 else (1, -1)
-        angles = [2.0 * math.pi * w / n for w in range(1, (n + 1) // 2)]
+        angles = 2.0 * math.pi * np.arange(1, (n + 1) // 2) / n
     else:
-        roots, angles = (), [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
-    c, s = np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2).T
+        roots, angles = (), (2 * np.arange(1, n // 2 + 1) - 1) * math.pi / n
+    # one IEEE product and quotient per angle, in the scalar order; math.cos and
+    # math.sin, not np.cos and np.sin, so the table keeps the libm bits
+    angles = angles.tolist()
+    c, s = (np.fromiter(map(f, angles), float, len(angles)) for f in (math.cos, math.sin))
     blocks = np.stack((c, -s, s, c), axis=1).reshape(-1, 2, 2)
     if sign == -1 and n % 2:
-        blocks = -1.0 * blocks
+        blocks *= -1.0
     blocks.flags.writeable = False
     return roots, blocks
 

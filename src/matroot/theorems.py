@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -59,7 +60,7 @@ from .core import (
 )
 from .factors import (
     RootConvention, _check_n, _float_square, _geometric_sum, _lift_for_root, _quadratics,
-    _unit_convention, exact_nth_root, unit_factors,
+    _unit_convention, unit_factors,
 )
 from .constructions import (
     CASE_AT,
@@ -69,6 +70,7 @@ from .constructions import (
     _RATIONAL_SHEARS_PER_ORDER,
     _SIGNS,
     _checked_int,
+    _exact_root,
     construct,
     scale_from_unit,
     scale_to_unit,
@@ -197,7 +199,8 @@ class Clauses:
     ``holds`` computes only what the implication needs: a factor polynomial
     runs only on a root of aI that is not a simple root, each clause on the
     whole stack while any matrix is open, and sentence 2's quadratics only up
-    to the first chunk that settles every matrix.  Sentence 2 has no real
+    to the first chunk that settles every matrix; a chunk is computed once,
+    for ``holds`` and ``zero_quadratics`` both.  Sentence 2 has no real
     linear factor, so its ``simple_root`` is False."""
 
     def __init__(self, x: Matrix, n: int, a, sentence: int, tol: Tolerance) -> None:
@@ -245,10 +248,16 @@ class Clauses:
     def _firsts(self) -> range:  # the first index of each chunk of _QUADRATIC_ENTRIES entries
         return range(1, self.n // 2 + 1, max(1, _QUADRATIC_ENTRIES // self.x.array.size))
 
+    @_lazy
+    def _chunk_zeros(self) -> dict:  # first -> _quadratic_zeros(first), shared by its readers
+        return {}
+
     def _quadratic_zeros(self, first: int):
         """Whether each quadratic of the chunk from ``first`` vanishes, per matrix."""
-        values = _quadratics(self._square, self.n, self.a, first, first + self._firsts.step)
-        return is_zero(Matrix._wrap(values, self._square[2]), self.tol)
+        if first not in self._chunk_zeros:
+            values = _quadratics(self._square, self.n, self.a, first, first + self._firsts.step)
+            self._chunk_zeros[first] = is_zero(Matrix._wrap(values, self._square[2]), self.tol)
+        return self._chunk_zeros[first]
 
     def zero_quadratics(self) -> Iterator[int]:
         """The indices i whose quadratic factor vanishes at one matrix X, in order."""
@@ -318,15 +327,22 @@ def sentence2_holds_for(x: Matrix, inst: ProblemInstance,
     return evaluate(x, inst, tol).holds
 
 
+# The unit witnesses of the 256 latest (tag, k, n) with k^2 <= _RETAINED_ENTRIES,
+# about 2 MB at most: a witness is immutable, so every decide may share it.
+_unit_witness = lru_cache(maxsize=256)(construct)
+_RETAINED_ENTRIES = 1024
+
+
 def _witness(inst: ProblemInstance) -> Witness:
     """The refuted cell's witness: a nilpotent shift, or a unit case lifted to |a|."""
     k, n, a = inst.k, inst.n, inst.a
+    build = _unit_witness if k * k <= _RETAINED_ENTRIES else construct
     if a == 0:
-        return construct(CaseTag.NILPOTENT_SHIFT, k, n)
+        return build(CaseTag.NILPOTENT_SHIFT, k, n)
     if inst.regime is Regime.NEGATIVE_EVEN_N:
-        w = construct(CaseTag.THEOREM2_CE, k, n)
+        w = build(CaseTag.THEOREM2_CE, k, n)
     else:
-        w = construct(CASE_AT[n % 2, k % 2, 1 if a > 0 else -1], k, n)
+        w = build(CASE_AT[n % 2, k % 2, 1 if a > 0 else -1], k, n)
     matrix = w.matrix if abs(a) == 1 else scale_from_unit(w.matrix, n, a)
     return Witness(matrix, w.tag, k, n, a, w.refutes_sentence)
 
@@ -426,7 +442,7 @@ class _Candidates:
         self.rng, self.first = np.random.default_rng(seed), first
         self.zero = inst.regime is Regime.ZERO_A
         self.roots, self.quads = unit_factors(n, 1 if a > 0 else -1)
-        exact = self.zero or (not len(self.quads) and exact_nth_root(abs(a), n) is not None)
+        exact = self.zero or (not len(self.quads) and _exact_root(abs(a), n) is not None)
         self.backend = RATIONAL if exact else REAL
         self.dtype = np.int64 if exact else float
         # An exact row keeps the width of its shears, which go unread, so

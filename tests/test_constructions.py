@@ -43,9 +43,9 @@ from matroot import (
 
 import matroot.constructions as constructions
 from matroot.constructions import (
-    _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _shear_draws, construct,
+    _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _exact_root, _shear_draws, construct,
 )
-from matroot.factors import unit_factors
+from matroot.factors import _float_root, unit_factors
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -596,6 +596,30 @@ def test_scale_round_trip_exact_for_perfect_roots():
     there = scale_from_unit(x, 2, Fraction(9, 4))
     assert there.backend == "rational"
     assert scale_to_unit(there, 2, Fraction(9, 4)) == x
+
+
+def test_float_scaling_keeps_the_bits_of_scalar_mul():
+    rng = np.random.default_rng(61)
+    for backend in ("rational", "real", "complex"):
+        x = Matrix(rng.integers(-3, 4, size=(3, 3)).tolist(), backend=backend)
+        for a in (2, -3, 0.5, Fraction(1, 3), 1e300, -(10**12), Fraction(1, 10**400)):
+            for n in (2, 3, 5):
+                for power, scale in ((1, scale_from_unit), (-1, scale_to_unit)):
+                    if backend == "rational" and _exact_root(abs(a), n) is not None:
+                        continue  # scaled exactly instead
+                    want = scalar_mul(_float_root(abs(a), n, power), x)
+                    got = scale(x, n, a)
+                    assert got.backend == want.backend and not got.array.flags.writeable
+                    assert got.array.tobytes() == want.array.tobytes(), (backend, a, n, power)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_float_scaling_refuses_a_product_beyond_the_float_range():
+    big = scalar_matrix(1e300, 2, "real")
+    with pytest.raises(MatrixError):
+        scale_from_unit(big, 2, 1e20)  # 1e300 * 1e10 overflows to inf
+    with pytest.raises(MatrixError):
+        scale_to_unit(big, 2, 1e-20)
 
 
 def test_scaling_rejects_zero():

@@ -305,6 +305,39 @@ def test_unit_factor_blocks_keep_the_bits_of_the_factor_angles():
             assert unit_factors(n, sign)[1].tobytes() == want.tobytes(), (n, sign)
 
 
+def _reference_unit_blocks(n, sign):
+    """The block table as one (cos, sin) tuple per angle, from the scalar angles."""
+    if sign == 1 or n % 2:
+        angles = [2.0 * math.pi * w / n for w in range(1, (n + 1) // 2)]
+    else:
+        angles = [(2 * j - 1) * math.pi / n for j in range(1, n // 2 + 1)]
+    c, s = np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2).T
+    blocks = np.stack((c, -s, s, c), axis=1).reshape(-1, 2, 2)
+    return -1.0 * blocks if sign == -1 and n % 2 else blocks
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_unit_factor_table_equals_the_scalar_comprehension(sign):
+    build = unit_factors.__wrapped__  # uncached, so the large tables are not retained
+    for n in [*range(1, 65), 200000, 200001]:
+        want = _reference_unit_blocks(n, sign)
+        assert build(n, sign)[1].tobytes() == want.tobytes(), (n, sign)
+
+
+def test_unit_factor_table_build_peak_stays_near_the_table():
+    import tracemalloc
+
+    for n, sign in [(200001, 1), (200000, -1), (200001, -1)]:
+        tracemalloc.start()
+        try:
+            table = unit_factors.__wrapped__(n, sign)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (cos, sin) tuple per angle peaks near six times the table's bytes
+        assert peak <= 4 * table.nbytes, (n, sign, peak, table.nbytes)
+
+
 def test_unit_factor_table_is_cached_and_checks_its_arguments():
     assert unit_factors(6, -1) is unit_factors(6, -1)
     # one table per distinct n lives as long as the cache, so it is bounded

@@ -52,9 +52,9 @@ from matroot import (
     zeros,
 )
 from matroot.cli import main as cli_main
-from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER
+from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _exact_root
 from matroot.core import _pow_ladder
-from matroot.factors import _float_square, exact_nth_root, unit_factors
+from matroot.factors import _float_square, _quadratics, exact_nth_root, unit_factors
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -431,6 +431,25 @@ def test_large_n_cells_decide_and_verify(cell):
         assert list(clauses.zero_quadratics()) == []
     else:
         assert not clauses.factor_sum_zero
+
+
+def test_cli_verify_computes_each_quadratic_chunk_once(tmp_path, capsys, monkeypatch):
+    # the report reads zero_quadratics() and then holds; both read the same chunks
+    calls = []
+
+    def counted(square, n, a, first, stop):
+        calls.append(first)
+        return _quadratics(square, n, a, first, stop)
+
+    monkeypatch.setattr(theorems, "_quadratics", counted)
+    w = theorem2_counterexample(4, 200000)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(witness_to_json(w)))
+    assert cli_main(["verify", str(path), "--k", "4", "--n", "200000", "--a=-1"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["quadratic_zero_indices"] == [] and report["sentence_value"] is False
+    firsts = list(evaluate(w.matrix, w)._firsts)
+    assert len(firsts) == 98 and calls == firsts
 
 
 def test_sentence_two_holds_a_bounded_number_of_chunk_entries():
@@ -910,6 +929,97 @@ def test_scale_factor_outside_the_float_range_is_a_value_error():
         scale_from_unit(identity(2, "real"), 2, Fraction(1, 10**700))
     with pytest.raises(ValueError):
         search_counterexample(ProblemInstance(4, 2, -Fraction(1, 10**700)), 4, 0)
+
+
+# --- the unit-witness and exact-root caches ----------------------------------------
+# decide takes its unit witness per (tag, k, n) and every scaling its exact root per
+# (|a|, n) from a bounded cache; what decide returns must not depend on their state.
+
+_SWEEP_AS = (0, 1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3), 4, 27,
+             10**6, -(10**6), 10**12, -(10**12), 1e300, Fraction(1, 10**30))
+_SWEEP_CELLS = [(k, n, a) for k in (2, 3, 4, 5, 8, 12, 16) for n in range(2, 13)
+                for a in _SWEEP_AS]
+
+
+def _clear_decide_caches():
+    theorems._unit_witness.cache_clear()
+    _exact_root.cache_clear()
+
+
+def _decide_record(cell):
+    verdict = decide(ProblemInstance(*cell))
+    record = [json.dumps(verdict_to_json(verdict), sort_keys=True)]
+    if verdict.witness is not None:
+        m = verdict.witness.matrix
+        record += [m.backend, m.array.dtype.str, [repr(e) for e in m.array.flat]]
+        assert not m.array.flags.writeable
+    return record
+
+
+def test_decide_is_the_same_with_the_caches_warm_and_cleared():
+    cells = _SWEEP_CELLS + _acceptance_cells()
+    assert len(cells) == 1155 + 172
+    for cell in cells:
+        _decide_record(cell)
+    warm = [_decide_record(cell) for cell in cells]
+    cold = []
+    for cell in cells:
+        _clear_decide_caches()
+        cold.append(_decide_record(cell))
+    assert warm == cold
+
+
+def test_cached_unit_witnesses_are_read_only():
+    for tag, k, n in [(CaseTag.CASE_I, 4, 2), (CaseTag.CASE_III, 4, 3),
+                      (CaseTag.THEOREM2_CE, 4, 4), (CaseTag.NILPOTENT_SHIFT, 4, 3)]:
+        w = theorems._unit_witness(tag, k, n)
+        assert w is theorems._unit_witness(tag, k, n)
+        with pytest.raises(ValueError):
+            w.matrix.array[0, 0] = 7
+
+
+def test_decide_caches_are_bounded():
+    assert theorems._unit_witness.cache_info().maxsize == 256
+    assert _exact_root.cache_info().maxsize == 256
+    _clear_decide_caches()
+    for k, n in [(40, 3), (40, 2), (40, 4)]:  # 1600 entries: built, not retained
+        assert not decide(ProblemInstance(k, n, 2)).holds
+        assert not decide(ProblemInstance(k, n, 0)).holds
+    assert theorems._unit_witness.cache_info().currsize == 0
+    assert not decide(ProblemInstance(32, 3, 2)).holds  # 1024 entries are retained
+    assert theorems._unit_witness.cache_info().currsize == 1
+
+
+def _unit_tag(inst):
+    if inst.a == 0:
+        return CaseTag.NILPOTENT_SHIFT
+    if inst.sentence2_applicable:
+        return CaseTag.THEOREM2_CE
+    return theorems.CASE_AT[inst.n % 2, inst.k % 2, 1 if inst.a > 0 else -1]
+
+
+def test_one_sweep_builds_each_unit_witness_and_exact_root_once():
+    _clear_decide_caches()
+    units = set()
+    for cell in _SWEEP_CELLS:
+        inst = ProblemInstance(*cell)
+        verdict = decide(inst)
+        if verdict.witness is not None:
+            assert verify_witness(verdict.witness)
+            units.add((_unit_tag(inst), inst.k, inst.n))
+    # only the exact case I and II witnesses reach an exact root: a > 0 and even n
+    roots = {(type(a), a, n) for _, n, a in _SWEEP_CELLS if a not in (0, 1) and a > 0
+             and n % 2 == 0}
+    assert (len(units), len(roots)) == (161, 48)
+    assert theorems._unit_witness.cache_info().misses == len(units)
+    assert _exact_root.cache_info().misses == len(roots)
+
+
+def test_a_scale_outside_the_float_range_raises_on_every_call():
+    inst = ProblemInstance(4, 2, Fraction(2, 10**700))  # |a|^(1/2) rounds to 0
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            decide(inst)
 
 
 # --- stacked search against the per-candidate reference -----------------------------
