@@ -8,21 +8,21 @@ procedures) works with one matrix type that carries its scalar backend:
 * ``real``     -- IEEE double precision,
 * ``complex``  -- pairs of IEEE doubles.
 
-Backends never mix inside a matrix.  Exact backends compare exactly; float
-backends compare entrywise under a ``Tolerance(absolute, relative)`` contract:
+Backends never mix inside a matrix.  Exact backends compare exactly; float backends under
+this entrywise contract, decided from each matrix's largest |x - y| outside near ties:
 
     |x - y| <= absolute + relative * max(|x|, |y|)
 
-Storage is a read-only numpy array (``object`` dtype for the rational
-backend), so matrices are immutable values and safe to share across threads.
-Inside the library a Matrix may also hold a (m, k, k) stack of matrices of
-one backend: the arithmetic below broadcasts over the leading axis, and
-``mat_eq`` / ``is_zero`` then give one bool per stacked matrix.  Kernels such
-as ``mat_pow`` compute on the bare arrays and wrap each result once.  An
-internal rational stack, or an all-int matrix that ``theorems.evaluate``
-checks, may be held on int64, which no public Matrix holds: ``_on_int64`` chooses
-it once, under a row-sum bound that lets the kernels multiply and add unguarded.
-A kernel's c * I target is shared and read-only for c the int or float +-1.
+Storage is a read-only numpy array (``object`` dtype for the rational backend), so
+matrices are immutable values and safe to share across threads.  Inside the library a
+Matrix may also hold a (m, k, k) stack of matrices of one backend: the arithmetic below
+broadcasts over the leading axis, and ``mat_eq`` / ``is_zero`` then give one bool per
+stacked matrix.  Kernels such as ``mat_pow`` compute on the bare arrays and wrap each
+result once, or hand it to the comparison, which checks it is finite.  An internal
+rational stack, or an all-int matrix that ``theorems.evaluate`` checks, may be held on
+int64, which no public Matrix holds: ``_on_int64`` chooses it once, under a row-sum bound
+that lets the kernels multiply and add unguarded.  A kernel's c * I target is shared and
+read-only for c the int or float +-1.
 """
 
 from __future__ import annotations
@@ -240,10 +240,10 @@ def scalar_matrix_like(c: Scalar, m: Matrix) -> Matrix:
     return scalar_matrix(_LIKE[m.backend](c), m.order, m.backend)
 
 
-def _is_scalar(m: Matrix, c: Scalar, tol: Tolerance):
-    """mat_eq(m, scalar_matrix_like(c, m), tol), against a bare c * I of m's dtype."""
-    target = _scalar_target(_COERCE[m.backend](_LIKE[m.backend](c)), m.order, m.array.dtype)
-    return _entries_close(m.array, target, m.backend, tol)
+def _is_scalar(x: np.ndarray, backend: str, c: Scalar, tol: Tolerance):
+    """mat_eq against scalar_matrix_like(c, .) for the bare array x, against a bare c * I."""
+    target = _scalar_target(_COERCE[backend](_LIKE[backend](c)), x.shape[-1], x.dtype)
+    return _entries_close(x, target, backend, tol)
 
 
 def _check_pair(a: Matrix, b: Matrix) -> None:
@@ -267,10 +267,15 @@ def _on_int64(m: Matrix, n: int) -> Matrix:
     arr = m.array
     if arr.dtype != _INT64 and (arr.dtype != object or set(map(type, arr.flat)) != {int}):
         return m
-    r = int(np.abs(arr).sum(axis=-1).max())
-    fits = r <= 1 or (n < 63 and n * r**n <= _INT64_MAX)  # r >= 2 fails for n >= 63
+    try:
+        ints = arr.astype(_INT64, copy=False)
+    except OverflowError:  # an entry, so a row sum, of 2^63 or more: no n >= 2 fits
+        return m
+    # float64 row sums: |-2^63| does not wrap, and a sum of 2^53 or more (no n >= 2 fits) stays so
+    r = np.abs(ints.astype(np.float64)).sum(axis=-1).max()
+    fits = r <= 1 or (n < 63 and n * int(r) ** n <= _INT64_MAX)  # r >= 2 fails for n >= 63
     dtype = _INT64 if fits else np.dtype(object)
-    return m if arr.dtype == dtype else Matrix._wrap(arr.astype(dtype), RATIONAL)
+    return m if arr.dtype == dtype else Matrix._wrap(ints if fits else arr.astype(dtype), RATIONAL)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -332,17 +337,17 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
         raise MatrixError("negative powers are not supported")
     if n == 0:
         return identity(a.order, a.backend)
-    return _pow_ladder(a, n)[0]
+    return a if n == 1 else Matrix._wrap(_pow_ladder(a, n)[0], a.backend)
 
 
 def _pow_ladder(a: Matrix, n: int) -> tuple:
-    """(a^n, the squares [X, X^2, ..., X^(2^i)] that form it, right to left), n >= 1."""
+    """(a^n, the squares [X, X^2, ..., X^(2^i)] that form it), n >= 1: bare, unchecked arrays."""
     squares, result = [a.array], a.array if n & 1 else None
     for i in range(1, n.bit_length()):
         squares.append(squares[-1] @ squares[-1])
         if n >> i & 1:
             result = squares[i] if result is None else result @ squares[i]
-    return (a if result is a.array else Matrix._wrap(result, a.backend)), squares
+    return result, squares
 
 
 def mat_eq(a: Matrix, b: Matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -358,17 +363,32 @@ def is_zero(m: Matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return _entries_close(m.array, 0, m.backend, tol)
 
 
+_ALL, _MAX = np.logical_and.reduce, np.maximum.reduce  # no Python wrapper; a scalar per matrix
+
+
+def _every(close) -> bool:
+    return bool(close if close.ndim == 0 else _ALL(close, axis=None))
+
+
 def _entries_close(x: np.ndarray, y, backend: str, tol: Tolerance):
+    """Whether the arrays x and y (or y the int 0) agree, a bool per matrix.  On float backends
+    the largest |x - y| of a matrix, d, decides: d <= absolute holds every entry, and d >
+    absolute + relative * max(|x|, |y|) fails the entry of d (rounding is monotone); a near
+    tie runs the entrywise test.  A non-finite d raises as ``Matrix._wrap`` would on x."""
     if backend == RATIONAL:
-        close = x == y
-    elif isinstance(y, int):  # is_zero's 0: max(|x|, 0) = |x - 0| = |x|, and no target array
-        close = (mag := np.abs(x)) <= tol.absolute + tol.relative * mag
-    else:
-        bound = tol.absolute + tol.relative * np.maximum(np.abs(x), np.abs(y))
-        close = np.abs(x - y) <= bound
-    if close.ndim == 2:
-        return bool(close.all())
-    return close.all(axis=(-2, -1))
+        close = _ALL(x == y, axis=(-2, -1))
+        return bool(close) if close.ndim == 0 else close
+    zero = isinstance(y, int)  # is_zero's 0: max(|x|, 0) = |x - 0| = |x|, and no target array
+    diff = np.abs(x) if zero else np.abs(x - y)
+    d = _MAX(diff, axis=(-2, -1))
+    close = d <= tol.absolute
+    if not _every(close):
+        if not _every(np.isfinite(d)) and not np.isfinite(x).all():
+            raise MatrixError("operation produced non-finite entries")
+        mag = diff if zero else np.maximum(np.abs(x), np.abs(y))
+        if not _every(close | (d > tol.absolute + tol.relative * _MAX(mag, axis=(-2, -1)))):
+            close = _ALL(diff <= tol.absolute + tol.relative * mag, axis=(-2, -1))
+    return bool(close) if close.ndim == 0 else close
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
@@ -441,7 +461,13 @@ def _bareiss_determinant(m: Matrix) -> Fraction:
 def scalar_to_json(value: Scalar, backend: str):
     if backend == RATIONAL:
         f = Fraction(value)
-        return f"{f.numerator}/{f.denominator}"
+        try:
+            return f"{f.numerator}/{f.denominator}"
+        except ValueError:  # more digits than Python writes out; top has d + 1 or d + 2
+            top = max(abs(f.numerator), f.denominator)
+            d = int((top.bit_length() - 1) * math.log10(2))
+            raise MatrixError(f"cannot write a rational of {d + 1 + (10 ** (d + 1) <= top)} "
+                              "digits: more than Python's limit on int to str") from None
     if backend == REAL:
         return float(value)
     z = complex(value)
@@ -470,11 +496,13 @@ def scalar_from_json(value, backend: str) -> Scalar:
 
 
 def matrix_to_json(m: Matrix) -> dict:
-    return {
-        "backend": m.backend,
-        "order": m.order,
-        "entries": [scalar_to_json(e, m.backend) for e in m.entries()],
-    }
+    entries = []
+    for at, e in enumerate(m.entries()):
+        try:
+            entries.append(scalar_to_json(e, m.backend))
+        except MatrixError as exc:
+            raise MatrixError(f"entry ({at // m.order}, {at % m.order}): {exc}") from None
+    return {"backend": m.backend, "order": m.order, "entries": entries}
 
 
 def matrix_from_json(data: dict) -> Matrix:

@@ -78,22 +78,23 @@ def unit_factors(n: int, sign: int) -> Tuple[Tuple[int, ...], np.ndarray]:
 
 
 def _int_nth_root(m: int, n: int) -> Optional[int]:
-    """Exact integer n-th root of m >= 0, or None.
+    """Exact integer n-th root of m >= 0, or None."""
+    if m < 2:
+        return m if m >= 0 else None
+    x = math.isqrt(m) if n == 2 else _floor_root(m, n)
+    return x if x**n == m else None
 
-    Integer Newton steps down from a start x >= m^(1/n) reach floor(m^(1/n)),
-    the first step that does not decrease; the start is a float estimate
-    rounded up, or 2^ceil(bits / n) where that estimate would overflow, so
-    arbitrarily large inputs are safe.
-    """
-    if m < 0:
-        return None
-    if m in (0, 1):
-        return m
-    b = -(-m.bit_length() // n)  # m^(1/n) <= 2^b
-    x = 1 << b if b > 1000 else int(math.exp(math.log(m) / n) * (1 + 1e-9)) + 1
+
+def _floor_root(m: int, n: int) -> int:
+    """floor(m^(1/n)), m >= 2, n >= 3: integer Newton steps down from a start x >= m^(1/n) stop
+    at it.  The start is a float estimate rounded up for a root below about 2^144, else
+    (floor_root(m >> ns) + 1) << s, good to half the root's bits and 8 more: two full steps."""
+    s = m.bit_length() // (2 * n) - 8
+    x = ((_floor_root(m >> n * s, n) + 1) << s if s >= 64
+         else int(math.exp(math.log(m) / n) * (1 + 1e-9)) + 1)
     while (y := ((n - 1) * x + m // x ** (n - 1)) // n) < x:
         x = y
-    return x if x**n == m else None
+    return x
 
 
 def exact_nth_root(a, n: int) -> Optional[Fraction]:
@@ -207,13 +208,13 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     if c == 0:
         # all lower coefficients vanish; the sum collapses to X^(n-1)
         return mat_pow(xx, n - 1)
-    return _geometric_sum(xx, n, c, [xx.array])
+    return Matrix._wrap(_geometric_sum(xx, n, c, [xx.array]), xx.backend)
 
 
-def _geometric_sum(x: Matrix, n: int, c, squares: list) -> Matrix:
-    """G(n) at X = x for G(m) = X^(m-1) + c X^(m-2) + ... + c^(m-1) I, from squares = [X,
-    X^2, X^4, ...], extended in place as needed, by G(2b) = G(b) (X^b + c^b I) and G(m + b)
-    = X^b G(m) + c^m G(b) over the bits b of n, low to high: no X^j or c^j, j >= n, is formed."""
+def _geometric_sum(x: Matrix, n: int, c, squares: list) -> np.ndarray:
+    """G(n) at X = x, a fresh bare array, for G(m) = X^(m-1) + c X^(m-2) + ... + c^(m-1) I, from
+    squares = [X, X^2, ...], extended as needed, by G(2b) = G(b) (X^b + c^b I) and G(m + b) = X^b
+    G(m) + c^m G(b) over the bits b of n, low to high: no X^j or c^j, j >= n, is formed."""
     coerce, top = _COERCE[x.backend], n.bit_length() - 1
     while len(squares) < (n - 1).bit_length():
         squares.append(squares[-1] @ squares[-1])
@@ -225,7 +226,7 @@ def _geometric_sum(x: Matrix, n: int, c, squares: list) -> Matrix:
         if n >> i & 1:
             acc = g if cm is None else (squares[i] if acc is None else squares[i] @ acc) + cm * g
             cm = None if i == top else cb if cm is None else coerce(cm * cb)
-    return Matrix._wrap(acc, x.backend)
+    return acc
 
 
 def _float_square(x: Matrix) -> tuple:
@@ -364,7 +365,7 @@ def lemma1_root_classifier(
     equal I.
     """
     a, n = as_backend(params.matrix(), COMPLEX), params.n
-    if not _is_scalar(mat_pow(a, n), 1, tol) or _is_scalar(a, 1, tol):
+    if not _is_scalar(mat_pow(a, n).array, COMPLEX, 1, tol) or _is_scalar(a.array, COMPLEX, 1, tol):
         return None
     out = []
     for z in (complex(params.p), complex(params.r)):

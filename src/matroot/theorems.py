@@ -51,12 +51,11 @@ from .core import (
     DimensionMismatch,
     Matrix,
     Tolerance,
+    _entries_close,
     _is_scalar,
     _on_int64,
     _pow_ladder,
     as_backend,
-    is_zero,
-    mat_mul,
 )
 from .factors import (
     RootConvention, _check_n, _float_square, _geometric_sum, _lift_for_root, _quadratics,
@@ -218,31 +217,33 @@ class Clauses:
 
     @_lazy
     def equation(self):
-        power = self._ladder[0]
+        power, backend = self._ladder[0], self.x.backend
         if self.a == 0:
             # share the power: X^n = X * X^(n-1), and the factor sum is X^(n-1)
-            return is_zero(mat_mul(self.x, power), self.tol)
-        return _is_scalar(power, self.a, self.tol)
+            return _entries_close(self.x.array @ power, 0, backend, self.tol)
+        return _is_scalar(power, backend, self.a, self.tol)
 
     @_lazy
     def simple_root(self):
         if self.a == 0:
-            return is_zero(self.x, self.tol)
+            return _entries_close(self.x.array, 0, self.x.backend, self.tol)
         if self.sentence == 2:  # no real linear factor
             return False if self.x.array.ndim == 2 else np.zeros(len(self.x.array), bool)
         x, root = _lift_for_root(self.x, self.conv)
-        return _is_scalar(x, root, self.tol)
+        return _is_scalar(x.array, x.backend, root, self.tol)
 
     @_lazy
     def factor_sum_zero(self):
         if self.a == 0:
-            return is_zero(self._ladder[0], self.tol)
+            return _entries_close(self._ladder[0], 0, self.x.backend, self.tol)
         x, c = _lift_for_root(self.x, self.conv)  # x itself: evaluate put it on c's backend
-        return is_zero(_geometric_sum(x, self.n, c, self._ladder[1]), self.tol)
+        return _entries_close(_geometric_sum(x, self.n, c, self._ladder[1]), 0, x.backend, self.tol)
 
     @_lazy
-    def _square(self) -> tuple:
-        return _float_square(self.x)
+    def _square(self) -> tuple:  # a float X^2 is the ladder's, the same product
+        if self.x.backend == RATIONAL:
+            return _float_square(self.x)
+        return self.x.array, self._ladder[1][1], self.x.backend
 
     @_lazy
     def _firsts(self) -> range:  # the first index of each chunk of _QUADRATIC_ENTRIES entries
@@ -256,7 +257,7 @@ class Clauses:
         """Whether each quadratic of the chunk from ``first`` vanishes, per matrix."""
         if first not in self._chunk_zeros:
             values = _quadratics(self._square, self.n, self.a, first, first + self._firsts.step)
-            self._chunk_zeros[first] = is_zero(Matrix._wrap(values, self._square[2]), self.tol)
+            self._chunk_zeros[first] = _entries_close(values, 0, self._square[2], self.tol)
         return self._chunk_zeros[first]
 
     def zero_quadratics(self) -> Iterator[int]:

@@ -102,6 +102,17 @@ def test_decide_scale_factor_outside_the_float_range_is_a_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
+def test_decide_names_a_witness_entry_too_long_to_write(capsys):
+    # the witness is 10^5000 times the exchange blocks: its entries have 5001 digits, more
+    # than Python writes as text by default; the library's verdict still stands
+    code, out, err = run_cli(capsys, "decide", "--k", "4", "--n", "2", "--a", "1e10000")
+    assert (code, out) == (2, "")
+    assert err == ("error: entry (0, 1): cannot write a rational of 5001 digits: more than "
+                   "Python's limit on int to str\n")
+    verdict = matroot.decide(matroot.ProblemInstance(4, 2, 10**10000))
+    assert not verdict.holds and verdict.witness.matrix[0, 1] == 10**5000
+
+
 @pytest.mark.parametrize("a", ["-1/3", "-1e6"])
 def test_decide_takes_a_negative_literal_after_a_space(capsys, a):
     kn = ("--k", "4", "--n", "3")

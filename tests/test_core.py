@@ -16,6 +16,7 @@ from matroot import (
     DimensionMismatch,
     Matrix,
     MatrixError,
+    ProblemInstance,
     RootConvention,
     Tolerance,
     as_backend,
@@ -23,6 +24,7 @@ from matroot import (
     case_counterexample,
     conjugate_matrix,
     determinant,
+    evaluate,
     geometric_factor_sum,
     identity,
     mat_add,
@@ -237,7 +239,7 @@ def test_is_scalar_compares_an_int64_matrix_against_an_int64_target(monkeypatch)
     monkeypatch.setattr(core, "_entries_close", recorded)
     x = _int64_stack(EDGE)
     for c, want in ((1, [False, False, True]), (Fraction(3), [False, False, False])):
-        assert list(core._is_scalar(x, c, TIGHT)) == want
+        assert list(core._is_scalar(x.array, "rational", c, TIGHT)) == want
     assert targets == [np.dtype(np.int64)] * 2
 
 
@@ -246,8 +248,8 @@ def test_a_fraction_c_on_int64_is_exact_on_the_object_dtype():
     x, half = Matrix._wrap(np.zeros((2, 3, 3), np.int64), "rational"), Fraction(1, 2)
     added = core._add_diagonal(x.array, half)
     assert added.dtype == object and (added == np.eye(3, dtype=int) * half).all()
-    assert list(core._is_scalar(x, half, TIGHT)) == [False, False]
-    assert list(core._is_scalar(Matrix._wrap(added, "rational"), half, TIGHT)) == [True, True]
+    assert list(core._is_scalar(x.array, "rational", half, TIGHT)) == [False, False]
+    assert list(core._is_scalar(added, "rational", half, TIGHT)) == [True, True]
 
 
 @pytest.mark.parametrize("c, dtype", [(1, np.int64), (-1, np.int64), (1, object), (-1, object),
@@ -340,6 +342,112 @@ def test_rational_comparison_ignores_tolerance():
     a = Matrix([[Fraction(1, 3)]])
     b = Matrix([[Fraction(1, 3) + Fraction(1, 10**30)]])
     assert not mat_eq(a, b, Tolerance(1.0, 1.0))
+
+
+# --- the max-reduction against the entrywise contract ----------------------------
+
+_TOLERANCES = [Tolerance(0, 0), Tolerance(1e-9, 0), Tolerance(0, 1e-9), Tolerance(1, 2)]
+# a relative tolerance far above an ulp makes exact ties and tells |x| from |y| in the bound
+_COARSE = [Tolerance(0, 0.25), Tolerance(0.5, 0.25)]
+_VALUES = st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1.0, -1.0, 4.0, 0.5, 1e-9, 1e300, -1e300])
+
+
+def _entrywise_close(x, y, tol):
+    """The tolerance contract written out entry by entry, one bool per matrix:
+    |x - y| <= absolute + relative * max(|x|, |y|) at every entry."""
+    y = np.zeros_like(x) if isinstance(y, int) else y
+    bound = tol.absolute + tol.relative * np.maximum(np.abs(x), np.abs(y))
+    return (np.abs(x - y) <= bound).all(axis=(-2, -1))
+
+
+def _at_bound(y, tol, sign):
+    """y + sign * t for the largest float t >= 0 (by bisection on its bits) at which the
+    entry is still within the bound of y: the last close entry on that side, or None
+    where the bound is never left below 2^60."""
+    def close(bits):
+        x = y + sign * float(np.int64(bits).view(np.float64))
+        return bool(_entrywise_close(np.full((1, 1), x), np.full((1, 1), y), tol))
+
+    lo, hi = 0, int(np.float64(2.0**60).view(np.int64))
+    if close(hi):
+        return None
+    while hi - lo > 1:
+        lo, hi = ((lo + hi) // 2, hi) if close((lo + hi) // 2) else (lo, (lo + hi) // 2)
+    return y + sign * float(np.int64(lo).view(np.float64))
+
+
+@st.composite
+def _comparisons(draw):
+    """(x, target, backend, tol): a float matrix or stack and a target of zero, +-I or a
+    general array, x equal to it, at the bound of it or +-1 ulp from there, or off it."""
+    backend = draw(st.sampled_from(["real", "complex"]))
+    tol = draw(st.sampled_from(_TOLERANCES + _COARSE))
+    k, m = draw(st.integers(1, 4)), draw(st.sampled_from([None, 1, 3]))
+    shape, dtype = ((k, k) if m is None else (m, k, k)), (complex if backend == "complex" else float)
+    kind = draw(st.sampled_from(["zero", "unit", "general"]))
+    if kind == "zero":
+        target, y = 0, np.zeros(shape, dtype)
+    elif kind == "unit":
+        target = draw(st.sampled_from([1, -1]))
+        y = np.broadcast_to(target * np.eye(k, dtype=dtype), shape)
+    else:
+        flat = draw(st.lists(_VALUES, min_size=2 * k * k * (m or 1), max_size=2 * k * k * (m or 1)))
+        y = np.array(flat[::2], dtype).reshape(shape)
+        if backend == "complex":
+            y = y + 1j * np.array(flat[1::2]).reshape(shape)
+        target = y
+    x = np.array(y, dtype)
+    for at in np.ndindex(shape):
+        how = draw(st.sampled_from(["same", "bound", "off"]))
+        if how == "bound":  # moved along the real axis, so |x - y| is that of the real parts
+            sign, ulps = draw(st.sampled_from([1, -1])), draw(st.sampled_from([-1, 0, 1]))
+            edge = _at_bound(y[at].real, tol, sign)
+            if edge is not None:
+                for _ in range(abs(ulps)):
+                    edge = np.nextafter(edge, math.inf * ulps)
+                x[at] = edge + 1j * y[at].imag if backend == "complex" else edge
+        elif how == "off":
+            x[at] += draw(_VALUES)
+    return x, target, backend, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_comparisons())
+def test_the_max_reduction_decides_as_the_entrywise_contract(case):
+    x, target, backend, tol = case
+    if isinstance(target, int) and target:  # +-I, through the helper that builds it
+        got = core._is_scalar(x, backend, target, tol)
+        want = _entrywise_close(x, target * np.eye(x.shape[-1]), tol)
+    else:
+        got, want = core._entries_close(x, target, backend, tol), _entrywise_close(x, target, tol)
+    if x.ndim == 2:
+        assert type(got) is bool and got == bool(want)
+    else:
+        assert got.dtype == bool and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("tol", _TOLERANCES, ids=str)
+@pytest.mark.parametrize("backend", ["real", "complex"])
+def test_an_unwrapped_non_finite_result_raises_at_the_comparison(bad, tol, backend):
+    dtype = complex if backend == "complex" else float
+    one = np.eye(3, dtype=dtype)
+    one[1, 2] = bad
+    for x in (one, np.stack([np.eye(3, dtype=dtype), one])):
+        for target in (0, np.eye(3, dtype=dtype)):
+            with pytest.raises(MatrixError, match="^operation produced non-finite entries$"):
+                core._entries_close(x, target, backend, tol)
+        with pytest.raises(MatrixError, match="^operation produced non-finite entries$"):
+            core._is_scalar(x, backend, -1, tol)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("a", [1, -1, 0])
+def test_evaluate_raises_where_a_float_power_overflows(a):
+    clauses = evaluate(Matrix([[1e200, 0.0], [0.0, 1.0]]), ProblemInstance(2, 4, a))
+    with pytest.raises(MatrixError, match="^operation produced non-finite entries$"):
+        clauses.holds
 
 
 # --- block_diag and rotation ----------------------------------------------------

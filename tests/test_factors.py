@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +84,31 @@ def test_int_nth_root_is_exact_on_large_powers_and_their_neighbours(n):
         assert _int_nth_root(r**n - 1, n) is None and _int_nth_root(r**n + 1, n) is None
     for m in range(300):
         assert _int_nth_root(m, n) == next((r for r in range(m + 1) if r**n == m), None)
+
+
+def _reference_int_nth_root(m, n):
+    """The full-width Newton loop that _int_nth_root used to run, from 2^ceil(bits / n)
+    or a float estimate rounded up: slow on huge m, but plainly correct."""
+    if m in (0, 1):
+        return m
+    b = -(-m.bit_length() // n)
+    x = 1 << b if b > 1000 else int(math.exp(math.log(m) / n) * (1 + 1e-9)) + 1
+    while (y := ((n - 1) * x + m // x ** (n - 1)) // n) < x:
+        x = y
+    return x if x**n == m else None
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_int_nth_root_agrees_with_the_full_width_newton_loop(n):
+    rng = random.Random(n)
+    for _ in range(40):
+        m = rng.randrange(10 ** rng.randrange(1, 2001))
+        assert _int_nth_root(m, n) == _reference_int_nth_root(m, n)
+    for _ in range(15):
+        r = rng.randrange(2, 10 ** rng.randrange(1, 2000 // n + 1) + 2)
+        for m in (r**n - 1, r**n, r**n + 1):
+            assert _int_nth_root(m, n) == _reference_int_nth_root(m, n)
+        assert _int_nth_root(r**n, n) == r
 
 
 def test_real_convention_signs_and_consistency():

@@ -53,8 +53,8 @@ from matroot import (
 )
 from matroot.cli import main as cli_main
 from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _exact_root
-from matroot.core import _pow_ladder
-from matroot.factors import _float_square, _quadratics, exact_nth_root, unit_factors
+from matroot.core import _pow_ladder, as_backend
+from matroot.factors import _quadratics, exact_nth_root, unit_factors
 
 TOL = Tolerance(1e-9, 1e-9)
 
@@ -313,23 +313,47 @@ def test_non_root_never_reaches_a_factor_polynomial(monkeypatch):
         evaluate(theorem2_counterexample(4, 4).matrix, ProblemInstance(4, 4, -1)).holds
 
 
-def test_sentence_two_squares_each_matrix_once(monkeypatch):
-    calls = []
-
-    def counted(x):
-        calls.append(x.array.shape)
-        return _float_square(x)
-
-    monkeypatch.setattr(theorems, "_float_square", counted)
+def test_sentence_two_squares_each_matrix_once():
+    # all six quadratics read X^2 from the equation's ladder: evaluating the sentence takes
+    # the products of X^12 and not one more, at one matrix and at a stack
     inst = ProblemInstance(4, 12, -1)
     w = theorem2_counterexample(4, 12)  # no quadratic vanishes: all six are evaluated
-    clauses = evaluate(w.matrix, inst)
-    assert not clauses.holds and list(clauses.zero_quadratics()) == []
-    assert calls == [(4, 4)]
-    stack = Matrix._wrap(np.stack([w.matrix.array, -w.matrix.array]), "real")
-    calls.clear()
-    assert list(evaluate(stack, inst).holds) == [False, False]
-    assert calls == [(2, 4, 4)]
+    for arr in (w.matrix.array, np.stack([w.matrix.array, -w.matrix.array])):
+        x = Matrix._wrap(arr.copy().view(_CountedArray), "real")
+        _CountedArray.products = 0
+        mat_pow(x, 12)
+        assert _CountedArray.products == 4  # X^2, X^4, X^8 and X^4 X^8
+        _CountedArray.products = 0
+        clauses = evaluate(x, inst)
+        assert not np.any(clauses.holds) and "equation" in vars(clauses)
+        if arr.ndim == 2:
+            assert list(clauses.zero_quadratics()) == []
+        assert _CountedArray.products == 4
+
+
+def test_sentence_two_squares_an_exact_matrix_in_floats():
+    # an exact X has an exact ladder; its quadratics read X^2 squared in floats, as before
+    r = Matrix([[0, -1], [1, 0]])  # a quarter turn: X^6 = -I
+    x, inst = block_diag([r, r]), ProblemInstance(4, 6, -1)
+    exact, real = evaluate(x, inst), evaluate(as_backend(x, "real"), inst)
+    assert exact.x.array.dtype == np.int64 and exact.holds and real.holds
+    assert list(exact.zero_quadratics()) == list(real.zero_quadratics()) == [2]
+
+
+def test_verify_witness_wraps_only_the_scaled_matrix(monkeypatch):
+    # the clause chain runs on bare arrays: of a scaled float sentence-1 witness, only the
+    # scaling to unit scale is wrapped (the power and the factor sum were too, before)
+    w = decide(ProblemInstance(8, 7, 2)).witness
+    assert w.matrix.backend == "real" and w.refutes_sentence == 1
+    shapes, wrap = [], Matrix._wrap.__func__
+
+    def counted(cls, arr, backend):
+        shapes.append(arr.shape)
+        return wrap(cls, arr, backend)
+
+    monkeypatch.setattr(Matrix, "_wrap", classmethod(counted))
+    assert verify_witness(w)
+    assert shapes == [(8, 8)]
 
 
 def test_a_stack_computes_its_power_once(monkeypatch):
