@@ -29,7 +29,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCE, Matrix, Tolerance, is_zero, matrix_from_json, matrix_to_json,
 )
-from .factors import RootConvention, _float_square, geometric_factor_sum, quadratic_factor_eval
+from .factors import RootConvention, _float_square, _quadratics, geometric_factor_sum
 from .constructions import (
     CaseTag,
     Witness,
@@ -100,7 +100,10 @@ def _emit(payload: dict, path: str | None = None) -> None:
 def _load_matrix(path: str) -> Matrix:
     """Read a matrix from a JSON file; witness files contribute their matrix."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if isinstance(data, dict) and "matrix" in data and "entries" not in data:
         data = data["matrix"]
     return matrix_from_json(data)
@@ -173,10 +176,9 @@ def _cmd_factor(args) -> int:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     tol = _tolerance(args)
     if classify_regime(args.n, a) is Regime.NEGATIVE_EVEN_N:
-        square = _float_square(m)
-        factors = []
-        for i in range(1, args.n // 2 + 1):
-            value = quadratic_factor_eval(m, args.n, a, i, square)
+        square, factors = _float_square(m), []
+        for i, row in enumerate(_quadratics(square, args.n, a, 1, args.n // 2 + 1), 1):
+            value = Matrix._wrap(row, square[2])
             zero = is_zero(value, tol)
             factors.append({"i": i, "matrix": matrix_to_json(value), "is_zero": zero})
         zero_indices = [f["i"] for f in factors if f["is_zero"]]
@@ -273,7 +275,7 @@ def main(argv=None) -> int:
         # overflow is reported once, as the MatrixError of the kernel's result
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (ValueError, TypeError, KeyError, OSError, OverflowError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

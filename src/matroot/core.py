@@ -241,8 +241,8 @@ def scalar_matrix_like(c: Scalar, m: Matrix) -> Matrix:
 
 
 def _is_scalar(x: np.ndarray, backend: str, c: Scalar, tol: Tolerance):
-    """mat_eq against scalar_matrix_like(c, .) for the bare array x, against a bare c * I."""
-    target = _scalar_target(_COERCE[backend](_LIKE[backend](c)), x.shape[-1], x.dtype)
+    """mat_eq against c * I for the bare array x and c an int or a value of x's backend."""
+    target = _scalar_target(_COERCE[backend](c), x.shape[-1], x.dtype)
     return _entries_close(x, target, backend, tol)
 
 

@@ -112,8 +112,8 @@ def exact_nth_root(a, n: int) -> Optional[Fraction]:
             return None
         neg = exact_nth_root(-f, n)
         return None if neg is None else -neg
-    num = _int_nth_root(f.numerator, n)
-    den = _int_nth_root(f.denominator, n)
+    num = _int_nth_root(int(f.numerator), n)  # a numpy int a keeps numpy terms in Fraction
+    den = _int_nth_root(int(f.denominator), n)
     if num is None or den is None:
         return None
     return Fraction(num, den)
@@ -183,18 +183,6 @@ class RootConvention:
         return cls(n=n, a=a, root=root, exact_root=None if z else Fraction(0))
 
 
-_unit_convention = lru_cache(maxsize=64)(RootConvention.real)  # (n, sign), sign 0 or +-1
-
-
-def _lift_for_root(x: Matrix, conv: RootConvention) -> Tuple[Matrix, Scalar]:
-    """Move x to a backend that can hold conv's root, returning (x, c)."""
-    if isinstance(conv.root, complex) or x.backend == COMPLEX:
-        return as_backend(x, COMPLEX), complex(conv.root)
-    if x.backend == RATIONAL and conv.exact_root is not None:
-        return x, conv.exact_root
-    return as_backend(x, REAL), float(conv.root)
-
-
 def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     """Evaluate X^(n-1) + c X^(n-2) + ... + c^(n-2) X + c^(n-1) I at X = x, where
     c = conv.root, by halving in O(log n) products (``_geometric_sum``), not Horner's n - 2.
@@ -204,11 +192,16 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     _check_n(n)
     if conv.n != n:
         raise ConventionError(f"convention is for n = {conv.n}, called with n = {n}")
-    xx, c = _lift_for_root(x, conv)
+    if isinstance(conv.root, complex) or x.backend == COMPLEX:  # x on a backend that holds c
+        x, c = as_backend(x, COMPLEX), complex(conv.root)
+    elif x.backend != RATIONAL or conv.exact_root is None:
+        x, c = as_backend(x, REAL), float(conv.root)
+    else:
+        c = conv.exact_root
     if c == 0:
         # all lower coefficients vanish; the sum collapses to X^(n-1)
-        return mat_pow(xx, n - 1)
-    return Matrix._wrap(_geometric_sum(xx, n, c, [xx.array]), xx.backend)
+        return mat_pow(x, n - 1)
+    return Matrix._wrap(_geometric_sum(x, n, c, [x.array]), x.backend)
 
 
 def _geometric_sum(x: Matrix, n: int, c, squares: list) -> np.ndarray:
@@ -236,7 +229,7 @@ def _float_square(x: Matrix) -> tuple:
     return xx, xx @ xx, backend
 
 
-def quadratic_factor_eval(x: Matrix, n: int, a, i: int, square=None) -> Matrix:
+def quadratic_factor_eval(x: Matrix, n: int, a, i: int) -> Matrix:
     """Evaluate the i-th real quadratic factor of X^n - a*I (n even, a < 0).
 
     With b = (-a)^(1/n) and theta_i = (2i-1)*pi/n, the angle of the i-th
@@ -246,8 +239,9 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int, square=None) -> Matrix:
 
     the quadratic that the rotation block by theta_i satisfies (its
     characteristic polynomial, by Cayley-Hamilton); the product of these
-    n/2 quadratics reconstructs X^n - a*I.  ``square``, x's ``_float_square``,
-    may be shared across indices.  Computed on the array, wrapped once.
+    n/2 quadratics reconstructs X^n - a*I.  It is row i of ``_quadratics``, the
+    broadcast that ``evaluate``, ``odd_factorization_product`` and ``matroot
+    factor`` read too, wrapped once.
     """
     if n < 2 or n % 2 != 0:
         raise ConventionError(f"quadratic factors need even n >= 2, got {n}")
@@ -256,15 +250,20 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int, square=None) -> Matrix:
     half = n // 2
     if not 1 <= i <= half:
         raise ValueError(f"factor index i must be in [1, {half}], got {i}")
-    square = _float_square(x) if square is None else square
+    square = _float_square(x)
     return Matrix._wrap(_quadratics(square, n, a, i, i + 1)[0], square[2])
 
 
+_QUADRATIC_ENTRIES = 2**14  # at most, in one chunk of quadratic factors
+
+
 def _quadratics(square: tuple, n: int, a, first: int, stop: int) -> np.ndarray:
-    """The quadratic factors i = first .. stop - 1 (up to n/2) at the X of ``square`` as one
-    array, unwrapped, by one broadcast over their cosines; each keeps the bits of its own."""
+    """The real quadratic factors i = first .. stop - 1 of x^n - a, a real and nonzero, at the
+    X of ``square`` as one array, unwrapped: X^2 - 2 b cos(t_i) X + b^2 I for b = |a|^(1/n) and
+    the i-th block of ``unit_factors(n, sign(a))``, by one broadcast over their cosines."""
     xx, x2, backend = square
-    b, cos = _float_root(-a, n, 1), unit_factors(n, -1)[1][first - 1 : stop - 1, 0, 0]
+    blocks = unit_factors(n, 1 if a > 0 else -1)[1]
+    b, cos = _float_root(abs(a), n, 1), blocks[first - 1 : stop - 1, 0, 0]
     lin = (-2.0 * b * cos).reshape((-1,) + (1,) * xx.ndim)
     return _add_diagonal(x2 + lin * xx, _COERCE[backend](b * b))
 
@@ -274,19 +273,18 @@ def odd_factorization_product(x: Matrix, n: int) -> Matrix:
     one factor per block of ``unit_factors(n, 1)``.
 
     For odd n this product equals X^(n-1) + ... + X + I, the geometric
-    cofactor of (X - I) in X^n - I; factors multiply left to right in
-    increasing w, on the array, and the product is wrapped once.
+    cofactor of (X - I) in X^n - I.  The factors are ``_quadratics`` at a = 1,
+    read in chunks of at most ``_QUADRATIC_ENTRIES`` entries; they multiply left
+    to right in increasing w, on the array, and the product is wrapped once.
     """
     if n < 3 or n % 2 == 0:
         raise ConventionError(f"odd factorization needs odd n >= 3, got {n}")
-    xx, x2, backend = _float_square(x)
-    result = None
-    _, blocks = unit_factors(n, 1)
-    for block in blocks:
-        coeff = -2.0 * float(block[0, 0])
-        factor = _add_diagonal(x2 + coeff * xx, 1.0)
-        result = factor if result is None else result @ factor
-    return Matrix._wrap(result, backend)
+    square, result = _float_square(x), None
+    half, step = n // 2, max(1, _QUADRATIC_ENTRIES // x.array.size)
+    for first in range(1, half + 1, step):
+        for factor in _quadratics(square, n, 1, first, first + step):
+            result = factor if result is None else result @ factor
+    return Matrix._wrap(result, square[2])
 
 
 @dataclass(frozen=True)

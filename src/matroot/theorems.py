@@ -17,8 +17,9 @@ each matrix of a stack; the sentence predicates, ``verify_witness``, the
 search and the command line all read it.
 It is also the one place that knows the scale.  Both sentences are invariant
 under X -> |a|^(-1/n) X, so a real a outside {0, 1, -1} is evaluated at unit
-scale, as scale_to_unit(X) against sign(a), and every tolerance applies at
-|a| = 1.  A complex a is evaluated at its own scale.
+scale, as scale_to_unit(X), and every tolerance applies at |a| = 1; the clauses
+then take a as the int sign(a), 0, 1 or -1, which is sentence 1's root there.
+A complex a is evaluated at its own scale, against its principal root.
 
 Every "false" verdict carries a concrete witness that is re-verified before
 being returned.  A budget-bounded randomized search over structured block
@@ -58,8 +59,8 @@ from .core import (
     as_backend,
 )
 from .factors import (
-    RootConvention, _check_n, _float_square, _geometric_sum, _lift_for_root, _quadratics,
-    _unit_convention, unit_factors,
+    _QUADRATIC_ENTRIES, RootConvention, _check_n, _float_square, _geometric_sum, _quadratics,
+    unit_factors,
 )
 from .constructions import (
     CASE_AT,
@@ -206,10 +207,9 @@ class Clauses:
         self.x, self.n, self.a, self.sentence, self.tol = x, n, a, sentence, tol
 
     @_lazy
-    def conv(self) -> RootConvention:
-        if isinstance(self.a, complex):
-            return RootConvention.principal(self.n, self.a)
-        return _unit_convention(self.n, int(self.a))  # evaluate leaves a real a in {0, 1, -1}
+    def _root(self):  # sentence 1's root: a real a, which evaluate leaves at 0 or +-1, itself
+        a = self.a
+        return RootConvention.principal(self.n, a).root if isinstance(a, complex) else a
 
     @_lazy
     def _ladder(self) -> tuple:  # X^e and the squares that formed it; e = n, or n - 1 at a = 0
@@ -229,15 +229,14 @@ class Clauses:
             return _entries_close(self.x.array, 0, self.x.backend, self.tol)
         if self.sentence == 2:  # no real linear factor
             return False if self.x.array.ndim == 2 else np.zeros(len(self.x.array), bool)
-        x, root = _lift_for_root(self.x, self.conv)
-        return _is_scalar(x.array, x.backend, root, self.tol)
+        return _is_scalar(self.x.array, self.x.backend, self._root, self.tol)
 
     @_lazy
     def factor_sum_zero(self):
         if self.a == 0:
             return _entries_close(self._ladder[0], 0, self.x.backend, self.tol)
-        x, c = _lift_for_root(self.x, self.conv)  # x itself: evaluate put it on c's backend
-        return _entries_close(_geometric_sum(x, self.n, c, self._ladder[1]), 0, x.backend, self.tol)
+        total = _geometric_sum(self.x, self.n, self._root, self._ladder[1])
+        return _entries_close(total, 0, self.x.backend, self.tol)
 
     @_lazy
     def _square(self) -> tuple:  # a float X^2 is the ladder's, the same product
@@ -287,21 +286,22 @@ class Clauses:
 def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
     """The clauses at x of the sentence that applies to ``inst``, a
     ProblemInstance or a Witness: sentence 2 when a < 0 and n is even, else
-    sentence 1 with the real root convention, or with the principal root on
-    x lifted to the complex backend when a is complex (the complex variant of
-    sentence 1); at unit scale for a real a outside {0, 1, -1} (see the
-    module docstring).  x may be a (m, k, k) stack, and each clause then has
-    one value per matrix.  k and n must be at least 2."""
+    sentence 1 with the real root, or with the principal root on x lifted to
+    the complex backend when a is complex (the complex variant of sentence 1).
+    A real a is checked at unit scale, as its int sign (see the module
+    docstring).  x may be a (m, k, k) stack, and each clause then has one
+    value per matrix.  k and n must be at least 2."""
     _check_n(inst.n)
     _checked_int("k", inst.k, 2)
     if x.order != inst.k:
         raise DimensionMismatch(f"matrix order {x.order} != k = {inst.k}")
-    n, a, real = inst.n, inst.a, not isinstance(inst.a, complex)
-    if not real:
-        x = as_backend(x, COMPLEX)
-    elif a != 0 and abs(a) != 1:
-        x, a = scale_to_unit(x, n, a), (1 if a > 0 else -1)
-    return Clauses(_on_int64(x, n), n, a, 2 if real and a < 0 and n % 2 == 0 else 1, tol)
+    n, a = inst.n, inst.a
+    if isinstance(a, (complex, np.complexfloating)):  # np.complex64 is no complex, yet orders
+        return Clauses(as_backend(x, COMPLEX), n, complex(a), 1, tol)
+    if a != 0 and abs(a) != 1:
+        x = scale_to_unit(x, n, a)
+    a = 1 if a > 0 else -1 if a < 0 else 0  # not (a > 0) - (a < 0): numpy bools do not subtract
+    return Clauses(_on_int64(x, n), n, a, 2 if a < 0 and n % 2 == 0 else 1, tol)
 
 
 def sentence1_holds_for(x: Matrix, inst: ProblemInstance,
@@ -383,7 +383,6 @@ def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict
 # the same at any size; the memory a chunk holds does not grow with the budget.
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 64
-_QUADRATIC_ENTRIES = 2**14  # at most, in one chunk of sentence 2's quadratic factors
 
 
 def _shears_from_uniforms(u: np.ndarray, k: int):

@@ -355,6 +355,26 @@ def test_verify_garbage_json_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_json_nested_past_the_recursion_limit_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, "verify", str(path), "--k", "2", "--n", "2", "--a", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply to read\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", "--k", "100000000", "--n", "4", "--a", "1"),
+    ("construct", "--tag", "case-i", "--k", "100000000", "--n", "2"),
+    ("decide", "--k", "4", "--n", "1000000000000000001", "--a", "1"),
+], ids=" ".join)
+def test_an_array_beyond_memory_exits_two(capsys, argv):
+    # numpy refuses the k x k witness, or the table of n/2 angles, before allocating it
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, flags", [("verify", ("--k", "2")), ("factor", ())])
 def test_a_zero_denominator_entry_is_a_usage_error(capsys, tmp_path, command, flags):
     path = tmp_path / "bad.json"

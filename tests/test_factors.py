@@ -40,9 +40,8 @@ from matroot import (
     zeros,
 )
 from matroot.core import _COERCE
-from matroot.factors import (
-    _float_square, _int_nth_root, _lift_for_root, _quadratics, _unit_convention, unit_factors,
-)
+import matroot.factors as factors
+from matroot.factors import _float_square, _int_nth_root, _quadratics, unit_factors
 
 
 def naive_pow(m, n):
@@ -367,7 +366,7 @@ def test_unit_factor_table_build_peak_stays_near_the_table():
 def test_unit_factor_table_is_cached_and_checks_its_arguments():
     assert unit_factors(6, -1) is unit_factors(6, -1)
     # one table per distinct n lives as long as the cache, so it is bounded
-    assert unit_factors.cache_info().maxsize == _unit_convention.cache_info().maxsize == 64
+    assert unit_factors.cache_info().maxsize == 64
     roots = {(n, sign): unit_factors(n, sign)[0] for n in (1, 2, 3) for sign in (1, -1)}
     assert roots == {(1, 1): (1,), (1, -1): (-1,), (2, 1): (1, -1), (2, -1): (),
                      (3, 1): (1,), (3, -1): (-1,)}
@@ -375,18 +374,6 @@ def test_unit_factor_table_is_cached_and_checks_its_arguments():
     for n, sign in [(4, 0), (4, 2), (3, -2), (0, 1), (-1, -1)]:
         with pytest.raises(ValueError):
             unit_factors(n, sign)
-
-
-def test_shared_square_gives_the_same_quadratics():
-    rng = np.random.default_rng(7)
-    for backend in ("rational", "real", "complex"):
-        x = as_backend(Matrix(rng.integers(-3, 4, size=(3, 3)).tolist()), backend)
-        for n in (2, 4, 6, 8):
-            for i in range(1, n // 2 + 1):
-                got = quadratic_factor_eval(x, n, -1, i, _float_square(x))
-                want = quadratic_factor_eval(x, n, -1, i)
-                assert got.backend == want.backend
-                assert got.array.tobytes() == want.array.tobytes()
 
 
 @pytest.mark.parametrize("backend", ["rational", "real", "complex"])
@@ -490,6 +477,17 @@ def test_odd_factorization_annihilates_seventh_root_rotation():
 def test_odd_factorization_rejects_even_n():
     with pytest.raises(ConventionError):
         odd_factorization_product(identity(2, "real"), 4)
+
+
+@pytest.mark.parametrize("backend", ["rational", "real", "complex"])
+def test_the_odd_product_read_in_small_chunks_keeps_the_reference_bits(backend, monkeypatch):
+    # at most 40 entries a chunk: 4 factors of a 3 x 3 matrix, 1 of a 7 x 7 one
+    monkeypatch.setattr(factors, "_QUADRATIC_ENTRIES", 40)
+    rng = np.random.default_rng(3 + len(backend))
+    for k in (3, 7):
+        x = as_matrix(random_matrix(backend, (k, k), rng), backend)
+        for n in (3, 5, 9, 11, 17, 21):
+            assert_same_result(odd_factorization_product(x, n), ref_odd_factorization_product(x, n))
 
 
 # --- triangular powers -------------------------------------------------------------
@@ -601,6 +599,15 @@ def ref_mat_pow(a, n):
         if n & 1:
             result = mat_mul(result, a)
     return result
+
+
+def _lift_for_root(x, conv):
+    """x on a backend that holds conv's root, and the root on it."""
+    if isinstance(conv.root, complex) or x.backend == "complex":
+        return as_backend(x, "complex"), complex(conv.root)
+    if x.backend == "rational" and conv.exact_root is not None:
+        return x, conv.exact_root
+    return as_backend(x, "real"), float(conv.root)
 
 
 def ref_geometric_factor_sum(x, n, conv):

@@ -16,6 +16,7 @@ from matroot import (
     DimensionMismatch,
     Matrix,
     ProblemInstance,
+    RootConvention,
     Tolerance,
     Verdict,
     VerdictMode,
@@ -1461,7 +1462,7 @@ def test_int64_clauses_match_python_ints_past_the_int64_range(rows, n, a):
     want = (power == scalar, rows == scalar, horner == [[0] * 8] * 8)
     assert (clauses.equation, clauses.simple_root, clauses.factor_sum_zero) == want
     assert clauses.holds == (not want[0] or want[1] or want[2])
-    value = geometric_factor_sum(clauses.x, n, clauses.conv)  # the sum on clauses.x's int64
+    value = geometric_factor_sum(clauses.x, n, RootConvention.real(n, a))  # on clauses.x's int64
     assert [int(e) for e in value.array.flat] == [e for r in horner for e in r]
 
 
@@ -1479,5 +1480,58 @@ def test_int64_is_chosen_by_the_row_sum_bound_at_n_2(rows, a, on_int64):
     power, horner = _python_power_and_sum(rows, 2, a)
     want = (power == [[a, 0], [0, a]], rows == [[a, 0], [0, a]], horner == [[0, 0], [0, 0]])
     assert (clauses.equation, clauses.simple_root, clauses.factor_sum_zero) == want
-    value = geometric_factor_sum(clauses.x, 2, clauses.conv)
+    value = geometric_factor_sum(clauses.x, 2, RootConvention.real(2, a))
     assert [int(e) for e in value.array.flat] == [e for r in horner for e in r]
+
+
+_ONES = (1, 1.0, Fraction(1), np.int64(1), np.float64(1.0))
+
+
+def _clause_values(x, n, a):
+    c = evaluate(x, ProblemInstance(4, n, a))
+    values = [c.equation, c.simple_root, c.holds, c.factor_sum_zero if c.sentence == 1 else None]
+    if c.sentence == 2 and x.array.ndim == 2:
+        values.append(list(c.zero_quadratics()))
+    return type(c.a), c.a, c.sentence, [np.asarray(v).tolist() for v in values]
+
+
+@pytest.mark.parametrize("n, spellings", [
+    (3, _ONES), (4, _ONES), (3, tuple(-a for a in _ONES)), (4, tuple(-a for a in _ONES)),
+    (3, (0, 0.0)), (4, (0, 0.0)),
+], ids=str)
+def test_every_spelling_of_a_unit_a_gives_the_same_clause_values(n, spellings):
+    # evaluate hands the clauses the int sign of a, also where (a > 0) - (a < 0) would raise
+    want = int(spellings[0])
+    rows = list(generate_candidates(ProblemInstance(4, n, want), 12, 3))
+    stack = Matrix._wrap(np.stack([x.array for x in rows]), rows[0].backend)
+    for x in rows + [stack]:
+        got = [_clause_values(x, n, a) for a in spellings]
+        assert got[0][:2] == (int, want) and all(g == got[0] for g in got)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8], ids=lambda t: t.__name__)
+def test_a_numpy_integer_a_decides_verifies_and_searches_as_its_int(kind):
+    # Fraction(np.int64(8)) keeps numpy terms; the integer root once read their bit_length
+    for a in (2, 4, 8) if kind is np.uint8 else (2, 4, 8, -2, -8):
+        assert exact_nth_root(kind(a), 3) == exact_nth_root(a, 3)
+        assert exact_nth_root(kind(a), 2) == exact_nth_root(a, 2)
+        for k in range(2, 6):
+            for n in range(2, 7):
+                inst, same = ProblemInstance(k, n, kind(a)), ProblemInstance(k, n, a)
+                verdict = decide(inst)
+                assert verdict_to_json(verdict) == verdict_to_json(decide(same))
+                assert verdict.witness is None or verify_witness(verdict.witness)
+                want = verdict_to_json(search_counterexample(same, 20, 0))
+                assert verdict_to_json(search_counterexample(inst, 20, 0)) == want
+
+
+def test_a_numpy_complex_a_is_checked_as_its_complex():
+    # np.complex64 is not a complex, and orders against 0: it once took the real path
+    for k, n, a in [(2, 3, 1j), (3, 3, 2j), (2, 4, -8 + 1j)]:
+        w = complex_counterexample(k, n, a)
+        want = evaluate(w.matrix, w)
+        for kind in (np.complex64, np.complex128):
+            got = evaluate(w.matrix, Witness(w.matrix, None, k, n, kind(a), 1))
+            assert (got.sentence, got.equation, got.simple_root, got.factor_sum_zero) == (
+                want.sentence, want.equation, want.simple_root, want.factor_sum_zero)
+            assert got.holds is want.holds is False
