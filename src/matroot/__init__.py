@@ -62,7 +62,7 @@ from .constructions import (
     witness_from_json,
     witness_to_json,
 )
-from .instances import ApplicabilityError, ProblemInstance, Regime, classify_regime
+from .instances import ApplicabilityError, ProblemInstance
 from .theorems import (
     Verdict,
     VerdictMode,

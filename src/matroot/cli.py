@@ -27,26 +27,19 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCE, Matrix, Tolerance, is_zero, matrix_from_json, matrix_to_json,
+    DEFAULT_TOLERANCE, Matrix, Tolerance, _checked_int, is_zero, matrix_from_json, matrix_to_json,
 )
 from .factors import RootConvention, _float_square, _quadratics, geometric_factor_sum
 from .constructions import (
     CaseTag,
     Witness,
-    _checked_int,
     complex_counterexample,
     conjugate_random,
     construct,
     witness_to_json,
 )
-from .instances import ProblemInstance, Regime, classify_regime
-from .theorems import (
-    decide,
-    evaluate,
-    minus_identity_root_exists,
-    search_counterexample,
-    verdict_to_json,
-)
+from .instances import ProblemInstance, _sentence
+from .theorems import _no_real_root, decide, evaluate, search_counterexample, verdict_to_json
 
 EXIT_HOLDS = 0
 EXIT_USAGE = 2
@@ -162,7 +155,7 @@ def _cmd_search(args) -> int:
     inst = ProblemInstance(args.k, args.n, _parse_real(args.a))
     verdict = search_counterexample(inst, args.budget, args.seed, _tolerance(args))
     _emit(verdict_to_json(verdict), args.output)
-    if inst.regime is Regime.NEGATIVE_EVEN_N and not minus_identity_root_exists(inst.k, inst.n):
+    if _no_real_root(inst):
         print(f"note: no real {inst.k}x{inst.k} matrix has an even power equal to "
               "a negative multiple of I (determinant parity); the sentence is "
               "vacuously true and the search has nothing to find", file=sys.stderr)
@@ -175,7 +168,7 @@ def _cmd_factor(args) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     tol = _tolerance(args)
-    if classify_regime(args.n, a) is Regime.NEGATIVE_EVEN_N:
+    if _sentence(args.n, a) == 2:
         square, factors = _float_square(m), []
         for i, row in enumerate(_quadratics(square, args.n, a, 1, args.n // 2 + 1), 1):
             value = Matrix._wrap(row, square[2])

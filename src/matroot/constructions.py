@@ -33,6 +33,7 @@ from .core import (
     Matrix,
     Scalar,
     _BACKEND_DTYPE,
+    _checked_int,
     scalar_kind,
     scalar_from_json,
     scalar_mul,
@@ -262,13 +263,6 @@ def _shear_draws(rng: np.random.Generator, k: int, backend: str):
         count = _FLOAT_SHEARS
         coeffs = _SIGNS[rng.integers(0, 2, size=count)]  # as rng.choice((-1, 1)) draws
     return coeffs, rng.integers(0, k, size=(count, 2))
-
-
-def _checked_int(name: str, value, least: int) -> int:
-    """value as an int, if it is an int or numpy integer (not a bool) >= least."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def conjugate_matrix(m: Matrix, seed: int) -> Matrix:

@@ -82,6 +82,13 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
+def _checked_int(name: str, value, least: int) -> int:
+    """value as an int, if it is an int or numpy integer (not a bool) >= least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _coerce_rational(value) -> RationalScalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
@@ -260,10 +267,11 @@ def _add_diagonal(acc: np.ndarray, c) -> np.ndarray:
 
 def _on_int64(m: Matrix, n: int) -> Matrix:
     """m on int64 if its entries are ints and n * max(1, r)^n <= 2^63 - 1 for r =
-    ||m||_inf, its largest absolute row sum; else m on Python ints.  The norm is
-    submultiplicative, so the bound caps every entry, partial sum and c * I add of the
-    powers up to m^n and of the unit-coefficient factor sums, ||G(j)||_inf <= j R^(j-1) for
-    R = max(1, r), whose steps G(b) (m^b + c^b I) and m^b G(j) + c^j G(b) stay under n R^n."""
+    ||m||_inf, its largest absolute row sum (n <= 2^63 - 1 where r <= 1); else m on Python
+    ints.  The norm is submultiplicative, so the bound caps every entry, partial sum and
+    c * I add of the powers up to m^n and of the unit-coefficient factor sums, ||G(j)||_inf
+    <= j R^(j-1) for R = max(1, r), whose steps G(b) (m^b + c^b I) and m^b G(j) + c^j G(b)
+    stay under n R^n: the entries of G(n) reach n itself at r = 1."""
     arr = m.array
     if arr.dtype != _INT64 and (arr.dtype != object or set(map(type, arr.flat)) != {int}):
         return m
@@ -273,7 +281,7 @@ def _on_int64(m: Matrix, n: int) -> Matrix:
         return m
     # float64 row sums: |-2^63| does not wrap, and a sum of 2^53 or more (no n >= 2 fits) stays so
     r = np.abs(ints.astype(np.float64)).sum(axis=-1).max()
-    fits = r <= 1 or (n < 63 and n * int(r) ** n <= _INT64_MAX)  # r >= 2 fails for n >= 63
+    fits = (r <= 1 or n < 63) and n * max(1, int(r)) ** n <= _INT64_MAX  # r >= 2 fails at n >= 63
     dtype = _INT64 if fits else np.dtype(object)
     return m if arr.dtype == dtype else Matrix._wrap(ints if fits else arr.astype(dtype), RATIONAL)
 

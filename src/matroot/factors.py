@@ -35,6 +35,7 @@ from .core import (
     Tolerance,
     _COERCE,
     _add_diagonal,
+    _checked_int,
     _is_scalar,
     as_backend,
     mat_pow,
@@ -188,8 +189,9 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     c = conv.root, by halving in O(log n) products (``_geometric_sum``), not Horner's n - 2.
 
     Exact when x is rational and the root is exactly rational (so a = 0 and
-    a = +-1 witnesses never leave exact arithmetic)."""
+    a = +-1 witnesses never leave exact arithmetic).  n is an int or numpy integer."""
     _check_n(n)
+    n = _checked_int("n", n, 2)
     if conv.n != n:
         raise ConventionError(f"convention is for n = {conv.n}, called with n = {n}")
     if isinstance(conv.root, complex) or x.backend == COMPLEX:  # x on a backend that holds c
@@ -257,6 +259,12 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int) -> Matrix:
 _QUADRATIC_ENTRIES = 2**14  # at most, in one chunk of quadratic factors
 
 
+def _quadratic_chunks(n: int, size: int) -> range:
+    """The first index of each chunk of the quadratics 1 .. n // 2 at a matrix, or stack, of
+    size entries: at most ``_QUADRATIC_ENTRIES`` entries, or one quadratic, a chunk."""
+    return range(1, n // 2 + 1, max(1, _QUADRATIC_ENTRIES // size))
+
+
 def _quadratics(square: tuple, n: int, a, first: int, stop: int) -> np.ndarray:
     """The real quadratic factors i = first .. stop - 1 of x^n - a, a real and nonzero, at the
     X of ``square`` as one array, unwrapped: X^2 - 2 b cos(t_i) X + b^2 I for b = |a|^(1/n) and
@@ -279,10 +287,9 @@ def odd_factorization_product(x: Matrix, n: int) -> Matrix:
     """
     if n < 3 or n % 2 == 0:
         raise ConventionError(f"odd factorization needs odd n >= 3, got {n}")
-    square, result = _float_square(x), None
-    half, step = n // 2, max(1, _QUADRATIC_ENTRIES // x.array.size)
-    for first in range(1, half + 1, step):
-        for factor in _quadratics(square, n, 1, first, first + step):
+    square, result, firsts = _float_square(x), None, _quadratic_chunks(n, x.array.size)
+    for first in firsts:
+        for factor in _quadratics(square, n, 1, first, first + firsts.step):
             result = factor if result is None else result @ factor
     return Matrix._wrap(result, square[2])
 

@@ -1,10 +1,11 @@
-"""Problem instances (k, n, a) and their regime classification.
+"""Problem instances (k, n, a) and the sentence that applies to each.
 
-The sign of a and the parity of n decide which universally quantified
-sentence about n-th roots of a*I is meaningful:
+Whether x^n - a has a real linear factor decides which universally
+quantified sentence about n-th roots of a*I is meaningful, and
+``_sentence`` is the one place that answers it:
 
-* a > 0, a = 0, or a < 0 with n odd: x^n - a has a real linear factor, so
-  the geometric-cofactor sentence (sentence 1) applies.
+* a >= 0, or a < 0 with n odd: x - a^(1/n) is a real linear factor, so the
+  geometric-cofactor sentence (sentence 1) applies.
 * a < 0 with n even: no real linear factor exists; the quadratic-factor
   sentence (sentence 2) applies instead.
 """
@@ -14,27 +15,16 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 
 class ApplicabilityError(ValueError):
-    """An operation was asked about a regime where its sentence is undefined."""
+    """An operation was asked about a sentence that does not apply to its cell."""
 
 
-class Regime(Enum):
-    POSITIVE_A = "positive-a"
-    ZERO_A = "zero-a"
-    NEGATIVE_ODD_N = "negative-odd-n"
-    NEGATIVE_EVEN_N = "negative-even-n"
-
-
-def classify_regime(n: int, a) -> Regime:
-    if a > 0:
-        return Regime.POSITIVE_A
-    if a == 0:
-        return Regime.ZERO_A
-    return Regime.NEGATIVE_ODD_N if n % 2 == 1 else Regime.NEGATIVE_EVEN_N
+def _sentence(n: int, a) -> int:
+    """The sentence that applies to x^n - a, a real: 2 when a < 0 and n is even, else 1."""
+    return 2 if a < 0 and n % 2 == 0 else 1
 
 
 @dataclass(frozen=True)
@@ -58,13 +48,6 @@ class ProblemInstance:
             raise ValueError(f"a must be finite, got {a!r}")
 
     @property
-    def regime(self) -> Regime:
-        return classify_regime(self.n, self.a)
-
-    @property
-    def sentence1_applicable(self) -> bool:
-        return self.regime is not Regime.NEGATIVE_EVEN_N
-
-    @property
-    def sentence2_applicable(self) -> bool:
-        return self.regime is Regime.NEGATIVE_EVEN_N
+    def sentence(self) -> int:
+        """The applicable sentence, 1 or 2 (see the module docstring)."""
+        return _sentence(self.n, self.a)

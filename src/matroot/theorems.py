@@ -52,6 +52,7 @@ from .core import (
     DimensionMismatch,
     Matrix,
     Tolerance,
+    _checked_int,
     _entries_close,
     _is_scalar,
     _on_int64,
@@ -59,7 +60,7 @@ from .core import (
     as_backend,
 )
 from .factors import (
-    _QUADRATIC_ENTRIES, RootConvention, _check_n, _float_square, _geometric_sum, _quadratics,
+    RootConvention, _check_n, _float_square, _geometric_sum, _quadratic_chunks, _quadratics,
     unit_factors,
 )
 from .constructions import (
@@ -69,22 +70,19 @@ from .constructions import (
     _FLOAT_SHEARS,
     _RATIONAL_SHEARS_PER_ORDER,
     _SIGNS,
-    _checked_int,
     _exact_root,
     construct,
     scale_from_unit,
     scale_to_unit,
     witness_to_json,
 )
-from .instances import ApplicabilityError, ProblemInstance, Regime, classify_regime
+from .instances import ApplicabilityError, ProblemInstance, _sentence
 
 __all__ = [
     "ApplicabilityError",
     "ProblemInstance",
-    "Regime",
     "Verdict",
     "VerdictMode",
-    "classify_regime",
     "decide",
     "evaluate",
     "generate_candidates",
@@ -145,10 +143,14 @@ _NOT_APPLICABLE = {
 }
 
 
+def _require(inst: ProblemInstance, sentence: int) -> None:
+    if inst.sentence != sentence:
+        raise ApplicabilityError(_NOT_APPLICABLE[sentence])
+
+
 def theorem1_holds(inst: ProblemInstance) -> bool:
     """Closed form for sentence 1: (a != 0, k = 2, n odd) or (a = 0, n >= k+1)."""
-    if not inst.sentence1_applicable:
-        raise ApplicabilityError(_NOT_APPLICABLE[1])
+    _require(inst, 1)
     if inst.a == 0:
         return inst.n >= inst.k + 1
     return inst.k == 2 and inst.n % 2 == 1
@@ -156,8 +158,7 @@ def theorem1_holds(inst: ProblemInstance) -> bool:
 
 def theorem2_holds(inst: ProblemInstance) -> bool:
     """Closed form for sentence 2: k odd, or k even with n = 2."""
-    if not inst.sentence2_applicable:
-        raise ApplicabilityError(_NOT_APPLICABLE[2])
+    _require(inst, 2)
     return inst.k % 2 == 1 or inst.n == 2
 
 
@@ -175,10 +176,16 @@ def minus_identity_root_exists(k: int, n: int) -> bool:
     return k % 2 == 0
 
 
+def _no_real_root(inst: ProblemInstance) -> bool:
+    """Whether no real k x k matrix satisfies X^n = a*I: sentence 2, where that is
+    X^n = -I at unit scale, and no root of -I (``minus_identity_root_exists``)."""
+    return inst.sentence == 2 and not minus_identity_root_exists(inst.k, inst.n)
+
+
 def is_quarantined(inst: ProblemInstance) -> bool:
     """The k = 2, n >= 4, negative-even cells where the closed form and the
     empirical behaviour disagree (see module docstring)."""
-    return inst.regime is Regime.NEGATIVE_EVEN_N and inst.k == 2 and inst.n >= 4
+    return inst.sentence == 2 and inst.k == 2 and inst.n >= 4
 
 
 class _lazy:
@@ -245,8 +252,8 @@ class Clauses:
         return self.x.array, self._ladder[1][1], self.x.backend
 
     @_lazy
-    def _firsts(self) -> range:  # the first index of each chunk of _QUADRATIC_ENTRIES entries
-        return range(1, self.n // 2 + 1, max(1, _QUADRATIC_ENTRIES // self.x.array.size))
+    def _firsts(self) -> range:  # the first index of each chunk of quadratics
+        return _quadratic_chunks(self.n, self.x.array.size)
 
     @_lazy
     def _chunk_zeros(self) -> dict:  # first -> _quadratic_zeros(first), shared by its readers
@@ -290,18 +297,17 @@ def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
     the complex backend when a is complex (the complex variant of sentence 1).
     A real a is checked at unit scale, as its int sign (see the module
     docstring).  x may be a (m, k, k) stack, and each clause then has one
-    value per matrix.  k and n must be at least 2."""
+    value per matrix.  k and n must be ints or numpy integers >= 2."""
     _check_n(inst.n)
-    _checked_int("k", inst.k, 2)
-    if x.order != inst.k:
+    n, a = _checked_int("n", inst.n, 2), inst.a
+    if x.order != _checked_int("k", inst.k, 2):
         raise DimensionMismatch(f"matrix order {x.order} != k = {inst.k}")
-    n, a = inst.n, inst.a
     if isinstance(a, (complex, np.complexfloating)):  # np.complex64 is no complex, yet orders
         return Clauses(as_backend(x, COMPLEX), n, complex(a), 1, tol)
     if a != 0 and abs(a) != 1:
         x = scale_to_unit(x, n, a)
     a = 1 if a > 0 else -1 if a < 0 else 0  # not (a > 0) - (a < 0): numpy bools do not subtract
-    return Clauses(_on_int64(x, n), n, a, 2 if a < 0 and n % 2 == 0 else 1, tol)
+    return Clauses(_on_int64(x, n), n, a, _sentence(n, a), tol)
 
 
 def sentence1_holds_for(x: Matrix, inst: ProblemInstance,
@@ -310,8 +316,7 @@ def sentence1_holds_for(x: Matrix, inst: ProblemInstance,
 
         X^n = a*I and X != a^(1/n)*I  =>  geometric factor sum of X is O.
     """
-    if not inst.sentence1_applicable:
-        raise ApplicabilityError(_NOT_APPLICABLE[1])
+    _require(inst, 1)
     return evaluate(x, inst, tol).holds
 
 
@@ -323,8 +328,7 @@ def sentence2_holds_for(x: Matrix, inst: ProblemInstance,
 
     with the existential checked exhaustively over all n/2 factor indices.
     """
-    if not inst.sentence2_applicable:
-        raise ApplicabilityError(_NOT_APPLICABLE[2])
+    _require(inst, 2)
     return evaluate(x, inst, tol).holds
 
 
@@ -340,7 +344,7 @@ def _witness(inst: ProblemInstance) -> Witness:
     build = _unit_witness if k * k <= _RETAINED_ENTRIES else construct
     if a == 0:
         return build(CaseTag.NILPOTENT_SHIFT, k, n)
-    if inst.regime is Regime.NEGATIVE_EVEN_N:
+    if inst.sentence == 2:
         w = build(CaseTag.THEOREM2_CE, k, n)
     else:
         w = build(CASE_AT[n % 2, k % 2, 1 if a > 0 else -1], k, n)
@@ -350,8 +354,8 @@ def _witness(inst: ProblemInstance) -> Witness:
 
 def _closed_form_holds(inst: ProblemInstance) -> bool:
     """Whether the closed form rules out a counterexample at (k, n, a): the
-    theorem of its regime holds, or the cell is quarantined."""
-    if inst.regime is Regime.NEGATIVE_EVEN_N:
+    theorem of its sentence holds, or the cell is quarantined."""
+    if inst.sentence == 2:
         return theorem2_holds(inst) or is_quarantined(inst)
     return theorem1_holds(inst)
 
@@ -366,7 +370,7 @@ def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict
     if is_quarantined(inst):
         return Verdict(holds=False, mode=VerdictMode.CLOSED_FORM, quarantined=True)
     if _closed_form_holds(inst):
-        vacuous = inst.regime is Regime.NEGATIVE_EVEN_N and inst.k % 2 == 1
+        vacuous = _no_real_root(inst)
         return Verdict(holds=True, mode=VerdictMode.VACUOUS if vacuous else VerdictMode.CLOSED_FORM)
     w = _witness(inst)
     if not verify_witness(w, tol):
@@ -421,12 +425,14 @@ class _Candidates:
     and its pick from u[k + t]; it starts at the sum of the orders before it
     (one prefix sum per row), and the blocks that start before k are kept,
     the last cut to end at k.  For a = 0 a block is a superdiagonal shift of
-    order 1 + floor(u[t] * n), so X^n = 0.  Otherwise it is a factor of
-    x^n - sign(a) in ``unit_factors``: a 1 x 1 real root where the table has
-    no quadratic or has roots and u[t] < 0.4, else the 2 x 2 block of a real
-    quadratic.  When a < 0, n is even and k is odd, no such sum exists (the
-    determinant obstruction), so the last block, cut to 1 x 1, is a +-1 pad:
-    the candidate deliberately violates X^n = a*I.  A real sum is conjugated
+    order 1 + floor(u[t] * n), so X^n = 0; an order is capped at k + 1
+    before its int cast, which moves no cut block, and no factor table is
+    read.  Otherwise it is a factor of x^n - sign(a) in ``unit_factors``:
+    a 1 x 1 real root where the table has no quadratic or has roots and
+    u[t] < 0.4, else the 2 x 2 block of a real quadratic.  When a < 0, n is
+    even and k is odd, no such sum exists (the determinant obstruction), so
+    the last block, cut to 1 x 1, is a +-1 pad: the candidate deliberately
+    violates X^n = a*I.  A real sum is conjugated
     at unit scale by its shears, 3 uniforms each, from u[2k:]; then the sum
     is scaled by |a|^(1/n).
 
@@ -440,8 +446,8 @@ class _Candidates:
     def __init__(self, inst: ProblemInstance, seed: int, first: int = _FIRST_CHUNK) -> None:
         k, n, a = self.k, self.n, self.a = inst.k, inst.n, inst.a
         self.rng, self.first = np.random.default_rng(seed), first
-        self.zero = inst.regime is Regime.ZERO_A
-        self.roots, self.quads = unit_factors(n, 1 if a > 0 else -1)
+        self.zero = a == 0  # shifts read no factor table
+        self.roots, self.quads = ((), ()) if self.zero else unit_factors(n, 1 if a > 0 else -1)
         exact = self.zero or (not len(self.quads) and _exact_root(abs(a), n) is not None)
         self.backend = RATIONAL if exact else REAL
         self.dtype = np.int64 if exact else float
@@ -456,7 +462,7 @@ class _Candidates:
         """Write the block sum of each row of u into the zero stack arr."""
         k, n, roots, quads = self.k, self.n, self.roots, self.quads
         draws = u[:, :k]
-        order = (1 + (draws * n).astype(np.intp) if self.zero
+        order = (1 + np.minimum(draws * n, k).astype(np.intp) if self.zero
                  else np.where(bool(len(quads)) & ~(bool(roots) & (draws < 0.4)), 2, 1))
         first = np.cumsum(order, axis=1) - order  # block t starts where those before it end
         rows, t = np.nonzero(first < k)
@@ -540,7 +546,7 @@ def search_counterexample(
     and seed an int >= 0.
     """
     budget, seed = _checked_int("budget", budget, 1), _checked_int("seed", seed, 0)
-    if inst.regime is Regime.NEGATIVE_EVEN_N and not minus_identity_root_exists(inst.k, inst.n):
+    if _no_real_root(inst):
         return Verdict(holds=True, mode=VerdictMode.SEARCH_EXHAUSTED, trials=budget)
     first = 0
     plan = _MAX_CHUNK if _closed_form_holds(inst) else _FIRST_CHUNK

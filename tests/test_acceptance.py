@@ -214,7 +214,7 @@ def test_criterion_6_scaling_reductions():
         back = scale_to_unit(x, n, a)
         u_float = scalar_mul(1.0, u)
         assert mat_eq(scalar_mul(1.0, back), u_float, tol8)
-        if scaled_inst.sentence2_applicable:
+        if scaled_inst.sentence == 2:
             unit_verdict = sentence2_holds_for(u, unit_inst, tol8)
             scaled_verdict = sentence2_holds_for(x, scaled_inst, tol8)
         else:

@@ -363,6 +363,22 @@ def test_verify_json_nested_past_the_recursion_limit_exits_two(capsys, tmp_path)
     assert err == f"error: {path}: JSON nested too deeply to read\n"
 
 
+def test_decide_at_n_beyond_int64_refutes(capsys):
+    # the factor sum's entries grow up to n = 2^65, which an int64 sum would wrap
+    code, out, err = run_cli(capsys, "decide", "--k", "2", "--n", str(2**65), "--a", "1")
+    assert (code, err) == (3, "")
+    assert parse_line(out)["witness"]["tag"] == "case-i"
+
+
+@pytest.mark.parametrize("n", [2**62, 2**64 + 1], ids=["2^62", "2^64+1"])
+def test_search_at_zero_a_and_n_beyond_the_array_range_holds(capsys, n):
+    code, out, err = run_cli(capsys, "search", "--k", "3", "--n", str(n), "--a", "0",
+                             "--budget", "5")
+    assert (code, err) == (0, "")
+    assert parse_line(out) == {"holds": True, "mode": "search-exhausted", "witness": None,
+                               "trials": 5, "quarantined": False}
+
+
 @pytest.mark.parametrize("argv", [
     ("decide", "--k", "100000000", "--n", "4", "--a", "1"),
     ("construct", "--tag", "case-i", "--k", "100000000", "--n", "2"),

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import matroot.factors as factors
 import matroot.theorems as theorems
 from matroot import (
     ApplicabilityError,
@@ -32,6 +33,7 @@ from matroot import (
     geometric_factor_sum,
     identity,
     is_quarantined,
+    is_zero,
     mat_eq,
     mat_pow,
     minus_identity_root_exists,
@@ -54,7 +56,7 @@ from matroot import (
 )
 from matroot.cli import main as cli_main
 from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _exact_root
-from matroot.core import _pow_ladder, as_backend
+from matroot.core import _on_int64, _pow_ladder, as_backend
 from matroot.factors import _quadratics, exact_nth_root, unit_factors
 
 TOL = Tolerance(1e-9, 1e-9)
@@ -68,8 +70,8 @@ def test_regime_classification_is_total_and_disjoint():
         for a in (-2, -1, -0.5, 0, 0.5, 1, 2):
             inst = ProblemInstance(3, n, a)
             expects_two = a < 0 and n % 2 == 0
-            assert inst.sentence2_applicable == expects_two
-            assert inst.sentence1_applicable != expects_two
+            assert (inst.sentence == 2) == expects_two
+            assert (inst.sentence == 1) != expects_two
 
 
 def test_instance_validation():
@@ -401,7 +403,7 @@ def test_zero_quadratics_are_the_indices_of_the_vanishing_quadratic_factors(entr
     # finds the same indices as one quadratic_factor_eval per index
     from matroot import is_zero, quadratic_factor_eval
 
-    monkeypatch.setattr(theorems, "_QUADRATIC_ENTRIES", entries)
+    monkeypatch.setattr(factors, "_QUADRATIC_ENTRIES", entries)
     for x, inst in _sentence2_pool():
         clauses = evaluate(x, inst)
         q = range(1, inst.n // 2 + 1)
@@ -411,7 +413,7 @@ def test_zero_quadratics_are_the_indices_of_the_vanishing_quadratic_factors(entr
 
 
 def test_a_stack_settles_each_matrix_by_its_own_quadratics(monkeypatch):
-    monkeypatch.setattr(theorems, "_QUADRATIC_ENTRIES", 40)
+    monkeypatch.setattr(factors, "_QUADRATIC_ENTRIES", 40)
     pool = [(x, inst) for x, inst in _sentence2_pool() if inst.a == -1 and inst.k == 4]
     for n in (4, 8, 16):
         xs = [x.array for x, inst in pool if inst.n == n]
@@ -489,7 +491,7 @@ def test_sentence_two_holds_a_bounded_number_of_chunk_entries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 8 * theorems._QUADRATIC_ENTRIES
+    assert peak <= 8 * 8 * factors._QUADRATIC_ENTRIES
 
 
 def test_exact_unit_stacks_are_evaluated_on_int64(monkeypatch):
@@ -859,7 +861,7 @@ def test_decide_grid_matches_closed_form_for_scaled_a():
             for n in range(2, 10):
                 inst = ProblemInstance(k, n, a)
                 v = decide(inst)
-                if inst.sentence2_applicable:
+                if inst.sentence == 2:
                     if k == 2 and n >= 4:
                         assert v.quarantined
                         continue
@@ -1018,7 +1020,7 @@ def test_decide_caches_are_bounded():
 def _unit_tag(inst):
     if inst.a == 0:
         return CaseTag.NILPOTENT_SHIFT
-    if inst.sentence2_applicable:
+    if inst.sentence == 2:
         return CaseTag.THEOREM2_CE
     return theorems.CASE_AT[inst.n % 2, inst.k % 2, 1 if inst.a > 0 else -1]
 
@@ -1287,7 +1289,7 @@ def test_a_wrong_closed_form_moves_only_the_chunk_plan(seed, monkeypatch):
         monkeypatch.setattr(theorems, "_closed_form_holds", lambda inst: truth(inst) != lie)
         for cell in _acceptance_cells():
             inst = ProblemInstance(*cell)
-            draws = not (inst.sentence2_applicable and cell[0] % 2)  # odd k: no root
+            draws = not (inst.sentence == 2 and cell[0] % 2)  # odd k: no root
             for budget in (1, 4, 5, 50, 64, 65, 69, 200):
                 del built[:]
                 v = search_counterexample(inst, budget, seed)
@@ -1535,3 +1537,81 @@ def test_a_numpy_complex_a_is_checked_as_its_complex():
             assert (got.sentence, got.equation, got.simple_root, got.factor_sum_zero) == (
                 want.sentence, want.equation, want.simple_root, want.factor_sum_zero)
             assert got.holds is want.holds is False
+
+
+# --- n beyond int64, and n of other integer types --------------------------------------
+
+
+def test_a_unit_matrix_goes_to_int64_only_while_n_fits():
+    # at r <= 1 the bound n * max(1, r)^n <= 2^63 - 1 is n itself: the factor sum's entries
+    # grow up to n, and an int64 sum wraps past it
+    x = Matrix([[0, 1], [1, 0]])
+    assert _on_int64(x, 2**63 - 1).array.dtype == np.int64
+    assert _on_int64(x, 2**63).array.dtype == object
+    assert _on_int64(zeros(2), 2**64 + 1).array.dtype == object
+
+
+def test_a_cell_with_n_beyond_int64_is_refuted_by_a_verified_case_witness():
+    inst = ProblemInstance(2, 2**65, 1)
+    w = case_counterexample(CaseTag.CASE_I, 2, 2**65)
+    clauses = evaluate(w.matrix, inst)
+    assert clauses.x.array.dtype == object and clauses.equation and not clauses.holds
+    verdict = decide(inst)
+    assert not verdict.holds and verdict.witness.tag is CaseTag.CASE_I
+    assert verify_witness(verdict.witness)
+
+
+@pytest.mark.parametrize("n", [2**62, 2**64 + 1], ids=["2^62", "2^64+1"])
+def test_the_zero_a_search_holds_at_n_beyond_the_array_range(n):
+    # a shift block of order 1 + floor(u * n) is cut at k: the orders are clipped before
+    # the intp cast, which once wrapped, or asked numpy for an array of n entries
+    verdict = search_counterexample(ProblemInstance(3, n, 0), 5, 0)
+    assert verdict.holds and verdict.mode is VerdictMode.SEARCH_EXHAUSTED and verdict.trials == 5
+    for x in generate_candidates(ProblemInstance(3, n, 0), 5, 0):
+        assert is_zero(mat_pow(x, 3))
+
+
+def test_the_zero_a_search_builds_no_factor_table():
+    unit_factors.cache_clear()
+    search_counterexample(ProblemInstance(3, 200000, 0), 5, 0)
+    list(generate_candidates(ProblemInstance(4, 9, 0), 70, 1))
+    assert unit_factors.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32], ids=lambda t: t.__name__)
+def test_a_numpy_integer_n_is_evaluated_as_its_int(kind):
+    for cell in ((4, 3, 1), (2, 4, 1), (3, 5, -1), (4, 4, -1), (4, 4, 0)):
+        w = decide(ProblemInstance(*cell)).witness
+        numpy_n = Witness(w.matrix, None, w.k, kind(w.n), w.a, w.refutes_sentence)
+        assert verify_witness(numpy_n) and verify_witness(w)
+        got, want = evaluate(w.matrix, numpy_n), evaluate(w.matrix, w)
+        assert (got.equation, got.simple_root, got.holds) == (want.equation, want.simple_root,
+                                                               want.holds)
+    x = case_counterexample(CaseTag.CASE_III, 4, 3).matrix
+    got = geometric_factor_sum(x, kind(3), RootConvention.real(kind(3), 1))
+    assert got == geometric_factor_sum(x, 3, RootConvention.real(3, 1))
+
+
+def test_a_float_n_is_refused_by_evaluate_and_the_factor_sum():
+    x = case_counterexample(CaseTag.CASE_III, 4, 3).matrix
+    with pytest.raises(ValueError, match="n must be an integer >= 2, got 3.0"):
+        verify_witness(Witness(x, None, 4, 3.0, 1, 1))
+    with pytest.raises(ValueError, match="n must be an integer >= 2, got 3.0"):
+        geometric_factor_sum(x, 3.0, RootConvention.real(3.0, 1))
+    with pytest.raises(ConventionError):  # below 2, the n check comes first
+        verify_witness(Witness(x, None, 4, 1.0, 1, 1))
+
+
+def test_one_chunk_bound_moves_the_sentence_two_clauses_and_the_odd_product(monkeypatch):
+    calls, quadratics = [], factors._quadratics
+
+    def recorded(square, n, a, first, stop):
+        calls.append((first, stop))
+        return quadratics(square, n, a, first, stop)
+
+    monkeypatch.setattr(factors, "_QUADRATIC_ENTRIES", 32)
+    monkeypatch.setattr(factors, "_quadratics", recorded)
+    x = decide(ProblemInstance(4, 8, -1)).witness.matrix
+    assert evaluate(x, ProblemInstance(4, 8, -1))._firsts == range(1, 5, 2)
+    factors.odd_factorization_product(case_counterexample(CaseTag.CASE_III, 4, 9).matrix, 9)
+    assert calls == [(1, 3), (3, 5)]
