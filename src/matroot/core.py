@@ -19,10 +19,11 @@ Matrix may also hold a (m, k, k) stack of matrices of one backend: the arithmeti
 broadcasts over the leading axis, and ``mat_eq`` / ``is_zero`` then give one bool per
 stacked matrix.  Kernels such as ``mat_pow`` compute on the bare arrays and wrap each
 result once, or hand it to the comparison, which checks it is finite.  An internal
-rational stack, or an all-int matrix that ``theorems.evaluate`` checks, may be held on
-int64, which no public Matrix holds: ``_on_int64`` chooses it once, under a row-sum bound
-that lets the kernels multiply and add unguarded.  A kernel's c * I target is shared and
-read-only for c the int or float +-1.
+rational stack, or an all-int matrix that ``theorems.evaluate`` checks, may be carried on
+float64, which no public rational Matrix holds: ``_carried`` chooses it once, under a
+row-sum bound that keeps every partial sum an integer of magnitude at most 2^53, so the
+kernels multiply (on BLAS) and add exactly, unguarded.  A kernel's c * I target is shared
+and read-only for c the int or float +-1.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ BACKENDS = (RATIONAL, REAL, COMPLEX)
 
 _BACKEND_RANK = {RATIONAL: 0, REAL: 1, COMPLEX: 2}
 _BACKEND_DTYPE = {RATIONAL: object, REAL: np.float64, COMPLEX: np.complex128}
-_INT64, _INT64_MAX = np.dtype(np.int64), 2**63 - 1
+_CARRIER, _EXACT = np.dtype(np.float64), 2**53  # float64 holds every int of at most 2^53
 
 RationalScalar = Union[int, Fraction]
 Scalar = Union[int, Fraction, float, complex]
@@ -199,10 +200,11 @@ class Matrix:
 
 def _scalar_array(c: Scalar, k: int, dtype) -> np.ndarray:
     """A fresh k x k array of c * I for c already in its backend, exact 0 elsewhere, of
-    the given dtype; of the object dtype where int64 would truncate a c that is not an int."""
+    the given dtype; of the object dtype where float64 would round c: c not a float, nor
+    an int of at most 2^53 (a Fraction c on the rational carrier, see ``_carried``)."""
     if k < 1:
         raise DimensionMismatch("order must be >= 1")
-    if type(c) is not int and dtype == _INT64:
+    if dtype == _CARRIER and not (isinstance(c, float) or isinstance(c, int) and abs(c) <= _EXACT):
         dtype = object
     arr = np.zeros((k, k), dtype)  # int 0 on the object dtype
     arr.flat[:: k + 1] = c
@@ -261,33 +263,44 @@ def _check_pair(a: Matrix, b: Matrix) -> None:
 
 
 def _add_diagonal(acc: np.ndarray, c) -> np.ndarray:
-    """acc + c * I for c already in acc's backend, exact (see ``_scalar_array``)."""
-    return acc + _scalar_target(c, acc.shape[-1], acc.dtype)
+    """acc + c * I for c already in acc's backend, exact (see ``_scalar_array``): a carried
+    acc meets an object target as Python ints, so a Fraction c makes Fractions, not floats."""
+    target = _scalar_target(c, acc.shape[-1], acc.dtype)
+    return (acc if target.dtype == acc.dtype else acc.astype(np.int64).astype(object)) + target
 
 
-def _on_int64(m: Matrix, n: int) -> Matrix:
-    """m on int64 if its entries are ints and n * max(1, r)^n <= 2^63 - 1 for r =
-    ||m||_inf, its largest absolute row sum (n <= 2^63 - 1 where r <= 1); else m on Python
-    ints.  The norm is submultiplicative, so the bound caps every entry, partial sum and
-    c * I add of the powers up to m^n and of the unit-coefficient factor sums, ||G(j)||_inf
-    <= j R^(j-1) for R = max(1, r), whose steps G(b) (m^b + c^b I) and m^b G(j) + c^j G(b)
-    stay under n R^n: the entries of G(n) reach n itself at r = 1."""
+def _carried(m: Matrix, n: int) -> Matrix:
+    """m carried on float64 if its entries are ints and n * max(1, r)^n <= 2^53 for r =
+    ||m||_inf, its largest absolute row sum (n <= 2^53 where r <= 1); else m on Python ints.
+    The norm is submultiplicative, so the bound caps every entry of the powers up to m^n
+    and of the unit-coefficient factor sums, ||G(j)||_inf <= j R^(j-1) for R = max(1, r),
+    whose steps G(b) (m^b + c^b I) and m^b G(j) + c^j G(b) stay under n R^n: the entries
+    of G(n) reach n itself at r = 1.  It caps each partial sum of a product too, in any
+    order (|sum over S of y_ij z_jl| <= ||y||_inf max|z|): every float64 sum and product,
+    BLAS's included, takes integers of magnitude at most 2^53 to another, which is exact."""
     arr = m.array
-    if arr.dtype != _INT64 and (arr.dtype != object or set(map(type, arr.flat)) != {int}):
+    if m.backend != RATIONAL or arr.dtype == object and set(map(type, arr.flat)) != {int}:
         return m
     try:
-        ints = arr.astype(_INT64, copy=False)
-    except OverflowError:  # an entry, so a row sum, of 2^63 or more: no n >= 2 fits
+        floats = arr.astype(_CARRIER, copy=False)
+    except OverflowError:  # an entry, so a row sum, beyond the float range: no n >= 2 fits
         return m
-    # float64 row sums: |-2^63| does not wrap, and a sum of 2^53 or more (no n >= 2 fits) stays so
-    r = np.abs(ints.astype(np.float64)).sum(axis=-1).max()
-    fits = (r <= 1 or n < 63) and n * max(1, int(r)) ** n <= _INT64_MAX  # r >= 2 fails at n >= 63
-    dtype = _INT64 if fits else np.dtype(object)
-    return m if arr.dtype == dtype else Matrix._wrap(ints if fits else arr.astype(dtype), RATIONAL)
+    # an entry or row sum above 2^53 may round, but not below 2^53, where no n >= 2 fits
+    r = np.abs(floats).sum(axis=-1).max()
+    if (r <= 1 or n < 53) and n * max(1, int(r)) ** n <= _EXACT:  # r >= 2 fails at n >= 53
+        return m if arr.dtype == _CARRIER else Matrix._wrap(floats, RATIONAL)
+    return _uncarried(m)
+
+
+def _uncarried(m: Matrix) -> Matrix:
+    """m with a carried stack's entries as Python ints, -0.0 as 0, as a public Matrix holds them
+    (an int64 stack too, which only a caller of ``Matrix._wrap`` can make)."""
+    carried = m.backend == RATIONAL and m.array.dtype != object
+    return Matrix._wrap(m.array.astype(np.int64).astype(object), RATIONAL) if carried else m
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; exact on the rational backend (int64 only as ``_on_int64`` bounds it)."""
+    """Matrix product; exact on the rational backend (on float64 only as ``_carried`` bounds it)."""
     _check_pair(a, b)
     return Matrix._wrap(a.array @ b.array, a.backend)
 
@@ -329,8 +342,9 @@ def scalar_mul(c: Scalar, m: Matrix) -> Matrix:
     """c * M, promoting the backend when the scalar demands it."""
     backend = BACKENDS[max(_BACKEND_RANK[m.backend], _BACKEND_RANK[scalar_kind(c)])]
     if backend == RATIONAL:  # (p * M) / q, so int entries stay in int arithmetic
-        c = Fraction(_coerce_rational(c))
-        arr, d = m.array * c.numerator, c.denominator  # one // where q divides every entry
+        c = Fraction(_coerce_rational(c))  # no product at p = 1 (scale_to_unit of an exact root)
+        arr, d = m.array * c.numerator if c.numerator != 1 else m.array, c.denominator
+        # one // where q divides every entry; // 1 still turns an integral Fraction into an int
         return Matrix._wrap(_over(arr, d) if (arr % d).any() else arr // d, backend)
     return Matrix._wrap(_COERCE[backend](c) * as_backend(m, backend).array, backend)
 

@@ -37,6 +37,7 @@ from .core import (
     _add_diagonal,
     _checked_int,
     _is_scalar,
+    _uncarried,
     as_backend,
     mat_pow,
     mat_sub,
@@ -80,8 +81,8 @@ def unit_factors(n: int, sign: int) -> Tuple[Tuple[int, ...], np.ndarray]:
 
 def _int_nth_root(m: int, n: int) -> Optional[int]:
     """Exact integer n-th root of m >= 0, or None."""
-    if m < 2:
-        return m if m >= 0 else None
+    if m < 2 or m.bit_length() <= n:  # at 2 <= m < 2^n, 1 < m^(1/n) < 2: no integer root
+        return m if 0 <= m < 2 else None
     x = math.isqrt(m) if n == 2 else _floor_root(m, n)
     return x if x**n == m else None
 
@@ -198,8 +199,8 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
         x, c = as_backend(x, COMPLEX), complex(conv.root)
     elif x.backend != RATIONAL or conv.exact_root is None:
         x, c = as_backend(x, REAL), float(conv.root)
-    else:
-        c = conv.exact_root
+    else:  # on Python ints: a carrier's bound (``core._carried``) holds for c = +-1 only
+        x, c = _uncarried(x), conv.exact_root
     if c == 0:
         # all lower coefficients vanish; the sum collapses to X^(n-1)
         return mat_pow(x, n - 1)

@@ -52,11 +52,12 @@ from .core import (
     DimensionMismatch,
     Matrix,
     Tolerance,
+    _carried,
     _checked_int,
     _entries_close,
     _is_scalar,
-    _on_int64,
     _pow_ladder,
+    _uncarried,
     as_backend,
 )
 from .factors import (
@@ -307,7 +308,7 @@ def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
     if a != 0 and abs(a) != 1:
         x = scale_to_unit(x, n, a)
     a = 1 if a > 0 else -1 if a < 0 else 0  # not (a > 0) - (a < 0): numpy bools do not subtract
-    return Clauses(_on_int64(x, n), n, a, _sentence(n, a), tol)
+    return Clauses(_carried(x, n), n, a, _sentence(n, a), tol)
 
 
 def sentence1_holds_for(x: Matrix, inst: ProblemInstance,
@@ -438,9 +439,10 @@ class _Candidates:
 
     The backend is fixed per cell: rational when a = 0, or when the table has
     no quadratic factor and |a|^(1/n) is rational, so every candidate stays
-    exact; real otherwise.  An exact sum is not sheared (see ``width``).  The
-    unit-scale stack is int64 (see ``core``) or float, and is scaled, on
-    Python ints if exact, only where |a| is not 0 or 1.
+    exact; real otherwise.  An exact sum is not sheared (see ``width``).  Every
+    unit-scale stack is built on float64: an exact one holds only 0 and +-1, the
+    float64 carrier of ``core._carried``, and is scaled, on Python ints, only
+    where |a| is not 0 or 1.
     """
 
     def __init__(self, inst: ProblemInstance, seed: int, first: int = _FIRST_CHUNK) -> None:
@@ -450,7 +452,6 @@ class _Candidates:
         self.roots, self.quads = ((), ()) if self.zero else unit_factors(n, 1 if a > 0 else -1)
         exact = self.zero or (not len(self.quads) and _exact_root(abs(a), n) is not None)
         self.backend = RATIONAL if exact else REAL
-        self.dtype = np.int64 if exact else float
         # An exact row keeps the width of its shears, which go unread, so
         # candidate i keeps its block draws.  Every clause is p(X) = 0 for some
         # p (X - rI, X^n - aI, a factor of x^n - a), and for an integer
@@ -474,7 +475,7 @@ class _Candidates:
             arr[rows[end < k], end[end < k] - 1, end[end < k]] = 0
             return
         one, two = size == 1, size == 2
-        pool = np.array(roots or (1, -1), dtype=arr.dtype)
+        pool = np.array(roots or (1, -1))
         arr[rows[one], at[one], at[one]] = pool[(pick[one] * len(pool)).astype(np.intp)]
         at, quads = at[two][:, None, None], quads[(pick[two] * len(quads)).astype(np.intp)]
         arr[rows[two][:, None, None], at + [[0], [1]], at + [[0, 1]]] = quads
@@ -487,25 +488,15 @@ class _Candidates:
         while count > 0:
             size = min(size, count)
             u = self.rng.random((size, self.width))
-            arr = np.zeros((size, k, k), self.dtype)
+            arr = np.zeros((size, k, k))
             self._fill(arr, u)
             if backend == REAL:
                 arr = _sheared(arr, *_shears_from_uniforms(u[:, 2 * k :], k))
             stack = Matrix._wrap(arr, backend)
             if abs(self.a) not in (0, 1):  # unit-scale stacks are evaluated as built
-                stack = scale_from_unit(_public(stack), self.n, self.a)
+                stack = scale_from_unit(_uncarried(stack), self.n, self.a)
             yield stack
             count, size = count - size, _MAX_CHUNK
-
-
-def _row(stack: Matrix, r: int) -> Matrix:
-    return Matrix._wrap(stack.array[r], stack.backend)
-
-
-def _public(stack: Matrix) -> Matrix:
-    """The stack with int64 entries as Python ints, as a public Matrix holds them."""
-    arr = stack.array
-    return Matrix._wrap(arr.astype(object), stack.backend) if arr.dtype == np.int64 else stack
 
 
 def generate_candidates(inst: ProblemInstance, count: int, seed: int) -> Iterator[Matrix]:
@@ -524,8 +515,8 @@ def generate_candidates(inst: ProblemInstance, count: int, seed: int) -> Iterato
     int >= 0, checked at the call, before anything is drawn.
     """
     count, seed = _checked_int("count", count, 1), _checked_int("seed", seed, 0)
-    stacks = map(_public, _Candidates(inst, seed).chunks(count))
-    return (_row(stack, r) for stack in stacks for r in range(len(stack.array)))
+    stacks = map(_uncarried, _Candidates(inst, seed).chunks(count))
+    return (Matrix._wrap(row, stack.backend) for stack in stacks for row in stack.array)
 
 
 def search_counterexample(
@@ -554,7 +545,7 @@ def search_counterexample(
         clauses = evaluate(stack, inst, tol)
         bad = np.flatnonzero(~clauses.holds)
         if bad.size:
-            matrix = _public(_row(stack, bad[0]))
+            matrix = _uncarried(Matrix._wrap(stack.array[bad[0]], stack.backend))
             w = Witness(matrix, None, inst.k, inst.n, inst.a, refutes_sentence=clauses.sentence)
             return Verdict(False, VerdictMode.WITNESS_FOUND, w, trials=first + int(bad[0]) + 1)
         first += len(stack.array)

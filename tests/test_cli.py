@@ -370,6 +370,17 @@ def test_decide_at_n_beyond_int64_refutes(capsys):
     assert parse_line(out)["witness"]["tag"] == "case-i"
 
 
+def test_decide_at_a_huge_n_and_an_a_with_no_integer_root_refutes_promptly():
+    # 2 < 2^n: the integer root of 2 lies between 1 and 2 and takes no Newton step, which
+    # once formed an n-bit power and ran for minutes; a timeout turns a hang into a failure
+    proc = subprocess.run(
+        [sys.executable, "-m", "matroot", "decide", "--k", "2", "--n", str(2**65), "--a", "2"],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert parse_line(proc.stdout)["witness"]["tag"] == "case-i"
+
+
 @pytest.mark.parametrize("n", [2**62, 2**64 + 1], ids=["2^62", "2^64+1"])
 def test_search_at_zero_a_and_n_beyond_the_array_range_holds(capsys, n):
     code, out, err = run_cli(capsys, "search", "--k", "3", "--n", str(n), "--a", "0",

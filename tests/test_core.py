@@ -198,38 +198,48 @@ def test_power_additivity_on_floats_within_tolerance():
             assert mat_eq(lhs, rhs, tol)
 
 
-# --- the int64 kernel -------------------------------------------------------------
-# Inside the library a rational stack of integer matrices may be held on int64, once
-# ``theorems.evaluate`` has bounded all its arithmetic (``core._on_int64``); products
-# are then plain int64 products, and c * I is added or compared in the array's dtype.
+# --- the float64 carrier -----------------------------------------------------------
+# Inside the library a rational stack of integer matrices may be carried on float64, once
+# ``theorems.evaluate`` has bounded all its arithmetic (``core._carried``): every partial
+# sum is then an integer of magnitude at most 2^53, which float64 holds exactly, so
+# products are plain BLAS products, and c * I is added or compared in the array's dtype.
 
-EDGE = math.isqrt((2**63 - 1) // 4)  # the largest max|entry| whose 4 x 4 square fits
+EDGE = math.isqrt(2**53 // 4)  # the largest max|entry| whose 4 x 4 square stays within 2^53
 
 
-def _int64_stack(top):
+def _carried_stack(top):
     signs = np.array([[1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1], [1, 1, 1, -1]])
     arr = np.stack([np.full((4, 4), top), top * signs, np.eye(4, dtype=int)])
-    return Matrix._wrap(arr.astype(np.int64), "rational")
+    return Matrix._wrap(arr.astype(np.float64), "rational")
 
 
 def _object_power(x, n):
-    arr = x.array.astype(object)
+    arr = core._uncarried(x).array  # Python ints
     out = arr
     for _ in range(n - 1):
         out = out @ arr
     return out
 
 
-def test_int64_products_just_below_the_bound_stay_int64():
-    x = _int64_stack(EDGE)
-    assert 4 * EDGE**2 <= 2**63 - 1 < 4 * (EDGE + 1) ** 2
+def test_carried_products_at_the_bound_stay_exact_on_float64():
+    x = _carried_stack(EDGE)
+    assert 4 * EDGE**2 <= 2**53 < 4 * (EDGE + 1) ** 2
     for got in (mat_mul(x, x), mat_pow(x, 2)):
-        assert got.array.dtype == np.int64
-        assert (got.array.astype(object) == _object_power(x, 2)).all()
+        assert got.array.dtype == np.float64 and got.backend == "rational"
+        assert (core._uncarried(got).array == _object_power(x, 2)).all()
         assert got.array[0].max() == 4 * EDGE**2  # the bound is reached exactly
 
 
-def test_is_scalar_compares_an_int64_matrix_against_an_int64_target(monkeypatch):
+def test_uncarried_gives_python_ints_and_no_negative_zero():
+    x = Matrix._wrap(np.array([[-0.0, -1.0], [2.0**53, 0.0]]), "rational")
+    out = core._uncarried(x).array
+    assert out.dtype == object and [type(e) for e in out.flat] == [int] * 4
+    assert out.tolist() == [[0, -1], [2**53, 0]] and str(out[0, 0]) == "0"
+    real = Matrix._wrap(np.array([[-0.0, 1.5], [2.0, 0.0]]), "real")
+    assert core._uncarried(real) is real  # a real float64 array is no carrier
+
+
+def test_is_scalar_compares_a_carried_matrix_against_a_float64_target(monkeypatch):
     targets, close = [], core._entries_close
 
     def recorded(x, y, backend, tol):
@@ -237,23 +247,45 @@ def test_is_scalar_compares_an_int64_matrix_against_an_int64_target(monkeypatch)
         return close(x, y, backend, tol)
 
     monkeypatch.setattr(core, "_entries_close", recorded)
-    x = _int64_stack(EDGE)
+    x = _carried_stack(EDGE)
     for c, want in ((1, [False, False, True]), (Fraction(3), [False, False, False])):
         assert list(core._is_scalar(x.array, "rational", c, TIGHT)) == want
-    assert targets == [np.dtype(np.int64)] * 2
+    assert targets == [np.dtype(np.float64)] * 2
 
 
-def test_a_fraction_c_on_int64_is_exact_on_the_object_dtype():
-    # stored into int64, 1/2 would truncate to 0: the zero stack would "equal" c * I
-    x, half = Matrix._wrap(np.zeros((2, 3, 3), np.int64), "rational"), Fraction(1, 2)
-    added = core._add_diagonal(x.array, half)
-    assert added.dtype == object and (added == np.eye(3, dtype=int) * half).all()
-    assert list(core._is_scalar(x.array, "rational", half, TIGHT)) == [False, False]
-    assert list(core._is_scalar(added, "rational", half, TIGHT)) == [True, True]
+def test_a_fraction_c_on_the_carrier_is_exact_on_the_object_dtype():
+    # on float64, 1/3 would round and 2^53 + 1 would round to 2^53: both go to the object
+    # dtype, and so does 1/2, which float64 holds, as every c that is no int or float does
+    x = Matrix._wrap(np.zeros((2, 3, 3)), "rational")
+    for c in (Fraction(1, 2), Fraction(1, 3), 2**53 + 1, -(2**53) - 1):
+        added = core._add_diagonal(x.array, c)
+        assert added.dtype == object and (added == np.eye(3, dtype=int) * c).all()
+        assert all(type(e) is type(c) for e in added.diagonal(axis1=-2, axis2=-1).flat)
+        assert list(core._is_scalar(x.array, "rational", c, TIGHT)) == [False, False]
+        assert list(core._is_scalar(added, "rational", c, TIGHT)) == [True, True]
+    near = core._add_diagonal(x.array, 2**53 - 1)  # an int float64 holds stays on it
+    assert near.dtype == np.float64 and near[0, 0, 0] == 2**53 - 1
 
 
-@pytest.mark.parametrize("c, dtype", [(1, np.int64), (-1, np.int64), (1, object), (-1, object),
-                                      (1.0, np.float64), (-1.0, np.float64)], ids=str)
+def test_a_float_c_on_a_real_array_gets_a_float64_target(monkeypatch):
+    targets, close = [], core._entries_close
+
+    def recorded(x, y, backend, tol):
+        targets.append((y.dtype, y.flags.writeable))
+        return close(x, y, backend, tol)
+
+    monkeypatch.setattr(core, "_entries_close", recorded)
+    x = np.stack([np.eye(3), 0.5 * np.eye(3)])
+    assert list(core._is_scalar(x, "real", 1.0, TIGHT)) == [True, False]
+    assert list(core._is_scalar(x, "real", 0.5, TIGHT)) == [False, True]
+    assert targets == [(np.dtype(np.float64), False), (np.dtype(np.float64), True)]
+    added = core._add_diagonal(x, 0.25)
+    assert added.dtype == np.float64 and added[1, 0, 0] == 0.75
+
+
+@pytest.mark.parametrize("c, dtype", [(1, np.float64), (-1, np.float64), (1, object),
+                                      (-1, object), (1.0, np.float64), (-1.0, np.float64)],
+                         ids=str)
 def test_unit_targets_are_shared_and_read_only(c, dtype):
     target = core._scalar_target(c, 3, np.dtype(dtype))
     assert target is core._scalar_target(c, 3, np.dtype(dtype))
@@ -268,20 +300,24 @@ def test_unit_targets_are_shared_and_read_only(c, dtype):
 
 
 def test_one_one_point_oh_and_true_never_share_a_target():
-    # 1 == 1.0 == True, and they hash alike: the cache is keyed by type as well
-    int64, obj, f64 = (np.dtype(d) for d in (np.int64, object, np.float64))
-    assert core._scalar_target(1.0, 4, f64).dtype == f64
-    assert core._scalar_target(1, 4, int64).dtype == int64
+    # 1 == 1.0 == True, and they hash alike: the cache is keyed by type as well, so the
+    # carrier's int 1 and the real backend's 1.0 keep two float64 targets
+    obj, f64 = np.dtype(object), np.dtype(np.float64)
+    real = core._scalar_target(1.0, 4, f64)
+    carried = core._scalar_target(1, 4, f64)
+    assert real.dtype == carried.dtype == f64 and real is not carried
+    assert carried is core._scalar_target(1, 4, f64) and real is core._scalar_target(1.0, 4, f64)
     assert core._scalar_target(1, 4, obj).dtype == obj
-    assert core._scalar_target(1.0, 4, f64).dtype == f64  # asked again after the int keys
+    assert core._scalar_target(1.0, 4, f64) is real  # asked again after the int keys
     for c in (1, 1.0):
         assert {type(e) for e in core._scalar_target(c, 4, obj).flat} == {int, type(c)}
+    assert core._shared_unit(1, 4, f64) is not core._shared_unit(1.0, 4, f64)
     fresh = core._scalar_target(True, 4, obj)
     assert fresh.flags.writeable and type(fresh[0, 0]) is bool
 
 
 @pytest.mark.parametrize("c, dtype", [(Fraction(1), object), (Fraction(-1), object),
-                                      (1 + 0j, np.complex128), (2, np.int64), (-2.0, np.float64),
+                                      (1 + 0j, np.complex128), (2, np.float64), (-2.0, np.float64),
                                       (0, object), (np.float64(1.0), np.float64)], ids=str)
 def test_other_targets_are_built_fresh(c, dtype):
     first, second = (core._scalar_target(c, 3, np.dtype(dtype)) for _ in range(2))
@@ -305,7 +341,7 @@ _MIXED = [[Fraction(3, 2), 2, 0], [Fraction(-1, 3), 4, Fraction(10, 7)], [6, Fra
 @pytest.mark.parametrize("rows", [_INTS, _ODDS, _FRACTIONS, _MIXED],
                          ids=["ints", "odd-ints", "fractions", "mixed"])
 @pytest.mark.parametrize("c", [2, -3, Fraction(1, 2), Fraction(3, 2), Fraction(-1, 10),
-                               Fraction(5, 1)], ids=str)
+                               Fraction(5, 1), 1, Fraction(1, 3)], ids=str)
 def test_exact_scalar_mul_matches_the_per_entry_quotient(rows, c):
     # the per-entry reference divides each entry of p * M by q on its own; a Fraction
     # entry times a factor with q = 1 must not be floored (3/2 * 5 is 15/2, not 7)

@@ -66,6 +66,18 @@ def naive_factor_sum(x, n, c):
 # --- root conventions ----------------------------------------------------------
 
 
+def test_an_integer_below_two_to_the_n_has_no_integer_root_above_one():
+    # 2 <= m < 2^n puts m^(1/n) strictly between 1 and 2: no Newton step at any n
+    assert exact_nth_root(2**64, 2**40) is None
+    assert exact_nth_root(2**64 - 1, 64) is None and exact_nth_root(2**64, 64) == 2
+    assert exact_nth_root(2**64, 65) is None and exact_nth_root(Fraction(2, 3), 2**70) is None
+    assert exact_nth_root(1, 2**70) == 1
+    assert exact_nth_root(Fraction(1, 2**70), 70) == Fraction(1, 2)
+    for n in range(2, 12):
+        for m in range(2, 2**n):
+            assert exact_nth_root(m, n) is None
+
+
 def test_exact_nth_root_finds_perfect_powers():
     assert exact_nth_root(4, 2) == 2
     assert exact_nth_root(Fraction(27, 8), 3) == Fraction(3, 2)

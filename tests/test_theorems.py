@@ -56,7 +56,7 @@ from matroot import (
 )
 from matroot.cli import main as cli_main
 from matroot.constructions import _FLOAT_SHEARS, _RATIONAL_SHEARS_PER_ORDER, _exact_root
-from matroot.core import _on_int64, _pow_ladder, as_backend
+from matroot.core import _carried, _pow_ladder, as_backend
 from matroot.factors import _quadratics, exact_nth_root, unit_factors
 
 TOL = Tolerance(1e-9, 1e-9)
@@ -339,7 +339,8 @@ def test_sentence_two_squares_an_exact_matrix_in_floats():
     r = Matrix([[0, -1], [1, 0]])  # a quarter turn: X^6 = -I
     x, inst = block_diag([r, r]), ProblemInstance(4, 6, -1)
     exact, real = evaluate(x, inst), evaluate(as_backend(x, "real"), inst)
-    assert exact.x.array.dtype == np.int64 and exact.holds and real.holds
+    assert exact.x.array.dtype == np.float64 and exact.x.backend == "rational"
+    assert exact.holds and real.holds
     assert list(exact.zero_quadratics()) == list(real.zero_quadratics()) == [2]
 
 
@@ -369,7 +370,7 @@ def test_a_stack_computes_its_power_once(monkeypatch):
         return _pow_ladder(x, n)
 
     monkeypatch.setattr(theorems, "_pow_ladder", counted)
-    arr = np.zeros((2, 3, 3), np.int64)
+    arr = np.zeros((2, 3, 3))  # a carried stack, as the search builds one
     arr[1, [0, 1], [1, 2]] = 1
     clauses = evaluate(Matrix._wrap(arr, "rational"), ProblemInstance(3, 4, 0))
     assert list(clauses.holds) == [True, True]
@@ -494,7 +495,7 @@ def test_sentence_two_holds_a_bounded_number_of_chunk_entries():
     assert peak <= 8 * 8 * factors._QUADRATIC_ENTRIES
 
 
-def test_exact_unit_stacks_are_evaluated_on_int64(monkeypatch):
+def test_exact_unit_stacks_are_evaluated_on_the_float64_carrier(monkeypatch):
     dtypes, evaluate_stack = [], theorems.evaluate
 
     def recorded(x, inst, tol=TOL):
@@ -503,7 +504,7 @@ def test_exact_unit_stacks_are_evaluated_on_int64(monkeypatch):
 
     monkeypatch.setattr(theorems, "evaluate", recorded)
     verdict = search_counterexample(ProblemInstance(4, 2, 1), 50, 0)
-    assert not verdict.holds and dtypes and set(dtypes) == {np.dtype(np.int64)}
+    assert not verdict.holds and dtypes and set(dtypes) == {np.dtype(np.float64)}
     assert {type(e) for e in verdict.witness.matrix.entries()} == {int}
     assert verify_witness(verdict.witness)
 
@@ -783,8 +784,8 @@ def test_search_accepts_numpy_integer_budgets_and_counts():
 
 
 @pytest.mark.parametrize("cell", [(4, 2, 1), (5, 2, 4), (4, 2, Fraction(1, 4)), (5, 3, 0)], ids=str)
-def test_no_int64_leaves_the_search(cell):
-    # exact stacks are built and sheared on int64; what the search hands out holds
+def test_no_carried_float_leaves_the_search(cell):
+    # exact stacks are built on the float64 carrier; what the search hands out holds
     # Python ints and Fractions, with every integral entry an int
     inst = ProblemInstance(*cell)
     matrices, witnesses = [], 0
@@ -799,6 +800,29 @@ def test_no_int64_leaves_the_search(cell):
         assert m.backend == "rational" and m.array.dtype == object
         assert all(type(e) is int or type(e) is Fraction and e.denominator != 1
                    for e in m.entries())
+
+
+def _exact_stream_cells():
+    """Every acceptance-grid cell whose candidates are built exactly: a = 0, or n = 2 and
+    a = 1 (x^2 + 1 has no real root, so a = -1 draws rotation blocks, on floats)."""
+    return [c for c in _acceptance_cells() if c[2] == 0 or c[1:] == (2, 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_exact_stack_outputs_hold_python_ints(seed):
+    # the exact stacks are carried on float64; no float, and no -0.0, reaches a caller
+    matrices = []
+    for cell in _exact_stream_cells():
+        inst = ProblemInstance(*cell)
+        matrices += generate_candidates(inst, 70, seed)
+        verdict = search_counterexample(inst, 70, seed)
+        if verdict.witness is not None:
+            matrices.append(verdict.witness.matrix)
+    assert len(_exact_stream_cells()) == 63
+    assert len(matrices) > 70 * 63  # some searches found a witness
+    for m in matrices:
+        assert m.backend == "rational" and m.array.dtype == object
+        assert all(type(e) is int for e in m.array.flat), m
 
 
 # The trials of seeds 0, 1 and 2 at budget 50 on every cell of both acceptance
@@ -1321,7 +1345,7 @@ def test_odd_k_sentence_2_search_draws_nothing(cell, monkeypatch):
 
 
 @pytest.mark.parametrize("cell", [(16, 12, 1), (16, 12, 0), (4, 6, 1)], ids=str)
-def test_verify_witness_checks_an_exact_witness_on_int64(cell, monkeypatch):
+def test_verify_witness_checks_an_exact_witness_on_the_float64_carrier(cell, monkeypatch):
     seen = []
 
     def recorded(kernel):
@@ -1339,14 +1363,15 @@ def test_verify_witness_checks_an_exact_witness_on_int64(cell, monkeypatch):
     assert verify_witness(w)
     kernels = {"_pow_ladder"} if cell[2] == 0 else {"_pow_ladder", "_geometric_sum"}
     assert {name for name, _ in seen} == kernels
-    assert {dtype for _, dtype in seen} == {np.dtype(np.int64)}
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("cell", [(4, 40, 1), (3, 64, 1), (24, 20, 0)], ids=str)
-def test_exact_decide_witnesses_are_evaluated_on_int64_at_any_order(cell):
-    # every exact witness has row sums of at most 1, so no power of it leaves int64
+def test_exact_decide_witnesses_are_evaluated_on_the_carrier_at_any_order(cell):
+    # every exact witness has row sums of at most 1, so no power of it leaves the carrier
     w = decide(ProblemInstance(*cell)).witness
-    assert evaluate(w.matrix, w).x.array.dtype == np.int64
+    x = evaluate(w.matrix, w).x
+    assert x.array.dtype == np.float64 and x.backend == "rational"
     assert verify_witness(w)
 
 
@@ -1417,68 +1442,71 @@ def _python_power_and_sum(rows, n, a):
     return power, acc
 
 
-_BIG = 2**63 - 1
+_BIG = 2**53  # the carrier's bound: float64 holds every integer of at most 2^53
 
 
 @pytest.mark.parametrize(
     "rows, n, a",
     [
-        ([[_BIG, 0], [0, 1]], 2, 1),  # the first diagonal add passes 2^63 - 1
+        ([[_BIG, 0], [0, 1]], 2, 1),  # the first diagonal add passes 2^53
         ([[-_BIG, 0], [0, 1]], 3, -1),
         ([[_BIG, 1], [0, -1]], 3, 1),
+        ([[2**63 - 1, 0], [0, 1]], 2, 1),
         ([[2**20, 1], [0, 1]], 5, 1),  # the first products fit, later ones do not
         ([[2**31, 0], [1, -1]], 5, -1),
-        ([[2**32, 0], [0, 0]], 2, 0),  # X^2 = 2^64 E11 would wrap to zero on int64
-        ([[2, 0], [0, 0]], 64, 0),  # so would X^64, from a row sum of only 2
+        ([[2**32, 0], [0, 0]], 2, 0),  # X^2 = 2^64 E11, beyond 2^53
+        ([[2, 0], [0, 0]], 64, 0),  # so is X^64, from a row sum of only 2
         ([[0, 1], [-1, 0]], 4, 1),  # a root of I that is not simple
         ([[2**62, 2**62], [-(2**62), -(2**62)]], 2, 0),  # nilpotent, huge products
-        ([[2**63, 0], [0, 1]], 2, 1),  # beyond int64: stays on Python ints
+        # a root of I whose float64 square rounds: (2^27 + 1)^2 = 2^54 + 2^28 + 1
+        ([[2**27 + 1, 2**27], [-(2**27) - 2, -(2**27) - 1]], 2, 1),
+        ([[2**63, 0], [0, 1]], 2, 1),  # beyond int64 too: stays on Python ints
         ([[-(2**63), 0], [0, 1]], 3, 1),
-        # the largest r with n * r^n <= 2^63 - 1 stays on int64, and r + 1 does not
-        ([[4499, 0], [0, 1]], 5, 1),
-        ([[4498, 1], [0, -1]], 5, -1),
-        ([[4500, 0], [0, 1]], 5, 1),
-        ([[1074, 0], [0, 1]], 6, 1),
-        ([[1073, -1], [1, 0]], 6, 1),
-        ([[1075, 0], [0, 1]], 6, 1),
-        ([[386, 1], [0, -1]], 7, -1),
-        ([[-387, 0], [0, 1]], 7, 1),
-        ([[388, 0], [0, 1]], 7, 1),
-        ([[30, 0], [0, 1]], 12, 1),
-        ([[29, 1], [1, 0]], 12, 1),
-        ([[15, 15], [-15, -15]], 12, 0),
-        ([[31, 0], [0, 1]], 12, 1),
+        # the largest r with n * r^n <= 2^53 is carried, and r + 1 is not
+        ([[1124, 0], [0, 1]], 5, 1),
+        ([[1123, 1], [0, -1]], 5, -1),
+        ([[1125, 0], [0, 1]], 5, 1),
+        ([[338, 0], [0, 1]], 6, 1),
+        ([[337, -1], [1, 0]], 6, 1),
+        ([[339, 0], [0, 1]], 6, 1),
+        ([[143, 1], [0, -1]], 7, -1),
+        ([[-144, 0], [0, 1]], 7, 1),
+        ([[145, 0], [0, 1]], 7, 1),
+        ([[17, 0], [0, 1]], 12, 1),
+        ([[16, 1], [1, 0]], 12, 1),
+        ([[8, 9], [-8, -9]], 12, 0),
+        ([[18, 0], [0, 1]], 12, 1),
     ],
     ids=str,
 )
-def test_int64_clauses_match_python_ints_past_the_int64_range(rows, n, a):
-    # padded by a * I to order 8; evaluate moves a matrix of Python ints to int64 when
-    # n * max(1, r)^n <= 2^63 - 1 for r its largest absolute row sum
+def test_carried_clauses_match_python_ints_past_the_bound(rows, n, a):
+    # padded by a * I to order 8; evaluate carries a matrix of Python ints on float64 when
+    # n * max(1, r)^n <= 2^53 for r its largest absolute row sum
     rows = [r + [0] * (8 - len(rows)) for r in rows]
     rows += [[a if j == i else 0 for j in range(8)] for i in range(len(rows), 8)]
     clauses = evaluate(Matrix(rows, backend="rational"), ProblemInstance(8, n, a))
     r = max(sum(map(abs, row)) for row in rows)
-    assert (clauses.x.array.dtype == np.int64) == (n * max(1, r) ** n <= _BIG)
+    assert (clauses.x.array.dtype == np.float64) == (n * max(1, r) ** n <= _BIG)
     power, horner = _python_power_and_sum(rows, n, a)
     scalar = [[a if j == i else 0 for j in range(8)] for i in range(8)]
     want = (power == scalar, rows == scalar, horner == [[0] * 8] * 8)
     assert (clauses.equation, clauses.simple_root, clauses.factor_sum_zero) == want
     assert clauses.holds == (not want[0] or want[1] or want[2])
-    value = geometric_factor_sum(clauses.x, n, RootConvention.real(n, a))  # on clauses.x's int64
-    assert [int(e) for e in value.array.flat] == [e for r in horner for e in r]
+    value = factors._geometric_sum(clauses.x, n, a, [clauses.x.array])  # on clauses.x's dtype
+    assert [int(e) for e in value.flat] == [e for r in horner for e in r]
 
 
 @pytest.mark.parametrize(
-    "rows, a, on_int64",
-    [([[2**31 - 1, 0], [0, 1]], 1, True), ([[2**31, 0], [0, 1]], 1, False),
-     ([[2**30, 1 - 2**30], [-1, 0]], 0, True), ([[2**30, 2**30], [-1, 0]], 0, False),
-     ([[-1, 2**31 - 2], [0, 1]], 1, True), ([[-1, 2**31 - 1], [0, 1]], 1, False)],
+    "rows, a, carried",
+    [([[2**26, 0], [0, 1]], 1, True), ([[2**26 + 1, 0], [0, 1]], 1, False),
+     ([[2**25, -(2**25)], [-1, 0]], 0, True), ([[2**25, 2**25 + 1], [-1, 0]], 0, False),
+     ([[-1, 2**26 - 1], [0, 1]], 1, True), ([[-1, 2**26], [0, 1]], 1, False)],
     ids=str,
 )
-def test_int64_is_chosen_by_the_row_sum_bound_at_n_2(rows, a, on_int64):
-    # 2 * (2^31 - 1)^2 <= 2^63 - 1 < 2 * (2^31)^2, for r one entry or the sum of two
+def test_the_carrier_is_chosen_by_the_row_sum_bound_at_n_2(rows, a, carried):
+    # 2 * (2^26)^2 <= 2^53 < 2 * (2^26 + 1)^2, for r one entry or the sum of two
     clauses = evaluate(Matrix(rows, backend="rational"), ProblemInstance(2, 2, a))
-    assert (clauses.x.array.dtype == np.int64) == on_int64
+    assert (clauses.x.array.dtype == np.float64) == carried
     power, horner = _python_power_and_sum(rows, 2, a)
     want = (power == [[a, 0], [0, a]], rows == [[a, 0], [0, a]], horner == [[0, 0], [0, 0]])
     assert (clauses.equation, clauses.simple_root, clauses.factor_sum_zero) == want
@@ -1542,13 +1570,28 @@ def test_a_numpy_complex_a_is_checked_as_its_complex():
 # --- n beyond int64, and n of other integer types --------------------------------------
 
 
-def test_a_unit_matrix_goes_to_int64_only_while_n_fits():
-    # at r <= 1 the bound n * max(1, r)^n <= 2^63 - 1 is n itself: the factor sum's entries
-    # grow up to n, and an int64 sum wraps past it
+def test_a_unit_matrix_is_carried_only_while_n_fits():
+    # at r <= 1 the bound n * max(1, r)^n <= 2^53 is n itself: the factor sum's entries
+    # grow up to n, and a float64 sum rounds past 2^53
     x = Matrix([[0, 1], [1, 0]])
-    assert _on_int64(x, 2**63 - 1).array.dtype == np.int64
-    assert _on_int64(x, 2**63).array.dtype == object
-    assert _on_int64(zeros(2), 2**64 + 1).array.dtype == object
+    assert _carried(x, 2**53).array.dtype == np.float64
+    assert _carried(x, 2**53 + 1).array.dtype == object
+    assert _carried(zeros(2), 2**64 + 1).array.dtype == object
+    stack = _carried(x, 2**53)  # a carrier that fails a larger n goes back to Python ints
+    assert _carried(stack, 2**53 + 1).array.tolist() == [[0, 1], [1, 0]]
+    assert {type(e) for e in _carried(stack, 2**53 + 1).array.flat} == {int}
+    huge = Matrix([[10**309, 0], [0, 1]])  # beyond the float range: stays on Python ints
+    assert _carried(huge, 2) is huge
+    wide = Matrix._wrap(np.array([[2**62, 0], [0, 1]]), "rational")  # int64: to Python ints
+    assert _carried(wide, 2).array.tolist() == [[2**62, 0], [0, 1]]
+    assert {type(e) for e in _carried(wide, 2).array.flat} == {int}
+
+
+def test_a_huge_n_with_an_a_of_no_rational_root_decides_promptly():
+    # the integer root of 2 at n = 2^65 once ran Newton steps on n-bit powers for minutes
+    verdict = decide(ProblemInstance(2, 2**65, 2))
+    assert not verdict.holds and verdict.witness.tag is CaseTag.CASE_I
+    assert verdict.witness.matrix.backend == "real" and verify_witness(verdict.witness)
 
 
 def test_a_cell_with_n_beyond_int64_is_refuted_by_a_verified_case_witness():
