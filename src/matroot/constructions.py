@@ -1,18 +1,24 @@
 """Witness matrices: concrete non-simple n-th roots of a*I.
 
-Each construction here either refutes one of the two factor sentences for a
-specific (k, n, a) cell or realises a boundary case exactly:
+A clause p(X) = 0 holds exactly when the minimal polynomial of X divides p
+(Horn & Johnson, *Matrix Analysis*, section 3.3), and for a != 0 that minimal
+polynomial is a set S of distinct factors of x^n - a.  So a cell (k, n, a)
+is refuted exactly when some refuting S fits in order k, and a witness is a
+block sum realising the smallest one.  ``_refuting_tag`` is the one table of
+which family that is, per cell:
 
-* a 0/1 nilpotent with nilpotency index exactly n (a = 0 cells),
-* six block-diagonal families of 2x2 exchange or factor-table blocks, one
-  per (n parity, k parity, sign of a) in ``CASE_CELLS`` (sentence 1 cells),
-* the first two factor-table blocks of x^n + 1 as a direct sum (a = -1,
-  even n, sentence 2 cells),
-* a complex diagonal witness for the complex-scalar variant of sentence 1,
+* nilpotent-shift, S = x^n (a = 0): a 0/1 nilpotent of index exactly n,
+* case-i/ii, S = {x - 1, x + 1} (a = 1, even n): exchange blocks, led by a 1
+  for odd k,
+* case-iii-vi, S = {x - r, q_1} (odd n, r = sign(a)): the first factor block
+  of x^n - sign(a), led by r twice for even k, once for odd k,
+* theorem2-ce, S = {q_1, q_2} (a = -1, even n): the first two factor blocks
+  of x^n + 1,
 
-plus similarity conjugation by random unimodular integer shears (for
-randomised invariance testing) and the scaling maps that reduce general
-a != 0 to a = +-1.  ``construct`` maps each real tag to its builder.
+and ``construct`` builds each from it.  A complex diagonal witness covers
+the complex-scalar variant of sentence 1.  Also here: similarity
+conjugation by random unimodular integer shears (for randomised invariance
+testing) and the scaling maps that reduce general a != 0 to a = +-1.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from .core import (
     matrix_from_json,
     matrix_to_json,
 )
-from .factors import _float_root, exact_nth_root, unit_factors
-from .instances import ProblemInstance
+from .factors import _float_root, _unit_blocks, exact_nth_root
+from .instances import ProblemInstance, _sentence
 
 
 class CaseTag(Enum):
@@ -59,16 +65,36 @@ class CaseTag(Enum):
     COMPLEX_CE = "complex-ce"
 
 
-# The cell (n % 2, k % 2, sign of a) at which each case family refutes sentence 1.
-CASE_CELLS = {
-    CaseTag.CASE_I: (0, 0, 1),
-    CaseTag.CASE_II: (0, 1, 1),
-    CaseTag.CASE_III: (1, 0, 1),
-    CaseTag.CASE_IV: (1, 1, 1),
-    CaseTag.CASE_V: (1, 0, -1),
-    CaseTag.CASE_VI: (1, 1, -1),
+# The family refuting sentence 1 at each (n % 2, k % 2, sign of a).
+CASE_AT = {
+    (0, 0, 1): CaseTag.CASE_I,
+    (0, 1, 1): CaseTag.CASE_II,
+    (1, 0, 1): CaseTag.CASE_III,
+    (1, 1, 1): CaseTag.CASE_IV,
+    (1, 0, -1): CaseTag.CASE_V,
+    (1, 1, -1): CaseTag.CASE_VI,
 }
-CASE_AT = {cell: tag for tag, cell in CASE_CELLS.items()}
+# The a of each real tag's witness: 0, or the sign of a (1 where not listed).
+_A_OF = {CaseTag.NILPOTENT_SHIFT: 0, CaseTag.CASE_V: -1, CaseTag.CASE_VI: -1,
+         CaseTag.THEOREM2_CE: -1}
+
+
+def _refuting_tag(k: int, n: int, a) -> Optional[CaseTag]:
+    """The family whose witness refutes the sentence that applies at (k, n, a), a real,
+    or None where no refuting minimal polynomial S fits in order k.
+
+    S is realisable when deg S <= k and S has a linear factor or k - deg S is even
+    (copies of its factors pad the rest).  The smallest refuting S is
+    x^n at a = 0, so n <= k; {x - 1, x + 1} for sentence 1 at even n, so k >= 2;
+    {x - r, q_1} for sentence 1 at odd n >= 3, so k >= 3; and two quadratics
+    {q_1, q_2} for sentence 2, so k even, k >= 4 and n >= 4.
+    """
+    if a == 0:
+        return CaseTag.NILPOTENT_SHIFT if 2 <= n <= k else None
+    if _sentence(n, a) == 2:
+        return CaseTag.THEOREM2_CE if k % 2 == 0 and k >= 4 and n >= 4 else None
+    fits = k >= 2 if n % 2 == 0 else k >= 3 and n >= 3
+    return CASE_AT[n % 2, k % 2, 1 if a > 0 else -1] if fits else None
 
 
 @dataclass(frozen=True)
@@ -162,54 +188,20 @@ def _block_sum(k: int, lead: tuple, blocks: np.ndarray, backend: str) -> Matrix:
 
 
 def case_counterexample(tag: CaseTag, k: int, n: int) -> Witness:
-    """The six block-diagonal families refuting sentence 1 at a = +-1.
-
-    Each is a lead scalar block, then at least one copy of a 2x2 block, at
-    the cell ``CASE_CELLS[tag]``.  Tags I/II (even n, a = 1) are exact:
-    exchange blocks, led by a single 1 for odd k.  Tags III-VI (odd n) take
-    the first block of ``unit_factors(n, sign)``, rotation(2*pi/n) negated
-    for a = -1, led by the table's root twice for even k, once for odd k.
-    """
-    if tag not in CASE_CELLS:
+    """The witness of one of the six sentence-1 families at a = +-1 (see ``construct``)."""
+    if tag not in CASE_AT.values():
         raise ValueError(f"tag must be one of the six case tags, got {tag!r}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    n_odd, k_odd, sign = CASE_CELLS[tag]
-    if n % 2 != n_odd:
-        raise ValueError(f"{tag.value} needs {'odd n >= 3' if n_odd else 'even n'}, got {n}")
-    if n_odd:
-        roots, blocks = unit_factors(n, sign)
-        lead, block, backend = roots * (2 - k_odd), blocks[0], REAL
-    else:
-        lead, block, backend = (1,) * k_odd, np.array([[0, 1], [1, 0]], object), RATIONAL
-    if k < len(lead) + 2 or (k - len(lead)) % 2:
-        parity = "odd" if k_odd else "even"
-        raise ValueError(f"{tag.value} needs {parity} k >= {len(lead) + 2}, got {k}")
-    return Witness(_block_sum(k, lead, block, backend), tag, k, n, a=sign, refutes_sentence=1)
+    return construct(tag, k, n)
 
 
 def theorem2_counterexample(k: int, n: int) -> Witness:
-    """diag(R1, R2, ..., R2) with R1, R2 the first two blocks of
-    ``unit_factors(n, -1)``, the rotations by pi/n and 3*pi/n: an n-th root
-    of -I (n even) on which none of the n/2 quadratic factors vanishes.
-
-    Needs two distinct block angles, hence k >= 4; a single rotation block
-    (k = 2) satisfies its own characteristic quadratic and refutes nothing,
-    and for n = 2 the lone quadratic X^2 + I annihilates every root of -I.
-    """
-    if n % 2 != 0:
-        raise ValueError(f"needs even n, got {n}")
-    if n < 4:
-        raise ValueError("n = 2 has a single quadratic factor satisfied by "
-                         "every root of -I; no counterexample exists")
-    if k % 2 != 0:
-        raise ValueError(f"needs even k (no real root of -I has odd order), got {k}")
-    if k < 4:
-        raise ValueError("k = 2 admits only single-block roots, which satisfy "
-                         "their own quadratic; need k >= 4")
-    _, blocks = unit_factors(n, -1)
-    m = _block_sum(k, (), blocks[[0] + [1] * (k // 2 - 1)], REAL)
-    return Witness(matrix=m, tag=CaseTag.THEOREM2_CE, k=k, n=n, a=-1, refutes_sentence=2)
+    """diag(R1, R2, ..., R2) with R1, R2 the first two blocks of x^n + 1's
+    factor table, the rotations by pi/n and 3*pi/n: an n-th root of -I
+    (n even) on which none of the n/2 quadratic factors vanishes.  It needs
+    k even, k >= 4 and n >= 4: a single rotation block satisfies its own
+    quadratic, and for n = 2 the lone quadratic X^2 + I annihilates every
+    root of -I."""
+    return construct(CaseTag.THEOREM2_CE, k, n)
 
 
 def complex_counterexample(k: int, n: int, a: complex) -> Witness:
@@ -233,12 +225,22 @@ def complex_counterexample(k: int, n: int, a: complex) -> Witness:
 
 def construct(tag: CaseTag, k: int, n: int) -> Witness:
     """The witness of a real tag (all but complex-ce) at order k and exponent n,
-    at a = 0 for nilpotent-shift and at a = +-1 for the others."""
+    at a = 0 for nilpotent-shift and at a = +-1 for the others: a block sum
+    realising the tag's S (see the module docstring), at the one cell kind
+    where ``_refuting_tag`` names the tag.  Only the blocks it places are built."""
+    a = _A_OF.get(tag, 1)
+    if _refuting_tag(k, n, a) is not tag:
+        raise ValueError(f"no {tag.value} witness refutes a sentence at k = {k}, n = {n}")
     if tag is CaseTag.NILPOTENT_SHIFT:
         return Witness(shift_nilpotent(k, n), tag, k, n, a=0, refutes_sentence=1)
     if tag is CaseTag.THEOREM2_CE:
-        return theorem2_counterexample(k, n)
-    return case_counterexample(tag, k, n)
+        blocks = _unit_blocks(n, -1, 2)[[0] + [1] * (k // 2 - 1)]
+        return Witness(_block_sum(k, (), blocks, REAL), tag, k, n, a=-1, refutes_sentence=2)
+    if n % 2:
+        lead, block, backend = (a,) * (2 - k % 2), _unit_blocks(n, a, 1)[0], REAL
+    else:
+        lead, block, backend = (1,) * (k % 2), np.array([[0, 1], [1, 0]], object), RATIONAL
+    return Witness(_block_sum(k, lead, block, backend), tag, k, n, a=a, refutes_sentence=1)
 
 
 # --- similarity conjugation --------------------------------------------------

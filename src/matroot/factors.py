@@ -7,11 +7,12 @@ Over the reals, x^n - a splits as (x - a^(1/n)) times the geometric cofactor
 whenever a >= 0 or n is odd.  When n is even and a < 0 there is no real
 linear factor; instead x^n - a splits into n/2 real quadratics coming from
 conjugate pairs of complex roots.  ``unit_factors`` is the one table of
-these real factors at |a| = 1; the kernels here, the witness builders and
-the candidate search all read it.  This module evaluates all of those
-factor polynomials at a matrix argument, plus the closed-form n-th power of
-a 2x2 upper-triangular matrix and a classifier that recognises triangular
-n-th roots of the identity by their diagonal roots of unity.
+these real factors at |a| = 1; the kernels here and the candidate search
+read it, and a witness builds the one or two blocks it places by
+``_unit_blocks``, the table's own expression.  This module evaluates all of
+those factor polynomials at a matrix argument, plus the closed-form n-th
+power of a 2x2 upper-triangular matrix and a classifier that recognises
+triangular n-th roots of the identity by their diagonal roots of unity.
 """
 
 from __future__ import annotations
@@ -64,19 +65,26 @@ def unit_factors(n: int, sign: int) -> Tuple[Tuple[int, ...], np.ndarray]:
     if sign not in (1, -1) or n < 1:
         raise ValueError(f"need n >= 1 and sign 1 or -1, got n = {n}, sign = {sign!r}")
     if sign == 1 or n % 2:
-        roots = (sign,) if n % 2 else (1, -1)
-        angles = 2.0 * math.pi * np.arange(1, (n + 1) // 2) / n
+        roots, blocks = (sign,) if n % 2 else (1, -1), _unit_blocks(n, sign, (n - 1) // 2)
     else:
-        roots, angles = (), (2 * np.arange(1, n // 2 + 1) - 1) * math.pi / n
+        roots, blocks = (), _unit_blocks(n, sign, n // 2)
+    blocks.flags.writeable = False
+    return roots, blocks
+
+
+def _unit_blocks(n: int, sign: int, count: int) -> np.ndarray:
+    """The first count blocks of ``unit_factors(n, sign)``, bit for bit, as a fresh
+    (count, 2, 2) array: a witness that places one or two blocks builds only those."""
+    j = np.arange(1, count + 1)
+    angles = 2.0 * math.pi * j / n if sign == 1 or n % 2 else (2 * j - 1) * math.pi / n
     # one IEEE product and quotient per angle, in the scalar order; math.cos and
-    # math.sin, not np.cos and np.sin, so the table keeps the libm bits
+    # math.sin, not np.cos and np.sin, so the blocks keep the libm bits
     angles = angles.tolist()
     c, s = (np.fromiter(map(f, angles), float, len(angles)) for f in (math.cos, math.sin))
     blocks = np.stack((c, -s, s, c), axis=1).reshape(-1, 2, 2)
     if sign == -1 and n % 2:
         blocks *= -1.0
-    blocks.flags.writeable = False
-    return roots, blocks
+    return blocks
 
 
 def _int_nth_root(m: int, n: int) -> Optional[int]:

@@ -5,12 +5,20 @@ in closed form:
 
 * sentence 1 (a > 0, a = 0, or a < 0 with n odd):
       X^n = a*I and X != a^(1/n)*I  imply  the geometric factor sum is O.
-  True exactly when (a != 0, k = 2, n odd) or (a = 0 and n >= k + 1).
-
 * sentence 2 (a < 0, n even):
       X^n = a*I  implies  some quadratic factor of X^n - a*I vanishes at X.
-  True exactly when k is odd (vacuously: no real root of a*I exists, by a
-  determinant parity argument) or k is even with n = 2.
+
+Each clause is p(X) = 0 for a divisor p of x^n - a, which holds exactly when
+the minimal polynomial of X divides p (Horn & Johnson, *Matrix Analysis*,
+section 3.3).  So a sentence fails at order k exactly when a refuting minimal
+polynomial S fits there, and ``constructions._refuting_tag`` is the closed
+form: it names the family of the smallest such S (x^n at a = 0; {x - 1, x + 1}
+or {x - r, q_1} for sentence 1; {q_1, q_2} for sentence 2), or None.  Read
+out, it names no family for sentence 1 exactly when (a != 0, k = 2, n odd) or
+(a = 0, n >= k + 1), and for sentence 2 exactly when k is odd (vacuously: no
+real root of a*I exists, by a determinant parity argument), or n = 2, or
+k = 2.  The paper's sentence-2 formula, which ``theorem2_holds`` keeps, leaves
+out k = 2 (see Quarantine below).
 
 ``evaluate`` gives both sentences' clause values at a single matrix, or at
 each matrix of a stack; the sentence predicates, ``verify_witness``, the
@@ -27,12 +35,12 @@ direct sums (the real ones conjugated by random unimodular shears)
 cross-checks the closed forms, a stacked chunk of candidates at a time; it
 reports SearchExhausted rather than claiming proof.
 
-Quarantine: for k = 2, n >= 4, a < 0 even-n the closed form above says
-"false", yet every 2 x 2 real root of a*I is a single scaled rotation block
-and satisfies its own characteristic quadratic, so no counterexample can
-exist.  Verdicts for those cells are flagged ``quarantined`` and carry no
-witness; callers must treat the cell as unresolved rather than trusting
-either answer.
+Quarantine: for k = 2, n >= 4, a < 0 even-n the paper's sentence-2 formula
+(k odd or n = 2) says "false", yet every 2 x 2 real root of a*I is a single
+scaled rotation block and satisfies its own characteristic quadratic, so no
+counterexample can exist: the table names no family there.  Verdicts for
+those cells are flagged ``quarantined`` and carry no witness; callers must
+treat the cell as unresolved rather than trusting either answer.
 """
 
 from __future__ import annotations
@@ -65,13 +73,12 @@ from .factors import (
     unit_factors,
 )
 from .constructions import (
-    CASE_AT,
-    CaseTag,
     Witness,
     _FLOAT_SHEARS,
     _RATIONAL_SHEARS_PER_ORDER,
     _SIGNS,
     _exact_root,
+    _refuting_tag,
     construct,
     scale_from_unit,
     scale_to_unit,
@@ -150,17 +157,17 @@ def _require(inst: ProblemInstance, sentence: int) -> None:
 
 
 def theorem1_holds(inst: ProblemInstance) -> bool:
-    """Closed form for sentence 1: (a != 0, k = 2, n odd) or (a = 0, n >= k+1)."""
+    """Closed form for sentence 1, no refuting family fits in order k:
+    (a != 0, k = 2, n odd) or (a = 0, n >= k+1)."""
     _require(inst, 1)
-    if inst.a == 0:
-        return inst.n >= inst.k + 1
-    return inst.k == 2 and inst.n % 2 == 1
+    return _refuting_tag(inst.k, inst.n, inst.a) is None
 
 
 def theorem2_holds(inst: ProblemInstance) -> bool:
-    """Closed form for sentence 2: k odd, or k even with n = 2."""
+    """The paper's closed form for sentence 2, k odd or n = 2: no refuting
+    family fits in order k, and the cell is not quarantined."""
     _require(inst, 2)
-    return inst.k % 2 == 1 or inst.n == 2
+    return _refuting_tag(inst.k, inst.n, inst.a) is None and not is_quarantined(inst)
 
 
 def minus_identity_root_exists(k: int, n: int) -> bool:
@@ -184,8 +191,8 @@ def _no_real_root(inst: ProblemInstance) -> bool:
 
 
 def is_quarantined(inst: ProblemInstance) -> bool:
-    """The k = 2, n >= 4, negative-even cells where the closed form and the
-    empirical behaviour disagree (see module docstring)."""
+    """The k = 2, n >= 4, negative-even cells where the paper's closed form and
+    the table of refuting families disagree (see module docstring)."""
     return inst.sentence == 2 and inst.k == 2 and inst.n >= 4
 
 
@@ -339,43 +346,38 @@ _unit_witness = lru_cache(maxsize=256)(construct)
 _RETAINED_ENTRIES = 1024
 
 
-def _witness(inst: ProblemInstance) -> Witness:
-    """The refuted cell's witness: a nilpotent shift, or a unit case lifted to |a|."""
+def _witness(inst: ProblemInstance, tag) -> Witness:
+    """The refuted cell's witness of family tag: a nilpotent shift, or a unit case lifted to |a|."""
     k, n, a = inst.k, inst.n, inst.a
-    build = _unit_witness if k * k <= _RETAINED_ENTRIES else construct
+    w = (_unit_witness if k * k <= _RETAINED_ENTRIES else construct)(tag, k, n)
     if a == 0:
-        return build(CaseTag.NILPOTENT_SHIFT, k, n)
-    if inst.sentence == 2:
-        w = build(CaseTag.THEOREM2_CE, k, n)
-    else:
-        w = build(CASE_AT[n % 2, k % 2, 1 if a > 0 else -1], k, n)
+        return w
     matrix = w.matrix if abs(a) == 1 else scale_from_unit(w.matrix, n, a)
-    return Witness(matrix, w.tag, k, n, a, w.refutes_sentence)
-
-
-def _closed_form_holds(inst: ProblemInstance) -> bool:
-    """Whether the closed form rules out a counterexample at (k, n, a): the
-    theorem of its sentence holds, or the cell is quarantined."""
-    if inst.sentence == 2:
-        return theorem2_holds(inst) or is_quarantined(inst)
-    return theorem1_holds(inst)
+    return Witness(matrix, tag, k, n, a, w.refutes_sentence)
 
 
 def decide(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> Verdict:
     """Decide the applicable sentence for (k, n, a) in closed form.
 
-    Failing verdicts carry the deterministic witness, re-verified through
-    ``verify_witness``.  Quarantined cells (see module docstring) return
-    holds=False with quarantined=True and no witness.
+    Failing verdicts carry the witness of the family ``_refuting_tag`` names,
+    re-verified through ``verify_witness``.  Quarantined cells (see module
+    docstring) return holds=False with quarantined=True and no witness.  A float
+    witness that fails re-verification, as rounding makes X^n drift from aI at
+    odd n beyond about 10^8, raises ValueError.
     """
-    if is_quarantined(inst):
-        return Verdict(holds=False, mode=VerdictMode.CLOSED_FORM, quarantined=True)
-    if _closed_form_holds(inst):
+    tag = _refuting_tag(inst.k, inst.n, inst.a)
+    if tag is None:
+        if is_quarantined(inst):
+            return Verdict(holds=False, mode=VerdictMode.CLOSED_FORM, quarantined=True)
         vacuous = _no_real_root(inst)
         return Verdict(holds=True, mode=VerdictMode.VACUOUS if vacuous else VerdictMode.CLOSED_FORM)
-    w = _witness(inst)
+    w = _witness(inst, tag)
     if not verify_witness(w, tol):
-        raise RuntimeError(f"witness failed re-verification for {inst}")
+        if w.matrix.backend == RATIONAL:  # exact: only a bug gets here
+            raise RuntimeError(f"witness failed re-verification for {inst}")
+        raise ValueError(f"the float {tag.value} witness at k = {inst.k}, n = {inst.n}, "
+                         f"a = {inst.a} fails re-verification at absolute tolerance "
+                         f"{tol.absolute}, relative {tol.relative}")
     return Verdict(holds=False, mode=VerdictMode.CLOSED_FORM, witness=w)
 
 
@@ -540,7 +542,7 @@ def search_counterexample(
     if _no_real_root(inst):
         return Verdict(holds=True, mode=VerdictMode.SEARCH_EXHAUSTED, trials=budget)
     first = 0
-    plan = _MAX_CHUNK if _closed_form_holds(inst) else _FIRST_CHUNK
+    plan = _MAX_CHUNK if _refuting_tag(inst.k, inst.n, inst.a) is None else _FIRST_CHUNK
     for stack in _Candidates(inst, seed, plan).chunks(budget):
         clauses = evaluate(stack, inst, tol)
         bad = np.flatnonzero(~clauses.holds)

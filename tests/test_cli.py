@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,14 @@ def test_construct_invalid_parity_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tag, k, n", [("case-i", 3, 4), ("case-iv", 2, 3), ("theorem2-ce", 2, 4),
+                                       ("nilpotent-shift", 3, 4), ("case-v", 4, 1)], ids=str)
+def test_an_invalid_construct_names_the_tag_and_the_cell(capsys, tag, k, n):
+    code, out, err = run_cli(capsys, "construct", "--tag", tag, "--k", str(k), "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == f"error: no {tag} witness refutes a sentence at k = {k}, n = {n}\n"
+
+
 def test_output_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     out_path = tmp_path / "verdict.json"
     code, out, _ = run_cli(
@@ -393,13 +402,33 @@ def test_search_at_zero_a_and_n_beyond_the_array_range_holds(capsys, n):
 @pytest.mark.parametrize("argv", [
     ("decide", "--k", "100000000", "--n", "4", "--a", "1"),
     ("construct", "--tag", "case-i", "--k", "100000000", "--n", "2"),
-    ("decide", "--k", "4", "--n", "1000000000000000001", "--a", "1"),
 ], ids=" ".join)
 def test_an_array_beyond_memory_exits_two(capsys, argv):
-    # numpy refuses the k x k witness, or the table of n/2 angles, before allocating it
+    # numpy refuses the k x k witness before allocating it
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("k, n, tag", [(3, 10**9 + 1, "case-iv"), (4, 10**18 + 1, "case-iii")],
+                         ids=str)
+def test_a_float_witness_rounding_breaks_at_a_huge_odd_n_exits_two_promptly(k, n, tag):
+    # the witness builds the one block it places, not the table of (n - 1)/2 blocks, so it
+    # fits in 1 GiB of address space; at such n X^n loses X^n = I to rounding, and decide
+    # reports the witness it cannot re-verify as a usage error, not a crash
+    proc = subprocess.run(
+        [sys.executable, "-m", "matroot", "decide", "--k", str(k), "--n", str(n), "--a", "1"],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: the float {tag} witness at k = {k}, n = {n}, a = 1 ")
+    assert "tolerance 1e-09" in proc.stderr and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, flags", [("verify", ("--k", "2")), ("factor", ())])

@@ -361,6 +361,17 @@ def test_unit_factor_table_equals_the_scalar_comprehension(sign):
         assert build(n, sign)[1].tobytes() == want.tobytes(), (n, sign)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_first_blocks_alone_are_the_table_prefix_bit_for_bit(sign):
+    # a witness builds only the one or two blocks it places, as the table holds them
+    for n in range(1, 301):
+        table = unit_factors.__wrapped__(n, sign)[1]
+        for count in {1, 2, len(table)} - {c for c in (1, 2) if c > len(table)}:
+            got = factors._unit_blocks(n, sign, count)
+            assert got.shape == (count, 2, 2) and got.dtype == table.dtype, (n, count)
+            assert got.tobytes() == table[:count].tobytes(), (n, sign, count)
+
+
 def test_unit_factor_table_build_peak_stays_near_the_table():
     import tracemalloc
 

@@ -1,5 +1,6 @@
 """Decision procedures, sentence evaluators, and the search harness."""
 
+import itertools
 import json
 import math
 import re
@@ -8,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import matroot.constructions as constructions
 import matroot.factors as factors
 import matroot.theorems as theorems
 from matroot import (
@@ -1042,11 +1044,7 @@ def test_decide_caches_are_bounded():
 
 
 def _unit_tag(inst):
-    if inst.a == 0:
-        return CaseTag.NILPOTENT_SHIFT
-    if inst.sentence == 2:
-        return CaseTag.THEOREM2_CE
-    return theorems.CASE_AT[inst.n % 2, inst.k % 2, 1 if inst.a > 0 else -1]
+    return constructions._refuting_tag(inst.k, inst.n, inst.a)
 
 
 def test_one_sweep_builds_each_unit_witness_and_exact_root_once():
@@ -1307,10 +1305,15 @@ def test_a_violator_among_the_first_4_builds_one_chunk_of_4(cell, seed, budget, 
 def test_a_wrong_closed_form_moves_only_the_chunk_plan(seed, monkeypatch):
     # the plan reads the closed form, but every candidate, verdict, trials value
     # and witness comes from the stream alone
-    truth, built = theorems._closed_form_holds, _record_chunks(monkeypatch)
+    table, built = theorems._refuting_tag, _record_chunks(monkeypatch)
+
+    def truth(inst):
+        return table(inst.k, inst.n, inst.a) is None
+
     runs = {}
-    for lie in (False, True):
-        monkeypatch.setattr(theorems, "_closed_form_holds", lambda inst: truth(inst) != lie)
+    for lie in (False, True):  # a lie names a family where the table names none, and back
+        monkeypatch.setattr(theorems, "_refuting_tag", lambda k, n, a: (
+            table(k, n, a) if not lie else None if table(k, n, a) else CaseTag.CASE_I))
         for cell in _acceptance_cells():
             inst = ProblemInstance(*cell)
             draws = not (inst.sentence == 2 and cell[0] % 2)  # odd k: no root
@@ -1592,6 +1595,72 @@ def test_a_huge_n_with_an_a_of_no_rational_root_decides_promptly():
     verdict = decide(ProblemInstance(2, 2**65, 2))
     assert not verdict.holds and verdict.witness.tag is CaseTag.CASE_I
     assert verdict.witness.matrix.backend == "real" and verify_witness(verdict.witness)
+
+
+@pytest.mark.parametrize("a, tag", [(1, CaseTag.CASE_IV), (-1, CaseTag.CASE_VI)])
+def test_a_huge_odd_n_builds_only_the_block_its_witness_places(a, tag):
+    # the witness once read the whole table of 10^7 factor blocks: seconds and about 1 GB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        verdict = decide(ProblemInstance(3, 20000001, a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.holds and verdict.witness.tag is tag and verify_witness(verdict.witness)
+    assert peak < 2**20, peak
+
+
+def test_a_witness_that_fails_re_verification_raises_by_its_backend(monkeypatch):
+    # rounding can break a float witness at a huge odd n, a usage error; an exact one, a bug
+    with pytest.raises(ValueError, match=re.escape(
+            "the float case-iv witness at k = 3, n = 1000000001, a = 1 fails re-verification "
+            "at absolute tolerance 1e-09, relative 1e-09")):
+        decide(ProblemInstance(3, 10**9 + 1, 1))
+    monkeypatch.setattr(theorems, "verify_witness", lambda w, tol: False)
+    with pytest.raises(RuntimeError):
+        decide(ProblemInstance(4, 2, 1))  # the exact case-i witness
+    with pytest.raises(ValueError):
+        decide(ProblemInstance(4, 3, 1))
+
+
+# --- the table of refuting families against the minimal-polynomial argument ----------
+# p(X) = 0 exactly when the minimal polynomial of X divides p.  For a != 0 it is a set S
+# of distinct factors of x^n - a, enumerated here by shape (which real roots, how many
+# quadratics); for a = 0 it is x^j.  A cell is refuted exactly when some S refutes and
+# fits in order k: deg S <= k, and S has a linear factor or k - deg S is even.
+
+
+def _some_realisable_set_refutes(k, n, a):
+    if a == 0:  # X^n = 0 and X != 0 with X^(n-1) != 0: S = x^n itself
+        return any(j == n for j in range(2, min(n, k) + 1))
+    sentence2 = a < 0 and n % 2 == 0
+    r = 1 if a > 0 else -1  # the real root at unit scale, for sentence 1
+    roots = () if sentence2 else (1, -1) if n % 2 == 0 else (r,)
+    quadratics = n // 2 if sentence2 else (n - 1) // 2
+    for count in range(len(roots) + 1):
+        for linear in itertools.combinations(roots, count):
+            for q in range(quadratics + 1):
+                degree = count + 2 * q
+                if not 0 < degree <= k or (not linear and (k - degree) % 2):
+                    continue
+                # sentence 2: no one quadratic is S; sentence 1: x - r in S, and S != {x - r}
+                if (q >= 2) if sentence2 else (r in linear and count + q >= 2):
+                    return True
+    return False
+
+
+def test_the_refuting_table_is_the_minimal_polynomial_argument():
+    checked = quarantined = 0
+    for k, n in itertools.product(range(2, 17), repeat=2):
+        for a in (1, -1, 0, 2, Fraction(-1, 3)):
+            inst, tag = ProblemInstance(k, n, a), constructions._refuting_tag(k, n, a)
+            assert (tag is None) == (not _some_realisable_set_refutes(k, n, a)), (k, n, a)
+            paper = inst.sentence == 2 and (k % 2 == 1 or n == 2)
+            assert is_quarantined(inst) == (inst.sentence == 2 and tag is None and not paper)
+            checked, quarantined = checked + 1, quarantined + is_quarantined(inst)
+    assert (checked, quarantined) == (15 * 15 * 5, 14)
 
 
 def test_a_cell_with_n_beyond_int64_is_refuted_by_a_verified_case_witness():
