@@ -302,9 +302,10 @@ def conjugate_random(w: Witness, seed: int) -> Witness:
 _exact_root = lru_cache(maxsize=256, typed=True)(exact_nth_root)
 
 
-def _scale(x: Matrix, n: int, a, power: int) -> Matrix:
+def _scale(x: Matrix, n: int, a, power: int, floats=None) -> Matrix:
     """|a|^(power/n) * X for power = +-1.  Stays on the rational backend when X
-    is rational and |a| has a rational n-th root (a = 4, n = 2), else floats."""
+    is rational and |a| has a rational n-th root (a = 4, n = 2), else floats:
+    from floats(), where given, a kept float64 form of a rational X."""
     if isinstance(a, complex) or a == 0:
         raise ValueError(f"scaling reductions need a real nonzero a, got {a!r}")
     if n < 2:
@@ -314,6 +315,8 @@ def _scale(x: Matrix, n: int, a, power: int) -> Matrix:
         exact = _exact_root(mag, n)
         if exact is not None:
             return scalar_mul(exact**power, x)
+        if floats is not None:
+            x = floats()
     factor = _float_root(mag, n, power)
     if not factor:  # scaling by 0 cannot be undone
         raise ValueError(f"|a|^({power}/{n}) is outside the float range")

@@ -9,9 +9,13 @@ procedures) works with one matrix type that carries its scalar backend:
 * ``complex``  -- pairs of IEEE doubles.
 
 Backends never mix inside a matrix.  Exact backends compare exactly; float backends under
-this entrywise contract, decided from each matrix's largest |x - y| outside near ties:
+this entrywise contract, decided from each matrix's largest |x - y|, d, outside near ties:
 
     |x - y| <= absolute + relative * max(|x|, |y|)
+
+d <= absolute holds every entry; d > absolute + relative * ((ymax + d) (1 + 2^-48) + 1e-320),
+for ymax the largest |y|, fails the entry of d, with no second pass (proof at
+``_entries_close``).
 
 Storage is a read-only numpy array (``object`` dtype for the rational backend), so
 matrices are immutable values and safe to share across threads.  Inside the library a
@@ -251,8 +255,8 @@ def scalar_matrix_like(c: Scalar, m: Matrix) -> Matrix:
 
 def _is_scalar(x: np.ndarray, backend: str, c: Scalar, tol: Tolerance):
     """mat_eq against c * I for the bare array x and c an int or a value of x's backend."""
-    target = _scalar_target(_COERCE[backend](c), x.shape[-1], x.dtype)
-    return _entries_close(x, target, backend, tol)
+    c = _COERCE[backend](c)
+    return _entries_close(x, _scalar_target(c, x.shape[-1], x.dtype), backend, tol, abs(c))
 
 
 def _check_pair(a: Matrix, b: Matrix) -> None:
@@ -267,6 +271,14 @@ def _add_diagonal(acc: np.ndarray, c) -> np.ndarray:
     acc meets an object target as Python ints, so a Fraction c makes Fractions, not floats."""
     target = _scalar_target(c, acc.shape[-1], acc.dtype)
     return (acc if target.dtype == acc.dtype else acc.astype(np.int64).astype(object)) + target
+
+
+@lru_cache(maxsize=64)
+def _ones(k: int) -> np.ndarray:
+    """A read-only float64 vector of k ones, kept: np.ones costs more than the product."""
+    ones = np.ones(k)
+    ones.flags.writeable = False
+    return ones
 
 
 def _carried(m: Matrix, n: int) -> Matrix:
@@ -285,8 +297,9 @@ def _carried(m: Matrix, n: int) -> Matrix:
         floats = arr.astype(_CARRIER, copy=False)
     except OverflowError:  # an entry, so a row sum, beyond the float range: no n >= 2 fits
         return m
-    # an entry or row sum above 2^53 may round, but not below 2^53, where no n >= 2 fits
-    r = np.abs(floats).sum(axis=-1).max()
+    # row sums by one BLAS product: exact to 2^53; an entry or row sum above 2^53 may round,
+    # but not below 2^53, where no n >= 2 fits
+    r = (np.abs(floats) @ _ones(arr.shape[-1])).max()
     if (r <= 1 or n < 53) and n * max(1, int(r)) ** n <= _EXACT:  # r >= 2 fails at n >= 53
         return m if arr.dtype == _CARRIER else Matrix._wrap(floats, RATIONAL)
     return _uncarried(m)
@@ -344,8 +357,13 @@ def scalar_mul(c: Scalar, m: Matrix) -> Matrix:
     if backend == RATIONAL:  # (p * M) / q, so int entries stay in int arithmetic
         c = Fraction(_coerce_rational(c))  # no product at p = 1 (scale_to_unit of an exact root)
         arr, d = m.array * c.numerator if c.numerator != 1 else m.array, c.denominator
-        # one // where q divides every entry; // 1 still turns an integral Fraction into an int
-        return Matrix._wrap(_over(arr, d) if (arr % d).any() else arr // d, backend)
+        # // everywhere, which turns an integral Fraction into an int; then the per-entry
+        # quotient only at the entries q does not divide: never at the int 0, which scales to 0
+        out, rest = arr // d, arr % d
+        if rest.any():
+            at = np.flatnonzero(rest)
+            out.flat[at] = _over(arr.flat[at], d)
+        return Matrix._wrap(out, backend)
     return Matrix._wrap(_COERCE[backend](c) * as_backend(m, backend).array, backend)
 
 
@@ -388,29 +406,45 @@ def is_zero(m: Matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
 _ALL, _MAX = np.logical_and.reduce, np.maximum.reduce  # no Python wrapper; a scalar per matrix
 
 
+def _one(reduced, cast):
+    """A reduction's value per matrix: for one matrix, cast to a Python bool or float."""
+    return reduced if reduced.ndim else cast(reduced)
+
+
 def _every(close) -> bool:
-    return bool(close if close.ndim == 0 else _ALL(close, axis=None))
+    return close if type(close) is bool else bool(_ALL(close, axis=None))
 
 
-def _entries_close(x: np.ndarray, y, backend: str, tol: Tolerance):
+def _entries_close(x: np.ndarray, y, backend: str, tol: Tolerance, ymax=None):
     """Whether the arrays x and y (or y the int 0) agree, a bool per matrix.  On float backends
-    the largest |x - y| of a matrix, d, decides: d <= absolute holds every entry, and d >
-    absolute + relative * max(|x|, |y|) fails the entry of d (rounding is monotone); a near
-    tie runs the entrywise test.  A non-finite d raises as ``Matrix._wrap`` would on x."""
+    the largest |x - y| of a matrix, d, decides, on Python floats for one matrix: d <= absolute
+    holds every entry, and d > absolute + relative * ((ymax + d) (1 + 2^-48) + 1e-320) fails the
+    entry of d, ymax being the largest |y| of the matrix (0 for y = 0; computed where None).  A
+    near tie runs the entrywise test.  The failure is proven: at the entry of d, max(|x|, |y|)
+    <= ymax + |x - y|, and rounding is monotone, so that entry's own bound is no larger.  The
+    factor 1 + 2^-48 covers the roundings of d (complex moduli included), of |x|, |y| and of the
+    sum, a few units of 2^-53 each; 1e-320, about 2000 units of 2^-1074, covers the same where
+    they are subnormal.  A non-finite d raises as ``Matrix._wrap`` would on x."""
     if backend == RATIONAL:
-        close = _ALL(x == y, axis=(-2, -1))
-        return bool(close) if close.ndim == 0 else close
+        return _one(_ALL(x == y, axis=(-2, -1)), bool)
     zero = isinstance(y, int)  # is_zero's 0: max(|x|, 0) = |x - 0| = |x|, and no target array
     diff = np.abs(x) if zero else np.abs(x - y)
-    d = _MAX(diff, axis=(-2, -1))
+    d = _one(_MAX(diff, axis=(-2, -1)), float)
     close = d <= tol.absolute
-    if not _every(close):
-        if not _every(np.isfinite(d)) and not np.isfinite(x).all():
-            raise MatrixError("operation produced non-finite entries")
-        mag = diff if zero else np.maximum(np.abs(x), np.abs(y))
-        if not _every(close | (d > tol.absolute + tol.relative * _MAX(mag, axis=(-2, -1)))):
-            close = _ALL(diff <= tol.absolute + tol.relative * mag, axis=(-2, -1))
-    return bool(close) if close.ndim == 0 else close
+    if _every(close):
+        return close
+    if not _every(d < math.inf) and not np.isfinite(x).all():
+        raise MatrixError("operation produced non-finite entries")
+    if ymax is None:
+        ymax = 0 if zero else _one(_MAX(np.abs(y), axis=(-2, -1)), float)
+    if _every(close | (d > tol.absolute + tol.relative * ((ymax + d) * (1 + 2.0**-48) + 1e-320))):
+        return close
+    return _entrywise(diff, diff if zero else np.maximum(np.abs(x), np.abs(y)), tol)
+
+
+def _entrywise(diff: np.ndarray, mag: np.ndarray, tol: Tolerance):
+    """The contract entry by entry, a bool per matrix: the near ties' test."""
+    return _one(_ALL(diff <= tol.absolute + tol.relative * mag, axis=(-2, -1)), bool)
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:

@@ -228,7 +228,8 @@ def _geometric_sum(x: Matrix, n: int, c, squares: list) -> np.ndarray:
             half = _add_diagonal(squares[i - 1], cb)
             g, cb = (half if g is None else g @ half), (coerce(cb * cb) if i < top else None)
         if n >> i & 1:
-            acc = g if cm is None else (squares[i] if acc is None else squares[i] @ acc) + cm * g
+            acc = g if cm is None else (squares[i] if acc is None else squares[i] @ acc) + (
+                g if cm == 1 else cm * g)  # c^m = 1 adds G(b) itself, no product by 1
             cm = None if i == top else cb if cm is None else coerce(cm * cb)
     return acc
 

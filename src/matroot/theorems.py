@@ -79,6 +79,7 @@ from .constructions import (
     _SIGNS,
     _exact_root,
     _refuting_tag,
+    _scale,
     construct,
     scale_from_unit,
     scale_to_unit,
@@ -341,18 +342,24 @@ def sentence2_holds_for(x: Matrix, inst: ProblemInstance,
 
 
 # The unit witnesses of the 256 latest (tag, k, n) with k^2 <= _RETAINED_ENTRIES,
-# about 2 MB at most: a witness is immutable, so every decide may share it.
+# about 2 MB at most: a witness is immutable, so every decide may share it.  An
+# exact one keeps its float64 form too, which a scale with no rational n-th root
+# lifts (cases i and ii at most |a|): about 2 MB more.
 _unit_witness = lru_cache(maxsize=256)(construct)
+_unit_floats = lru_cache(maxsize=256)(
+    lambda tag, k, n: as_backend(_unit_witness(tag, k, n).matrix, REAL))
 _RETAINED_ENTRIES = 1024
 
 
 def _witness(inst: ProblemInstance, tag) -> Witness:
     """The refuted cell's witness of family tag: a nilpotent shift, or a unit case lifted to |a|."""
     k, n, a = inst.k, inst.n, inst.a
-    w = (_unit_witness if k * k <= _RETAINED_ENTRIES else construct)(tag, k, n)
+    retained = k * k <= _RETAINED_ENTRIES
+    w = (_unit_witness if retained else construct)(tag, k, n)
     if a == 0:
         return w
-    matrix = w.matrix if abs(a) == 1 else scale_from_unit(w.matrix, n, a)
+    floats = (lambda: _unit_floats(tag, k, n)) if retained else None
+    matrix = w.matrix if abs(a) == 1 else _scale(w.matrix, n, a, 1, floats)
     return Witness(matrix, tag, k, n, a, w.refutes_sentence)
 
 

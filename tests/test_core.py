@@ -242,9 +242,9 @@ def test_uncarried_gives_python_ints_and_no_negative_zero():
 def test_is_scalar_compares_a_carried_matrix_against_a_float64_target(monkeypatch):
     targets, close = [], core._entries_close
 
-    def recorded(x, y, backend, tol):
+    def recorded(x, y, backend, tol, ymax):
         targets.append(y.dtype)
-        return close(x, y, backend, tol)
+        return close(x, y, backend, tol, ymax)
 
     monkeypatch.setattr(core, "_entries_close", recorded)
     x = _carried_stack(EDGE)
@@ -270,9 +270,9 @@ def test_a_fraction_c_on_the_carrier_is_exact_on_the_object_dtype():
 def test_a_float_c_on_a_real_array_gets_a_float64_target(monkeypatch):
     targets, close = [], core._entries_close
 
-    def recorded(x, y, backend, tol):
+    def recorded(x, y, backend, tol, ymax):
         targets.append((y.dtype, y.flags.writeable))
-        return close(x, y, backend, tol)
+        return close(x, y, backend, tol, ymax)
 
     monkeypatch.setattr(core, "_entries_close", recorded)
     x = np.stack([np.eye(3), 0.5 * np.eye(3)])
@@ -396,12 +396,12 @@ def _entrywise_close(x, y, tol):
     return (np.abs(x - y) <= bound).all(axis=(-2, -1))
 
 
-def _at_bound(y, tol, sign):
-    """y + sign * t for the largest float t >= 0 (by bisection on its bits) at which the
-    entry is still within the bound of y: the last close entry on that side, or None
-    where the bound is never left below 2^60."""
+def _at_bound(y, tol, u):
+    """The largest float t >= 0 (by bisection on its bits) at which the entry y + u * t is
+    still within the bound of y, u a real or complex direction: y + u * t is the last close
+    entry that way.  None where the bound is never left below 2^60."""
     def close(bits):
-        x = y + sign * float(np.int64(bits).view(np.float64))
+        x = y + u * float(np.int64(bits).view(np.float64))
         return bool(_entrywise_close(np.full((1, 1), x), np.full((1, 1), y), tol))
 
     lo, hi = 0, int(np.float64(2.0**60).view(np.int64))
@@ -409,7 +409,7 @@ def _at_bound(y, tol, sign):
         return None
     while hi - lo > 1:
         lo, hi = ((lo + hi) // 2, hi) if close((lo + hi) // 2) else (lo, (lo + hi) // 2)
-    return y + sign * float(np.int64(lo).view(np.float64))
+    return float(np.int64(lo).view(np.float64))
 
 
 @st.composite
@@ -437,8 +437,9 @@ def _comparisons(draw):
         how = draw(st.sampled_from(["same", "bound", "off"]))
         if how == "bound":  # moved along the real axis, so |x - y| is that of the real parts
             sign, ulps = draw(st.sampled_from([1, -1])), draw(st.sampled_from([-1, 0, 1]))
-            edge = _at_bound(y[at].real, tol, sign)
-            if edge is not None:
+            t = _at_bound(y[at].real, tol, sign)
+            if t is not None:
+                edge = y[at].real + sign * t
                 for _ in range(abs(ulps)):
                     edge = np.nextafter(edge, math.inf * ulps)
                 x[at] = edge + 1j * y[at].imag if backend == "complex" else edge
@@ -460,6 +461,55 @@ def test_the_max_reduction_decides_as_the_entrywise_contract(case):
         assert type(got) is bool and got == bool(want)
     else:
         assert got.dtype == bool and got.tolist() == want.tolist()
+
+
+# c * I with the diagonal entry (0, 0) moved along u, c / |c| (outward: |x| = |c| + d, the
+# largest |x| the failure rule allows for) or -c / |c| (inward), to the edge of the bound
+# and 1 ulp either side, or by |c| and 1000 |c| where the bound is never left
+@pytest.mark.parametrize("backend", ["real", "complex"])
+@pytest.mark.parametrize("tol", [Tolerance(1e-9, 0), Tolerance(0, 2), Tolerance(0, 1e-9),
+                                 Tolerance(0, 0.25)], ids=str)
+@pytest.mark.parametrize("mag", [0.5, 2.0, 1e300, 1e-300])
+def test_the_failure_rule_decides_at_the_bound_of_a_scalar_target(backend, tol, mag):
+    turns = [1, -1] if backend == "real" else [1, -1, 1j, -0.6 + 0.8j]
+    dtype = complex if backend == "complex" else float
+    for c in (mag * w for w in turns):
+        for u in (c / abs(c), -c / abs(c)):
+            edge = _at_bound(c, tol, u)
+            steps = ([np.nextafter(edge, -1.0) if edge else 0.0, edge, np.nextafter(edge, 2.0)]
+                     if edge is not None else [mag, 1000 * mag])
+            target, mats = c * np.eye(3, dtype=dtype), []
+            for t in steps:
+                x = target.copy()
+                x[0, 0] = c + u * t
+                mats.append(x)
+            for x in mats + [np.stack(mats)]:
+                want = _entrywise_close(x, target, tol)
+                for got in (core._is_scalar(x, backend, c, tol),
+                            core._entries_close(x, np.broadcast_to(target, x.shape), backend, tol)):
+                    if x.ndim == 2:
+                        assert type(got) is bool and got == bool(want), (c, u, x[0, 0])
+                    else:
+                        assert got.dtype == bool and got.tolist() == want.tolist(), (c, u)
+
+
+# Each pair is close, and ymax + d, rounded, falls short of max(|x|, |y|) at it by the
+# rounding of d or of the moduli: what the rule's factor 1 + 2^-48 and term 1e-320 allow for.
+# x - y = 2^53 + 1 rounds to d = 2^53, and 1 + 2^53 to 2^53 < |x|: the bound
+# (1 - 2^-53) * 2^53 = 2^53 - 1 < d, while (1 - 2^-53) * |x| rounds to 2^53 = d.
+# |y| = sqrt(2) and |x - y| = sqrt(2) units of 2^-1074 each round to 1 unit, |x| =
+# 2 sqrt(2) units to 3: 0.25 * 2 units rounds to 0 < d, while 0.25 * 3 rounds to 1 unit = d.
+_ROUNDED = [(2.0**53 + 2, 1.0, "real", Tolerance(0, 1 - 2.0**-53)),
+            (complex(1e-323, 1e-323), complex(5e-324, 5e-324), "complex", Tolerance(0, 0.25))]
+
+
+@pytest.mark.parametrize("x, c, backend, tol", _ROUNDED, ids=["rounded-d", "subnormal-moduli"])
+def test_the_failure_rule_allows_for_the_rounding_of_its_terms(x, c, backend, tol):
+    dtype = complex if backend == "complex" else float
+    x, y = np.diag([x, c]).astype(dtype), c * np.eye(2, dtype=dtype)
+    assert bool(_entrywise_close(x, y, tol))
+    assert core._entries_close(x, y, backend, tol) is True
+    assert core._is_scalar(x, backend, c, tol) is True
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

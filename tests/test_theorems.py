@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import matroot.constructions as constructions
+import matroot.core as core
 import matroot.factors as factors
 import matroot.theorems as theorems
 from matroot import (
@@ -1062,6 +1063,33 @@ def test_one_sweep_builds_each_unit_witness_and_exact_root_once():
     assert (len(units), len(roots)) == (161, 48)
     assert theorems._unit_witness.cache_info().misses == len(units)
     assert _exact_root.cache_info().misses == len(roots)
+
+
+def test_no_clause_of_a_decide_witness_reaches_the_entrywise_test(monkeypatch):
+    # every float clause of decide's witnesses, on the scaled sweep and the acceptance
+    # grids, is settled by its largest deviation: d <= absolute, or the failure rule
+    def entrywise(diff, mag, tol):
+        raise AssertionError("a clause ran the entrywise test")
+
+    monkeypatch.setattr(core, "_entrywise", entrywise)
+    for cell in _SWEEP_CELLS + _acceptance_cells():
+        verdict = decide(ProblemInstance(*cell))
+        if verdict.witness is not None:
+            assert verify_witness(verdict.witness)
+
+
+def test_float_forms_of_exact_unit_witnesses_are_retained_as_the_witnesses_are():
+    _clear_decide_caches()
+    theorems._unit_floats.cache_clear()
+    assert theorems._unit_floats.cache_info().maxsize == 256
+    for k in (40, 32):  # 1600 entries: built, not retained; 1024: retained
+        w = decide(ProblemInstance(k, 2, 2)).witness  # |a|^(1/2) is irrational: floats
+        exact = constructions.construct(CaseTag.CASE_I, k, 2).matrix
+        assert exact.backend == "rational" and w.matrix.backend == "real"
+        assert w.matrix.array.tobytes() == scale_from_unit(exact, 2, 2).array.tobytes()
+        assert theorems._unit_floats.cache_info().currsize == (k == 32)
+    assert decide(ProblemInstance(32, 2, 4)).witness.matrix.backend == "rational"
+    assert theorems._unit_floats.cache_info().currsize == 1
 
 
 def test_a_scale_outside_the_float_range_raises_on_every_call():
