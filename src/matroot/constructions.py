@@ -165,10 +165,9 @@ def shift_nilpotent(k: int, n: int) -> Matrix:
     nilpotency index ceil(k / (k-n+1)), which equals n only when n = 2 or
     n = k, so for 2 < n < k the ones go on the first superdiagonal of the
     leading n x n block instead (an order-n shift padded with zeros), whose
-    index is exactly n for every k >= n.
+    index is exactly n for every k >= n.  k and n are ints or numpy integers >= 2.
     """
-    if not 2 <= n:
-        raise ValueError(f"n must be >= 2, got {n}")
+    k, n = _checked_int("k", k, 2), _checked_int("n", n, 2)
     if n > k:
         raise ValueError(f"need n <= k (no index-{n} nilpotent fits in order {k})")
     arr = np.zeros((k, k), dtype=object)  # int 0 entries
@@ -207,12 +206,9 @@ def theorem2_counterexample(k: int, n: int) -> Witness:
 def complex_counterexample(k: int, n: int, a: complex) -> Witness:
     """diag(z, z*zeta, ..., z*zeta) with z^n = a (principal root) and
     zeta = exp(2*pi*i/n): a non-simple complex n-th root of a*I whose
-    geometric factor sum has (1,1) entry n*z^(n-1) != 0."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    a = complex(a)
+    geometric factor sum has (1,1) entry n*z^(n-1) != 0.  k and n are ints or
+    numpy integers >= 2."""
+    k, n, a = _checked_int("k", k, 2), _checked_int("n", n, 2), complex(a)
     if a == 0:
         raise ValueError("a must be nonzero")
     z = cmath.exp(cmath.log(a) / n)
@@ -227,8 +223,9 @@ def construct(tag: CaseTag, k: int, n: int) -> Witness:
     """The witness of a real tag (all but complex-ce) at order k and exponent n,
     at a = 0 for nilpotent-shift and at a = +-1 for the others: a block sum
     realising the tag's S (see the module docstring), at the one cell kind
-    where ``_refuting_tag`` names the tag.  Only the blocks it places are built."""
-    a = _A_OF.get(tag, 1)
+    where ``_refuting_tag`` names the tag.  Only the blocks it places are built.
+    k and n are ints or numpy integers >= 1: the table names no family below 2."""
+    k, n, a = _checked_int("k", k, 1), _checked_int("n", n, 1), _A_OF.get(tag, 1)
     if _refuting_tag(k, n, a) is not tag:
         raise ValueError(f"no {tag.value} witness refutes a sentence at k = {k}, n = {n}")
     if tag is CaseTag.NILPOTENT_SHIFT:
@@ -305,11 +302,10 @@ _exact_root = lru_cache(maxsize=256, typed=True)(exact_nth_root)
 def _scale(x: Matrix, n: int, a, power: int, floats=None) -> Matrix:
     """|a|^(power/n) * X for power = +-1.  Stays on the rational backend when X
     is rational and |a| has a rational n-th root (a = 4, n = 2), else floats:
-    from floats(), where given, a kept float64 form of a rational X."""
+    from floats(), where given, a kept float64 form of a rational X.  n is an int >= 2,
+    which every caller has checked."""
     if isinstance(a, complex) or a == 0:
         raise ValueError(f"scaling reductions need a real nonzero a, got {a!r}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     mag = abs(a)
     if x.backend == RATIONAL:
         exact = _exact_root(mag, n)
@@ -326,11 +322,12 @@ def _scale(x: Matrix, n: int, a, power: int, floats=None) -> Matrix:
 
 
 def scale_to_unit(x: Matrix, n: int, a) -> Matrix:
-    """|a|^(-1/n) * X: maps n-th roots of a*I to n-th roots of sign(a)*I."""
-    return _scale(x, n, a, -1)
+    """|a|^(-1/n) * X: maps n-th roots of a*I to n-th roots of sign(a)*I.
+    n is an int or numpy integer >= 2."""
+    return _scale(x, _checked_int("n", n, 2), a, -1)
 
 
 def scale_from_unit(x: Matrix, n: int, a) -> Matrix:
     """|a|^(1/n) * X: the inverse of scale_to_unit, used to lift unit-case
-    witnesses to general a."""
-    return _scale(x, n, a, 1)
+    witnesses to general a.  n is an int or numpy integer >= 2."""
+    return _scale(x, _checked_int("n", n, 2), a, 1)

@@ -13,21 +13,23 @@ this entrywise contract, decided from each matrix's largest |x - y|, d, outside 
 
     |x - y| <= absolute + relative * max(|x|, |y|)
 
-d <= absolute holds every entry; d > absolute + relative * ((ymax + d) (1 + 2^-48) + 1e-320),
-for ymax the largest |y|, fails the entry of d, with no second pass (proof at
-``_entries_close``).
+d <= absolute holds every entry, and d > absolute + relative * (d (1 + 2^-48) + t), for
+t = ymax (1 + 2^-48) + 1e-320 and ymax the largest |y|, fails the entry of d, with no second
+pass (proof at ``_entries_close``).
 
 Storage is a read-only numpy array (``object`` dtype for the rational backend), so
 matrices are immutable values and safe to share across threads.  Inside the library a
 Matrix may also hold a (m, k, k) stack of matrices of one backend: the arithmetic below
 broadcasts over the leading axis, and ``mat_eq`` / ``is_zero`` then give one bool per
 stacked matrix.  Kernels such as ``mat_pow`` compute on the bare arrays and wrap each
-result once, or hand it to the comparison, which checks it is finite.  An internal
-rational stack, or an all-int matrix that ``theorems.evaluate`` checks, may be carried on
-float64, which no public rational Matrix holds: ``_carried`` chooses it once, under a
-row-sum bound that keeps every partial sum an integer of magnitude at most 2^53, so the
-kernels multiply (on BLAS) and add exactly, unguarded.  A kernel's c * I target is shared
-and read-only for c the int or float +-1.
+result once, or hand it to the comparison, which checks it is finite.  Inside
+``theorems`` alone, the search's rational stacks and the private copy that
+``theorems.Clauses`` makes of an all-int matrix may be carried on float64, which no public
+rational Matrix holds: ``_carried`` chooses it once, under a row-sum bound that keeps every
+partial sum an integer of magnitude at most 2^53, so the kernels multiply (on BLAS) and add
+exactly, unguarded.  A carried array meets only the unit coefficients 0 and +-1, which
+float64 holds exactly.  A kernel's c * I target is shared and read-only for c the int or
+float +-1.
 """
 
 from __future__ import annotations
@@ -87,10 +89,10 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-def _checked_int(name: str, value, least: int) -> int:
-    """value as an int, if it is an int or numpy integer (not a bool) >= least."""
+def _checked_int(name: str, value, least: int, error=ValueError) -> int:
+    """value as an int, if it is an int or numpy integer (not a bool) >= least; else error."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -204,12 +206,10 @@ class Matrix:
 
 def _scalar_array(c: Scalar, k: int, dtype) -> np.ndarray:
     """A fresh k x k array of c * I for c already in its backend, exact 0 elsewhere, of
-    the given dtype; of the object dtype where float64 would round c: c not a float, nor
-    an int of at most 2^53 (a Fraction c on the rational carrier, see ``_carried``)."""
+    the given dtype.  On float64 c is a float, or on the rational carrier (``_carried``)
+    one of the unit coefficients 0 and +-1, which float64 holds exactly."""
     if k < 1:
         raise DimensionMismatch("order must be >= 1")
-    if dtype == _CARRIER and not (isinstance(c, float) or isinstance(c, int) and abs(c) <= _EXACT):
-        dtype = object
     arr = np.zeros((k, k), dtype)  # int 0 on the object dtype
     arr.flat[:: k + 1] = c
     return arr
@@ -267,10 +267,8 @@ def _check_pair(a: Matrix, b: Matrix) -> None:
 
 
 def _add_diagonal(acc: np.ndarray, c) -> np.ndarray:
-    """acc + c * I for c already in acc's backend, exact (see ``_scalar_array``): a carried
-    acc meets an object target as Python ints, so a Fraction c makes Fractions, not floats."""
-    target = _scalar_target(c, acc.shape[-1], acc.dtype)
-    return (acc if target.dtype == acc.dtype else acc.astype(np.int64).astype(object)) + target
+    """acc + c * I for c already in acc's backend, in acc's dtype (see ``_scalar_array``)."""
+    return acc + _scalar_target(c, acc.shape[-1], acc.dtype)
 
 
 @lru_cache(maxsize=64)
@@ -284,12 +282,13 @@ def _ones(k: int) -> np.ndarray:
 def _carried(m: Matrix, n: int) -> Matrix:
     """m carried on float64 if its entries are ints and n * max(1, r)^n <= 2^53 for r =
     ||m||_inf, its largest absolute row sum (n <= 2^53 where r <= 1); else m on Python ints.
-    The norm is submultiplicative, so the bound caps every entry of the powers up to m^n
-    and of the unit-coefficient factor sums, ||G(j)||_inf <= j R^(j-1) for R = max(1, r),
-    whose steps G(b) (m^b + c^b I) and m^b G(j) + c^j G(b) stay under n R^n: the entries
-    of G(n) reach n itself at r = 1.  It caps each partial sum of a product too, in any
-    order (|sum over S of y_ij z_jl| <= ||y||_inf max|z|): every float64 sum and product,
-    BLAS's included, takes integers of magnitude at most 2^53 to another, which is exact."""
+    Only ``theorems`` calls it, and no carried matrix leaves there.  The norm is
+    submultiplicative, so the bound caps every entry of the powers up to m^n and of the
+    unit-coefficient factor sums, ||G(j)||_inf <= j R^(j-1) for R = max(1, r), whose steps
+    G(b) (m^b + c^b I) and m^b G(j) + c^j G(b) stay under n R^n: the entries of G(n) reach
+    n itself at r = 1.  It caps each partial sum of a product too, in any order (|sum over
+    S of y_ij z_jl| <= ||y||_inf max|z|): every float64 sum and product, BLAS's included,
+    takes integers of magnitude at most 2^53 to another, which is exact."""
     arr = m.array
     if m.backend != RATIONAL or arr.dtype == object and set(map(type, arr.flat)) != {int}:
         return m
@@ -418,13 +417,17 @@ def _every(close) -> bool:
 def _entries_close(x: np.ndarray, y, backend: str, tol: Tolerance, ymax=None):
     """Whether the arrays x and y (or y the int 0) agree, a bool per matrix.  On float backends
     the largest |x - y| of a matrix, d, decides, on Python floats for one matrix: d <= absolute
-    holds every entry, and d > absolute + relative * ((ymax + d) (1 + 2^-48) + 1e-320) fails the
-    entry of d, ymax being the largest |y| of the matrix (0 for y = 0; computed where None).  A
-    near tie runs the entrywise test.  The failure is proven: at the entry of d, max(|x|, |y|)
-    <= ymax + |x - y|, and rounding is monotone, so that entry's own bound is no larger.  The
-    factor 1 + 2^-48 covers the roundings of d (complex moduli included), of |x|, |y| and of the
-    sum, a few units of 2^-53 each; 1e-320, about 2000 units of 2^-1074, covers the same where
-    they are subnormal.  A non-finite d raises as ``Matrix._wrap`` would on x."""
+    holds every entry, and d > absolute + relative * M fails the entry of d, for M = d (1 +
+    2^-48) + t and t = ymax (1 + 2^-48) + 1e-320, ymax being the largest |y| of the matrix (0
+    for y = 0; computed where None): t is one float where ymax is (|c| of a c * I target, the
+    zero target's 0).  A near tie runs the entrywise test.  The failure is proven: at the entry
+    of d, max(|x|, |y|) <= ymax + |x - y| exactly, and the computed M is no smaller than the
+    entry's computed max(|x|, |y|): the factor 1 + 2^-48 covers the roundings of d (complex
+    moduli included), of |x| and |y|, of the two products and of the two sums, a few units of
+    2^-53 each, and 1e-320, about 2000 units of 2^-1074, covers the same where they are
+    subnormal.  Rounding is monotone, so the entry's own bound, absolute + relative * max(|x|,
+    |y|) in the same float operations, is no larger than d's.  A non-finite d raises as
+    ``Matrix._wrap`` would on x."""
     if backend == RATIONAL:
         return _one(_ALL(x == y, axis=(-2, -1)), bool)
     zero = isinstance(y, int)  # is_zero's 0: max(|x|, 0) = |x - 0| = |x|, and no target array
@@ -436,8 +439,9 @@ def _entries_close(x: np.ndarray, y, backend: str, tol: Tolerance, ymax=None):
     if not _every(d < math.inf) and not np.isfinite(x).all():
         raise MatrixError("operation produced non-finite entries")
     if ymax is None:
-        ymax = 0 if zero else _one(_MAX(np.abs(y), axis=(-2, -1)), float)
-    if _every(close | (d > tol.absolute + tol.relative * ((ymax + d) * (1 + 2.0**-48) + 1e-320))):
+        ymax = 0.0 if zero else _one(_MAX(np.abs(y), axis=(-2, -1)), float)
+    t = ymax * (1 + 2.0**-48) + 1e-320
+    if _every(close | (d > tol.absolute + tol.relative * (d * (1 + 2.0**-48) + t))):
         return close
     return _entrywise(diff, diff if zero else np.maximum(np.abs(x), np.abs(y)), tol)
 

@@ -38,7 +38,6 @@ from .core import (
     _add_diagonal,
     _checked_int,
     _is_scalar,
-    _uncarried,
     as_backend,
     mat_pow,
     mat_sub,
@@ -111,8 +110,9 @@ def exact_nth_root(a, n: int) -> Optional[Fraction]:
     """Exact rational n-th root of a, honouring the real sign convention.
 
     Returns None when a has no rational n-th root (or none exists over the
-    reals at all, i.e. a < 0 with n even).
+    reals at all, i.e. a < 0 with n even).  n is an int or numpy integer >= 1.
     """
+    n = _checked_int("n", n, 1)
     try:
         f = Fraction(a)
     except (TypeError, ValueError, OverflowError):
@@ -146,9 +146,12 @@ def _float_root(mag, n: int, power: int) -> float:
         raise ValueError(f"|a|^({power}/{n}) is outside the float range") from None
 
 
-def _check_n(n: int) -> None:
+def _check_n(n) -> int:
+    """n as an int, if it is an int or numpy integer >= 2 (``_checked_int``); else
+    ConventionError."""
     if n < 2:
         raise ConventionError(f"n must be >= 2, got {n}")
+    return _checked_int("n", n, 2, ConventionError)
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,7 @@ class RootConvention:
 
     @classmethod
     def real(cls, n: int, a) -> "RootConvention":
-        _check_n(n)  # before the root, which divides by n
+        n = _check_n(n)  # before the root, which divides by n
         if isinstance(a, complex):
             raise ConventionError("real convention needs a real a; use principal()")
         if not isinstance(a, (int, Fraction)) and not math.isfinite(float(a)):
@@ -185,7 +188,7 @@ class RootConvention:
 
     @classmethod
     def principal(cls, n: int, a) -> "RootConvention":
-        _check_n(n)
+        n = _check_n(n)
         z = complex(a)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ConventionError(f"a must be finite, got {a!r}")
@@ -198,17 +201,16 @@ def geometric_factor_sum(x: Matrix, n: int, conv: RootConvention) -> Matrix:
     c = conv.root, by halving in O(log n) products (``_geometric_sum``), not Horner's n - 2.
 
     Exact when x is rational and the root is exactly rational (so a = 0 and
-    a = +-1 witnesses never leave exact arithmetic).  n is an int or numpy integer."""
-    _check_n(n)
-    n = _checked_int("n", n, 2)
+    a = +-1 witnesses never leave exact arithmetic), on x's Python ints and Fractions:
+    no public Matrix is carried on float64 (``core._carried``).  n is an int or numpy
+    integer."""
+    n, c = _check_n(n), conv.exact_root
     if conv.n != n:
         raise ConventionError(f"convention is for n = {conv.n}, called with n = {n}")
     if isinstance(conv.root, complex) or x.backend == COMPLEX:  # x on a backend that holds c
         x, c = as_backend(x, COMPLEX), complex(conv.root)
-    elif x.backend != RATIONAL or conv.exact_root is None:
+    elif x.backend != RATIONAL or c is None:
         x, c = as_backend(x, REAL), float(conv.root)
-    else:  # on Python ints: a carrier's bound (``core._carried``) holds for c = +-1 only
-        x, c = _uncarried(x), conv.exact_root
     if c == 0:
         # all lower coefficients vanish; the sum collapses to X^(n-1)
         return mat_pow(x, n - 1)

@@ -82,7 +82,6 @@ from .constructions import (
     _scale,
     construct,
     scale_from_unit,
-    scale_to_unit,
     witness_to_json,
 )
 from .instances import ApplicabilityError, ProblemInstance, _sentence
@@ -217,10 +216,14 @@ class Clauses:
     whole stack while any matrix is open, and sentence 2's quadratics only up
     to the first chunk that settles every matrix; a chunk is computed once,
     for ``holds`` and ``zero_quadratics`` both.  Sentence 2 has no real
-    linear factor, so its ``simple_root`` is False."""
+    linear factor, so its ``simple_root`` is False.  ``x`` is the matrix as
+    given, on its own backend; the kernels read a private copy of it, made
+    once here and carried on float64 where ``core._carried`` allows, which
+    meets only the unit coefficients 0 and +-1 and never leaves."""
 
     def __init__(self, x: Matrix, n: int, a, sentence: int, tol: Tolerance) -> None:
         self.x, self.n, self.a, self.sentence, self.tol = x, n, a, sentence, tol
+        self._x = _carried(x, n)
 
     @_lazy
     def _root(self):  # sentence 1's root: a real a, which evaluate leaves at 0 or +-1, itself
@@ -229,36 +232,36 @@ class Clauses:
 
     @_lazy
     def _ladder(self) -> tuple:  # X^e and the squares that formed it; e = n, or n - 1 at a = 0
-        return _pow_ladder(self.x, self.n - 1 if self.a == 0 else self.n)
+        return _pow_ladder(self._x, self.n - 1 if self.a == 0 else self.n)
 
     @_lazy
     def equation(self):
         power, backend = self._ladder[0], self.x.backend
         if self.a == 0:
             # share the power: X^n = X * X^(n-1), and the factor sum is X^(n-1)
-            return _entries_close(self.x.array @ power, 0, backend, self.tol)
+            return _entries_close(self._x.array @ power, 0, backend, self.tol)
         return _is_scalar(power, backend, self.a, self.tol)
 
     @_lazy
     def simple_root(self):
         if self.a == 0:
-            return _entries_close(self.x.array, 0, self.x.backend, self.tol)
+            return _entries_close(self._x.array, 0, self.x.backend, self.tol)
         if self.sentence == 2:  # no real linear factor
             return False if self.x.array.ndim == 2 else np.zeros(len(self.x.array), bool)
-        return _is_scalar(self.x.array, self.x.backend, self._root, self.tol)
+        return _is_scalar(self._x.array, self.x.backend, self._root, self.tol)
 
     @_lazy
     def factor_sum_zero(self):
         if self.a == 0:
             return _entries_close(self._ladder[0], 0, self.x.backend, self.tol)
-        total = _geometric_sum(self.x, self.n, self._root, self._ladder[1])
+        total = _geometric_sum(self._x, self.n, self._root, self._ladder[1])
         return _entries_close(total, 0, self.x.backend, self.tol)
 
     @_lazy
     def _square(self) -> tuple:  # a float X^2 is the ladder's, the same product
         if self.x.backend == RATIONAL:
-            return _float_square(self.x)
-        return self.x.array, self._ladder[1][1], self.x.backend
+            return _float_square(self._x)
+        return self._x.array, self._ladder[1][1], self.x.backend
 
     @_lazy
     def _firsts(self) -> range:  # the first index of each chunk of quadratics
@@ -307,16 +310,15 @@ def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
     A real a is checked at unit scale, as its int sign (see the module
     docstring).  x may be a (m, k, k) stack, and each clause then has one
     value per matrix.  k and n must be ints or numpy integers >= 2."""
-    _check_n(inst.n)
-    n, a = _checked_int("n", inst.n, 2), inst.a
+    n, a = _check_n(inst.n), inst.a
     if x.order != _checked_int("k", inst.k, 2):
         raise DimensionMismatch(f"matrix order {x.order} != k = {inst.k}")
     if isinstance(a, (complex, np.complexfloating)):  # np.complex64 is no complex, yet orders
         return Clauses(as_backend(x, COMPLEX), n, complex(a), 1, tol)
     if a != 0 and abs(a) != 1:
-        x = scale_to_unit(x, n, a)
+        x = _scale(x, n, a, -1)  # scale_to_unit, with n checked above
     a = 1 if a > 0 else -1 if a < 0 else 0  # not (a > 0) - (a < 0): numpy bools do not subtract
-    return Clauses(_carried(x, n), n, a, _sentence(n, a), tol)
+    return Clauses(x, n, a, _sentence(n, a), tol)
 
 
 def sentence1_holds_for(x: Matrix, inst: ProblemInstance,

@@ -86,6 +86,15 @@ def test_shift_rejects_out_of_range_indices():
         shift_nilpotent(3, 1)
 
 
+@pytest.mark.parametrize("k, n", [(3.0, 2), (3, 2.0), ("3", 2), (True, 2), (3, 1), (1, 2)], ids=str)
+def test_shift_takes_k_and_n_as_integers_at_least_2(k, n):
+    name, value = ("k", k) if type(k) is not int or k < 2 else ("n", n)
+    message = f"{name} must be an integer >= 2, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        shift_nilpotent(k, n)
+    assert shift_nilpotent(np.int64(3), np.int32(2)) == shift_nilpotent(3, 2)
+
+
 # --- the six case families --------------------------------------------------------
 
 
@@ -425,6 +434,33 @@ def test_complex_witness_rejects_zero_scalar():
         complex_counterexample(2, 2, 0)
 
 
+@pytest.mark.parametrize("k, n", [(2, 2.5), (2.0, 2), (2, 1), (1, 2), (2, np.float64(3))], ids=str)
+def test_complex_witness_takes_k_and_n_as_integers_at_least_2(k, n):
+    # n = 2.5 once built a "root" for a non-integer power
+    name, value = ("n", n) if type(k) is int and k >= 2 else ("k", k)
+    message = f"{name} must be an integer >= 2, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        complex_counterexample(k, n, 1j)
+
+
+def test_construct_takes_k_and_n_as_integers():
+    # a float n once gave a witness that verify_witness refused, n = 0 a case-i witness of
+    # X^0, and numpy integers a witness that json.dumps refused
+    for k, n in [(3, 3.0), (3.0, 3), (4, 0), (4, -2), (0, 2)]:
+        name, value = ("k", k) if type(k) is not int or k < 1 else ("n", n)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1")):
+            construct(CaseTag.CASE_IV if n == 3 else CaseTag.CASE_I, k, n)
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got 3.0$"):
+        case_counterexample(CaseTag.CASE_IV, 3, 3.0)
+    built = [case_counterexample(CaseTag.CASE_IV, np.int64(3), np.int64(3)),
+             theorem2_counterexample(np.int64(4), np.int32(4)),
+             construct(CaseTag.NILPOTENT_SHIFT, np.int64(3), np.int64(2)),
+             complex_counterexample(np.int64(2), np.int64(3), 1j)]
+    for w in built:
+        assert type(w.k) is int and type(w.n) is int and verify_witness(w)
+        assert json.loads(json.dumps(witness_to_json(w)))["n"] == w.n
+
+
 # --- conjugation ------------------------------------------------------------------------
 
 
@@ -625,6 +661,16 @@ def test_float_scaling_refuses_a_product_beyond_the_float_range():
 def test_scaling_rejects_zero():
     with pytest.raises(ValueError):
         scale_to_unit(identity(2, "rational"), 3, 0)
+
+
+@pytest.mark.parametrize("scale", [scale_to_unit, scale_from_unit], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [2.5, 3.0, 1, 0, np.float64(2.0)], ids=str)
+def test_scaling_takes_n_as_an_integer_at_least_2(scale, n):
+    # scale_to_unit(x, 2.5, 4) once scaled by 4^(-1/2.5), and scale_from_unit(x, 3.0, 8)
+    # raised TypeError
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 2, got {n!r}")):
+        scale(identity(2, "rational"), n, 8)
+    assert scale(identity(2, "rational"), np.int64(3), 8) == scale(identity(2, "rational"), 3, 8)
 
 
 # --- witness JSON ------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from matroot import (
     matrix_to_json,
     rotation,
     scalar_matrix,
+    scalar_matrix_like,
     scalar_mul,
     scale_from_unit,
     scale_to_unit,
@@ -92,6 +93,52 @@ def test_entries_are_immutable():
     m = identity(3, "real")
     with pytest.raises(ValueError):
         m.array[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("bad", [-1, math.nan], ids=str)
+def test_a_tolerance_is_finite_and_non_negative(bad):
+    for name, args in (("absolute", (bad,)), ("relative", (0, bad))):
+        with pytest.raises(ValueError, match=f"^{name} tolerance must be finite and >= 0"):
+            Tolerance(*args)
+
+
+def test_constructors_refuse_an_entry_backend_or_order_they_cannot_hold():
+    with pytest.raises(BackendMismatch, match="real backend cannot hold complex entries"):
+        Matrix([[1j]], backend="real")
+    with pytest.raises(MatrixError, match="unknown backend 'quaternion'"):
+        Matrix([[1]], backend="quaternion")
+    with pytest.raises(DimensionMismatch, match="order must be >= 1"):
+        scalar_matrix(1, 0, "real")
+
+
+def test_a_matrix_is_unequal_to_what_is_no_matrix_and_reprs_as_its_constructor():
+    m = Matrix([[1, Fraction(1, 2)], [0, -3]])
+    assert m.__eq__([[1, Fraction(1, 2)], [0, -3]]) is NotImplemented
+    assert m != [[1, Fraction(1, 2)], [0, -3]] and m != 1
+    assert repr(m) == "Matrix([[1, Fraction(1, 2)], [0, -3]], backend='rational')"
+    assert eval(repr(m), {"Matrix": Matrix, "Fraction": Fraction}) == m
+
+
+# --- backend conversions -----------------------------------------------------------
+
+
+def test_scalar_matrix_like_casts_c_into_the_backend_of_m():
+    exact = scalar_matrix_like(0.1, identity(3))  # through Fraction: 0.1's binary value
+    assert exact.backend == "rational" and exact[1, 1] == Fraction(0.1) != Fraction(1, 10)
+    assert type(scalar_matrix_like(2.0, identity(3))[0, 0]) is int
+    real = scalar_matrix_like(Fraction(1, 3), rotation(0.5))
+    assert real == scalar_matrix(1 / 3, 2, "real")
+    lifted = scalar_matrix_like(2, as_backend(identity(2), "complex"))
+    assert lifted == scalar_matrix(2 + 0j, 2, "complex")
+
+
+def test_as_backend_refuses_an_unknown_or_a_narrower_backend():
+    with pytest.raises(MatrixError, match="unknown backend 'quaternion'"):
+        as_backend(identity(2), "quaternion")
+    for m, narrower in ((rotation(0.5), "rational"), (as_backend(identity(2), "complex"), "real")):
+        message = f"cannot narrow {m.backend} matrix to {narrower}"
+        with pytest.raises(BackendMismatch, match=message):
+            as_backend(m, narrower)
 
 
 # --- mat_mul ------------------------------------------------------------------
@@ -251,20 +298,6 @@ def test_is_scalar_compares_a_carried_matrix_against_a_float64_target(monkeypatc
     for c, want in ((1, [False, False, True]), (Fraction(3), [False, False, False])):
         assert list(core._is_scalar(x.array, "rational", c, TIGHT)) == want
     assert targets == [np.dtype(np.float64)] * 2
-
-
-def test_a_fraction_c_on_the_carrier_is_exact_on_the_object_dtype():
-    # on float64, 1/3 would round and 2^53 + 1 would round to 2^53: both go to the object
-    # dtype, and so does 1/2, which float64 holds, as every c that is no int or float does
-    x = Matrix._wrap(np.zeros((2, 3, 3)), "rational")
-    for c in (Fraction(1, 2), Fraction(1, 3), 2**53 + 1, -(2**53) - 1):
-        added = core._add_diagonal(x.array, c)
-        assert added.dtype == object and (added == np.eye(3, dtype=int) * c).all()
-        assert all(type(e) is type(c) for e in added.diagonal(axis1=-2, axis2=-1).flat)
-        assert list(core._is_scalar(x.array, "rational", c, TIGHT)) == [False, False]
-        assert list(core._is_scalar(added, "rational", c, TIGHT)) == [True, True]
-    near = core._add_diagonal(x.array, 2**53 - 1)  # an int float64 holds stays on it
-    assert near.dtype == np.float64 and near[0, 0, 0] == 2**53 - 1
 
 
 def test_a_float_c_on_a_real_array_gets_a_float64_target(monkeypatch):
@@ -618,6 +651,12 @@ def test_determinant_zero_when_singular():
     assert determinant(m) == 0
 
 
+def test_bareiss_returns_an_exact_zero_at_a_column_with_no_pivot():
+    for rows in ([[0, 1], [0, 2]], [[1, 2, 3], [2, 4, 5], [3, 6, 7]]):
+        det = determinant(Matrix(rows))
+        assert type(det) is Fraction and det == 0
+
+
 def test_determinant_of_two_block_rotation_witness():
     w = theorem2_counterexample(4, 4)
     m = w.matrix
@@ -717,6 +756,12 @@ def test_non_integral_rationals_stay_fractions_on_the_wire():
 
 
 # --- JSON wire form -------------------------------------------------------------
+
+
+def test_matrix_json_must_be_an_object():
+    for data in ([], [[1]], "m", None):
+        with pytest.raises(MatrixError, match="^matrix JSON must be an object$"):
+            matrix_from_json(data)
 
 
 def test_json_round_trip_rational():

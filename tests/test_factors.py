@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,16 @@ def test_exact_nth_root_finds_perfect_powers():
     assert exact_nth_root(2, 2) is None
     assert exact_nth_root(-4, 2) is None
     assert exact_nth_root(0, 5) == 0
+    for no_rational in ("x", 1j, None, math.inf, math.nan):
+        assert exact_nth_root(no_rational, 2) is None
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0, 2.5, "2", True], ids=repr)
+def test_exact_nth_root_takes_n_as_an_integer_at_least_1(n):
+    # n = 0 once raised ZeroDivisionError
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 1, got {n!r}")):
+        exact_nth_root(8, n)
+    assert exact_nth_root(8, 1) == 8 and exact_nth_root(8, np.int64(3)) == 2
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -132,6 +143,19 @@ def test_real_convention_signs_and_consistency():
         assert abs(conv.root**n - float(a)) <= 1e-12 + 1e-12 * abs(float(a))
 
 
+@pytest.mark.parametrize("a", [1j, 2 + 0j, math.inf, -math.inf, math.nan], ids=str)
+def test_real_convention_refuses_a_complex_or_non_finite_a(a):
+    message = "real convention needs a real a" if isinstance(a, complex) else "a must be finite"
+    with pytest.raises(ConventionError, match=message):
+        RootConvention.real(3, a)
+
+
+@pytest.mark.parametrize("a", [math.nan, complex(math.nan, 1), complex(1, math.inf)], ids=str)
+def test_principal_convention_refuses_a_non_finite_a(a):
+    with pytest.raises(ConventionError, match="a must be finite"):
+        RootConvention.principal(3, a)
+
+
 def test_real_convention_rejects_negative_a_with_even_n():
     with pytest.raises(ConventionError):
         RootConvention.real(4, -1)
@@ -177,6 +201,19 @@ def test_root_conventions_check_n_before_they_compute_the_root(kind, a, n):
     # n = 0 would divide by zero in the root, and a < 0 would fail on n's parity
     with pytest.raises(ConventionError, match=f"^n must be >= 2, got {n}$"):
         getattr(RootConvention, kind)(n, a)
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, np.float64(3.0), Fraction(5, 2)], ids=repr)
+def test_the_n_check_takes_an_integer_and_raises_a_convention_error(n):
+    # RootConvention.real(2.5, 4) was once accepted; every caller of factors._check_n now
+    # gets n as an int, or a ConventionError
+    message = re.escape(f"n must be an integer >= 2, got {n!r}")
+    for check in (lambda: RootConvention.real(n, 4), lambda: RootConvention.principal(n, 1j),
+                  lambda: geometric_factor_sum(identity(2), n, RootConvention.real(2, 1))):
+        with pytest.raises(ConventionError, match=message):
+            check()
+    conv = RootConvention.real(np.int64(3), 8)
+    assert type(conv.n) is int and conv == RootConvention.real(3, 8)
 
 
 # --- geometric_factor_sum --------------------------------------------------------

@@ -37,6 +37,7 @@ from matroot import (
     identity,
     is_quarantined,
     is_zero,
+    mat_add,
     mat_eq,
     mat_pow,
     minus_identity_root_exists,
@@ -139,6 +140,8 @@ def test_minus_identity_root_existence():
     assert minus_identity_root_exists(4, 6) is True
     with pytest.raises(ApplicabilityError):
         minus_identity_root_exists(3, 3)
+    with pytest.raises(ValueError, match="need k, n >= 2, got k = 1, n = 4"):
+        minus_identity_root_exists(1, 4)
 
 
 def test_minus_identity_root_witnesses():
@@ -342,7 +345,7 @@ def test_sentence_two_squares_an_exact_matrix_in_floats():
     r = Matrix([[0, -1], [1, 0]])  # a quarter turn: X^6 = -I
     x, inst = block_diag([r, r]), ProblemInstance(4, 6, -1)
     exact, real = evaluate(x, inst), evaluate(as_backend(x, "real"), inst)
-    assert exact.x.array.dtype == np.float64 and exact.x.backend == "rational"
+    assert exact._x.array.dtype == np.float64 and exact._x.backend == "rational"
     assert exact.holds and real.holds
     assert list(exact.zero_quadratics()) == list(real.zero_quadratics()) == [2]
 
@@ -1401,7 +1404,7 @@ def test_verify_witness_checks_an_exact_witness_on_the_float64_carrier(cell, mon
 def test_exact_decide_witnesses_are_evaluated_on_the_carrier_at_any_order(cell):
     # every exact witness has row sums of at most 1, so no power of it leaves the carrier
     w = decide(ProblemInstance(*cell)).witness
-    x = evaluate(w.matrix, w).x
+    x = evaluate(w.matrix, w)._x
     assert x.array.dtype == np.float64 and x.backend == "rational"
     assert verify_witness(w)
 
@@ -1417,6 +1420,29 @@ def test_a_complex_a_lifts_an_exact_or_real_matrix_to_complex(backend):
     assert clauses.x.backend == "complex" and w.matrix.backend == backend
     values = (clauses.equation, clauses.simple_root, clauses.factor_sum_zero, clauses.holds)
     assert values == (True, False, False, False) and verify_witness(w) is True
+
+
+def test_verify_witness_of_a_non_refuting_witness_checks_the_equation():
+    # refutes_sentence None claims only X^n = aI, which verify_witness checks
+    swap = swap_block()
+    assert verify_witness(Witness(swap, None, 2, 2, 1, None)) is True
+    assert verify_witness(Witness(swap, None, 2, 3, 1, None)) is False
+    assert verify_witness(Witness(scalar_mul(2, swap), None, 2, 2, 4, None)) is True
+
+
+def test_verify_witness_refuses_a_claim_on_a_sentence_that_does_not_apply():
+    rot = rotation(math.pi / 4)  # a root of -I at n = 4: sentence 2 applies
+    with pytest.raises(ApplicabilityError, match="sentence 1 is undefined"):
+        verify_witness(Witness(rot, None, 2, 4, -1, 1))
+    with pytest.raises(ApplicabilityError, match="sentence 2 applies only"):
+        verify_witness(Witness(swap_block(), None, 2, 2, 1, 2))
+
+
+def test_a_complex_witness_has_no_real_problem_instance():
+    w = complex_counterexample(2, 3, 1j)
+    with pytest.raises(TypeError, match="complex-scalar witnesses have no real problem instance"):
+        w.instance
+    assert case_counterexample(CaseTag.CASE_III, 4, 3).instance == ProblemInstance(4, 3, 1)
 
 
 def test_verify_witness_with_n_below_2_raises_a_convention_error():
@@ -1517,13 +1543,13 @@ def test_carried_clauses_match_python_ints_past_the_bound(rows, n, a):
     rows += [[a if j == i else 0 for j in range(8)] for i in range(len(rows), 8)]
     clauses = evaluate(Matrix(rows, backend="rational"), ProblemInstance(8, n, a))
     r = max(sum(map(abs, row)) for row in rows)
-    assert (clauses.x.array.dtype == np.float64) == (n * max(1, r) ** n <= _BIG)
+    assert (clauses._x.array.dtype == np.float64) == (n * max(1, r) ** n <= _BIG)
     power, horner = _python_power_and_sum(rows, n, a)
     scalar = [[a if j == i else 0 for j in range(8)] for i in range(8)]
     want = (power == scalar, rows == scalar, horner == [[0] * 8] * 8)
     assert (clauses.equation, clauses.simple_root, clauses.factor_sum_zero) == want
     assert clauses.holds == (not want[0] or want[1] or want[2])
-    value = factors._geometric_sum(clauses.x, n, a, [clauses.x.array])  # on clauses.x's dtype
+    value = factors._geometric_sum(clauses._x, n, a, [clauses._x.array])  # on the carrier
     assert [int(e) for e in value.flat] == [e for r in horner for e in r]
 
 
@@ -1537,12 +1563,46 @@ def test_carried_clauses_match_python_ints_past_the_bound(rows, n, a):
 def test_the_carrier_is_chosen_by_the_row_sum_bound_at_n_2(rows, a, carried):
     # 2 * (2^26)^2 <= 2^53 < 2 * (2^26 + 1)^2, for r one entry or the sum of two
     clauses = evaluate(Matrix(rows, backend="rational"), ProblemInstance(2, 2, a))
-    assert (clauses.x.array.dtype == np.float64) == carried
+    assert (clauses._x.array.dtype == np.float64) == carried
     power, horner = _python_power_and_sum(rows, 2, a)
     want = (power == [[a, 0], [0, a]], rows == [[a, 0], [0, a]], horner == [[0, 0], [0, 0]])
     assert (clauses.equation, clauses.simple_root, clauses.factor_sum_zero) == want
     value = geometric_factor_sum(clauses.x, 2, RootConvention.real(2, a))
     assert [int(e) for e in value.array.flat] == [e for r in horner for e in r]
+
+
+def test_evaluate_hands_back_the_exact_matrix_it_was_given_not_its_carrier():
+    # the clauses run on a float64 copy of x; x itself keeps its Python ints, so exact
+    # arithmetic on it stays exact
+    m = Matrix([[1, 2], [3, 4]])
+    clauses = evaluate(m, ProblemInstance(2, 2, 1))
+    x = clauses.x
+    assert x is m and clauses._x.array.dtype == np.float64
+    assert x.array.dtype == object and [type(e) for e in x.entries()] == [int] * 4
+    total = mat_add(x, Matrix([[Fraction(1, 3), 0], [0, 0]]))
+    assert type(total[0, 0]) is Fraction and total[0, 0] == Fraction(4, 3)
+    third = scalar_mul(Fraction(1, 3), x)
+    assert third.rows() == [[Fraction(1, 3), Fraction(2, 3)], [1, Fraction(4, 3)]]
+
+
+def test_a_carried_array_meets_only_the_unit_coefficients(monkeypatch):
+    # every float64 c * I target of decide, verify_witness and the search is a float's, or
+    # one of the ints 0, 1 and -1 that float64 holds exactly, on the carrier
+    calls, target = [], core._scalar_target
+
+    def recorded(c, k, dtype):
+        calls.append((c, dtype))
+        return target(c, k, dtype)
+
+    monkeypatch.setattr(core, "_scalar_target", recorded)
+    for cell in _acceptance_cells() + _SWEEP_CELLS:
+        inst = ProblemInstance(*cell)
+        verdict = decide(inst)
+        assert verdict.witness is None or verify_witness(verdict.witness)
+        search_counterexample(inst, 20, 0)
+    carried = [c for c, dtype in calls if dtype == np.float64 and type(c) is not float]
+    assert {type(c) for c in carried} == {int} and 1 in carried
+    assert set(carried) <= {0, 1, -1}
 
 
 _ONES = (1, 1.0, Fraction(1), np.int64(1), np.float64(1.0))
@@ -1695,7 +1755,7 @@ def test_a_cell_with_n_beyond_int64_is_refuted_by_a_verified_case_witness():
     inst = ProblemInstance(2, 2**65, 1)
     w = case_counterexample(CaseTag.CASE_I, 2, 2**65)
     clauses = evaluate(w.matrix, inst)
-    assert clauses.x.array.dtype == object and clauses.equation and not clauses.holds
+    assert clauses._x.array.dtype == object and clauses.equation and not clauses.holds
     verdict = decide(inst)
     assert not verdict.holds and verdict.witness.tag is CaseTag.CASE_I
     assert verify_witness(verdict.witness)
