@@ -25,11 +25,15 @@ stacked matrix.  Kernels such as ``mat_pow`` compute on the bare arrays and wrap
 result once, or hand it to the comparison, which checks it is finite.  Inside
 ``theorems`` alone, the search's rational stacks and the private copy that
 ``theorems.Clauses`` makes of an all-int matrix may be carried on float64, which no public
-rational Matrix holds: ``_carried`` chooses it once, under a row-sum bound that keeps every
-partial sum an integer of magnitude at most 2^53, so the kernels multiply (on BLAS) and add
-exactly, unguarded.  A carried array meets only the unit coefficients 0 and +-1, which
-float64 holds exactly.  A kernel's c * I target is shared and read-only for c the int or
-float +-1.
+rational Matrix holds: ``_carried`` chooses it once per evaluation, under a row-sum bound that
+keeps every partial sum an integer of magnitude at most 2^53, so the kernels multiply (on
+BLAS) and add exactly, unguarded.  A carried array meets only the unit coefficients 0 and
++-1, which float64 holds exactly.  An exact matrix converts its entries to float64 once, on
+first use, and sums its rows once, on its first evaluation (``_float_form``), and keeps both
+for its lifetime in one slot: ``_carried`` applies its bound to them on every call, with
+that call's n, and ``as_backend(m, "real")`` wraps the same floats, with no conversion.  The
+slot holds the entries in another dtype and no verdict.  A kernel's c * I target is shared
+and read-only for c the int or float +-1.
 """
 
 from __future__ import annotations
@@ -90,8 +94,9 @@ DEFAULT_TOLERANCE = Tolerance()
 
 
 def _checked_int(name: str, value, least: int, error=ValueError) -> int:
-    """value as an int, if it is an int or numpy integer (not a bool) >= least; else error."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+    """value as an int, if it is an Integral (an int, a numpy integer, any registered type; not
+    a bool) >= least; else error."""
+    if not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool) or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -135,7 +140,7 @@ _over = np.frompyfunc(lambda x, d: x // d if x % d == 0 else Fraction(x, d), 2, 
 class Matrix:
     """Immutable dense square matrix over a single scalar backend."""
 
-    __slots__ = ("backend", "_arr")
+    __slots__ = ("backend", "_arr", "_real")  # _real: see _float_form, unset until then
 
     def __init__(self, rows: Sequence[Sequence], backend: str | None = None):
         data = [list(r) for r in rows]
@@ -154,14 +159,16 @@ class Matrix:
         self._arr = arr
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray, backend: str) -> "Matrix":
+    def _wrap(cls, arr: np.ndarray, backend: str, finite: bool = False) -> "Matrix":
         # Internal fast path: trusted, already-coerced square array, or a
         # (m, k, k) stack of them (see the module docstring).  The caller hands
         # over ownership of a fresh array that nothing else references; it is
         # frozen in place, not copied.  Float backends keep the no-NaN/inf
         # invariant, so overflow fails loudly.  One check per kernel result is
         # enough: inf and nan never turn finite again through +, scalar * or @.
-        if backend != RATIONAL and not np.isfinite(arr).all():
+        # A caller that knows arr is finite (a conversion that did not overflow)
+        # passes finite=True and skips the check.
+        if backend != RATIONAL and not finite and not np.isfinite(arr).all():
             raise MatrixError("operation produced non-finite entries")
         arr.flags.writeable = False
         m = object.__new__(cls)
@@ -288,20 +295,48 @@ def _carried(m: Matrix, n: int) -> Matrix:
     G(b) (m^b + c^b I) and m^b G(j) + c^j G(b) stay under n R^n: the entries of G(n) reach
     n itself at r = 1.  It caps each partial sum of a product too, in any order (|sum over
     S of y_ij z_jl| <= ||y||_inf max|z|): every float64 sum and product, BLAS's included,
-    takes integers of magnitude at most 2^53 to another, which is exact."""
+    takes integers of magnitude at most 2^53 to another, which is exact.  An exact m's float64
+    form and r are made once per matrix (``_float_form``); the bound is applied on each call.
+    The search's float64 stacks are summed here, on each call, and keep no form."""
+    if m.backend != RATIONAL:
+        return m
     arr = m.array
-    if m.backend != RATIONAL or arr.dtype == object and set(map(type, arr.flat)) != {int}:
-        return m
-    try:
-        floats = arr.astype(_CARRIER, copy=False)
-    except OverflowError:  # an entry, so a row sum, beyond the float range: no n >= 2 fits
-        return m
-    # row sums by one BLAS product: exact to 2^53; an entry or row sum above 2^53 may round,
-    # but not below 2^53, where no n >= 2 fits
-    r = (np.abs(floats) @ _ones(arr.shape[-1])).max()
-    if (r <= 1 or n < 53) and n * max(1, int(r)) ** n <= _EXACT:  # r >= 2 fails at n >= 53
-        return m if arr.dtype == _CARRIER else Matrix._wrap(floats, RATIONAL)
+    real, r = _float_form(m, True) if arr.dtype == object else (None, _row_sum(arr))
+    # r >= 2 fails at n >= 53, and r > 2^53 (or inf) at every n >= 1: never int(inf)
+    if (r <= 1 or n < 53 and r <= _EXACT) and n * max(1, int(r)) ** n <= _EXACT:
+        floats = arr.astype(_CARRIER, copy=False) if real is None else real.array
+        return m if floats is arr else Matrix._wrap(floats, RATIONAL)
     return _uncarried(m)
+
+
+def _row_sum(floats: np.ndarray) -> float:
+    """The largest absolute row sum of a float array, by one BLAS product: exact to 2^53;
+    above 2^53 it may round, but not below 2^53, where no n >= 1 fits ``_carried``, and
+    beyond the float range it reads inf."""
+    return float((np.abs(floats) @ _ones(floats.shape[-1])).max())
+
+
+def _float_form(m: Matrix, summed: bool) -> tuple:
+    """(real, r) for an exact m, kept in m's slot for m's lifetime.  real is m on the real
+    backend, made on first use (None where an entry is beyond the float range): its entries
+    on float64, which ``as_backend`` returns itself.  r is their largest absolute row sum,
+    made on the first use that asks for it (summed, as ``_carried`` does; None until then):
+    inf where an entry is a Fraction or beyond the float range, so that ``_carried`` never
+    carries m, and inf where only a row sum is (numpy warns of that overflow, as it did
+    before the form was kept).  So a one-shot lift pays for the conversion alone, and warns
+    of nothing.  The form is m's entries in another dtype and holds no verdict, and m and
+    real are immutable, so threads share them; two that race each make an equal form."""
+    form = getattr(m, "_real", None)
+    if form is None:
+        try:
+            form = Matrix._wrap(m.array.astype(_CARRIER), REAL, finite=True), None
+        except OverflowError:  # an entry beyond the float range
+            form = None, math.inf
+    if summed and form[1] is None:
+        ints = set(map(type, m.array.flat)) == {int}
+        form = form[0], _row_sum(form[0].array) if ints else math.inf
+    m._real = form
+    return form
 
 
 def _uncarried(m: Matrix) -> Matrix:
@@ -339,15 +374,23 @@ def scalar_kind(c: Scalar) -> str:
 
 
 def as_backend(m: Matrix, backend: str) -> Matrix:
-    """Lift a matrix to a wider backend (rational -> real -> complex)."""
+    """Lift a matrix to a wider backend (rational -> real -> complex).  An exact matrix goes to
+    the real backend as its one float form (``_float_form``), converted on first use.  An
+    entry beyond the float range raises MatrixError, as the constructor does."""
     if backend not in BACKENDS:
         raise MatrixError(f"unknown backend {backend!r}")
     if m.backend == backend:
         return m
     if _BACKEND_RANK[backend] < _BACKEND_RANK[m.backend]:
         raise BackendMismatch(f"cannot narrow {m.backend} matrix to {backend}")
-    # astype calls float() / complex() per rational entry: huge ints raise OverflowError
-    return Matrix._wrap(m.array.astype(_BACKEND_DTYPE[backend]), backend)
+    exact = m.array.dtype == object
+    if backend == REAL and exact and (real := _float_form(m, False)[0]) is not None:
+        return real  # an exact matrix's one float form
+    try:  # astype calls float() / complex() per rational entry
+        arr = m.array.astype(_BACKEND_DTYPE[backend])
+    except OverflowError:  # an entry beyond the float range: _float_form keeps no form
+        raise MatrixError("entry is beyond the float range") from None
+    return Matrix._wrap(arr, backend)
 
 
 def scalar_mul(c: Scalar, m: Matrix) -> Matrix:

@@ -221,7 +221,9 @@ def _geometric_sum(x: Matrix, n: int, c, squares: list) -> np.ndarray:
     """G(n) at X = x, a fresh bare array, for G(m) = X^(m-1) + c X^(m-2) + ... + c^(m-1) I, from
     squares = [X, X^2, ...], extended as needed, by G(2b) = G(b) (X^b + c^b I) and G(m + b) = X^b
     G(m) + c^m G(b) over the bits b of n, low to high: no X^j or c^j, j >= n, is formed."""
-    coerce, top = _COERCE[x.backend], n.bit_length() - 1
+    # the int +-1 of evaluate stays an int +-1 in every product, which each backend holds as it is
+    coerce = int if type(c) is int and c in (1, -1) else _COERCE[x.backend]
+    top = n.bit_length() - 1
     while len(squares) < (n - 1).bit_length():
         squares.append(squares[-1] @ squares[-1])
     acc, g, cm, cb = None, None, None, coerce(c)  # G(m), G(b) (None: I), c^m (None: m = 0), c^b
@@ -257,12 +259,13 @@ def quadratic_factor_eval(x: Matrix, n: int, a, i: int) -> Matrix:
     broadcast that ``evaluate``, ``odd_factorization_product`` and ``matroot
     factor`` read too, wrapped once.
     """
-    if n < 2 or n % 2 != 0:
+    n = _checked_int("n", n, 2, ConventionError)
+    if n % 2 != 0:
         raise ConventionError(f"quadratic factors need even n >= 2, got {n}")
     if isinstance(a, complex) or not a < 0:
         raise ConventionError(f"quadratic factors need real a < 0, got {a!r}")
-    half = n // 2
-    if not 1 <= i <= half:
+    half, i = n // 2, _checked_int("i", i, 1)
+    if i > half:
         raise ValueError(f"factor index i must be in [1, {half}], got {i}")
     square = _float_square(x)
     return Matrix._wrap(_quadratics(square, n, a, i, i + 1)[0], square[2])
@@ -297,7 +300,8 @@ def odd_factorization_product(x: Matrix, n: int) -> Matrix:
     read in chunks of at most ``_QUADRATIC_ENTRIES`` entries; they multiply left
     to right in increasing w, on the array, and the product is wrapped once.
     """
-    if n < 3 or n % 2 == 0:
+    n = _checked_int("n", n, 3, ConventionError)
+    if n % 2 == 0:
         raise ConventionError(f"odd factorization needs odd n >= 3, got {n}")
     square, result, firsts = _float_square(x), None, _quadratic_chunks(n, x.array.size)
     for first in firsts:
@@ -317,8 +321,7 @@ class TriangularParams:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        object.__setattr__(self, "n", _checked_int("n", self.n, 2))  # a numpy integer as an int
         for name in ("p", "q", "r"):
             v = getattr(self, name)
             if not isinstance(v, numbers.Number):

@@ -17,6 +17,8 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import _checked_int
+
 
 class ApplicabilityError(ValueError):
     """An operation was asked about a sentence that does not apply to its cell."""
@@ -36,11 +38,8 @@ class ProblemInstance:
     a: "int | float | Fraction"
 
     def __post_init__(self) -> None:
-        for name in ("k", "n"):  # any Integral, as a built-in int; a bool is < 2
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or v < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {v!r}")
-            object.__setattr__(self, name, int(v))
+        for name in ("k", "n"):  # any Integral, as a built-in int
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), 2))
         a = self.a
         if isinstance(a, (bool, complex)) or not isinstance(a, numbers.Real):
             raise ValueError(f"a must be a real number, got {a!r}")

@@ -65,6 +65,7 @@ from .core import (
     _entries_close,
     _is_scalar,
     _pow_ladder,
+    _scalar_target,
     _uncarried,
     as_backend,
 )
@@ -177,6 +178,7 @@ def minus_identity_root_exists(k: int, n: int) -> bool:
     whose even power is negative, so no root exists.  For even k,
     diag of k/2 rotation(pi/n) blocks is an explicit root.
     """
+    k, n = _checked_int("k", k, 0), _checked_int("n", n, 0)  # integers; bounds as below
     if n % 2 != 0:
         raise ApplicabilityError(f"only even n is meaningful here, got n = {n}")
     if k < 2 or n < 2:
@@ -219,16 +221,28 @@ class Clauses:
     linear factor, so its ``simple_root`` is False.  ``x`` is the matrix as
     given, on its own backend; the kernels read a private copy of it, made
     once here and carried on float64 where ``core._carried`` allows, which
-    meets only the unit coefficients 0 and +-1 and never leaves."""
+    meets only the unit coefficients 0 and +-1 and never leaves.  For a real
+    a, 0 or +-1 here, the equation and sentence 1's simple root compare
+    against one shared target a * I, bound once: at unit scale the root is a
+    itself.  A complex a compares through ``core._is_scalar``."""
 
     def __init__(self, x: Matrix, n: int, a, sentence: int, tol: Tolerance) -> None:
         self.x, self.n, self.a, self.sentence, self.tol = x, n, a, sentence, tol
         self._x = _carried(x, n)
+        if a and not isinstance(a, complex):  # +-I, shared and read-only: evaluate's a is +-1
+            self._unit = _scalar_target(a, x.order, self._x.array.dtype)
 
     @_lazy
     def _root(self):  # sentence 1's root: a real a, which evaluate leaves at 0 or +-1, itself
         a = self.a
         return RootConvention.principal(self.n, a).root if isinstance(a, complex) else a
+
+    def _equals_scalar(self, arr: np.ndarray, c):
+        """Whether arr is c * I, for c = a or sentence 1's root, a nonzero: against ``_unit``
+        for a real a, where both are a; through ``core._is_scalar`` for a complex a."""
+        if isinstance(c, complex):
+            return _is_scalar(arr, self.x.backend, c, self.tol)
+        return _entries_close(arr, self._unit, self.x.backend, self.tol, 1.0)
 
     @_lazy
     def _ladder(self) -> tuple:  # X^e and the squares that formed it; e = n, or n - 1 at a = 0
@@ -236,11 +250,11 @@ class Clauses:
 
     @_lazy
     def equation(self):
-        power, backend = self._ladder[0], self.x.backend
+        power = self._ladder[0]
         if self.a == 0:
             # share the power: X^n = X * X^(n-1), and the factor sum is X^(n-1)
-            return _entries_close(self._x.array @ power, 0, backend, self.tol)
-        return _is_scalar(power, backend, self.a, self.tol)
+            return _entries_close(self._x.array @ power, 0, self.x.backend, self.tol)
+        return self._equals_scalar(power, self.a)
 
     @_lazy
     def simple_root(self):
@@ -248,7 +262,7 @@ class Clauses:
             return _entries_close(self._x.array, 0, self.x.backend, self.tol)
         if self.sentence == 2:  # no real linear factor
             return False if self.x.array.ndim == 2 else np.zeros(len(self.x.array), bool)
-        return _is_scalar(self._x.array, self.x.backend, self._root, self.tol)
+        return self._equals_scalar(self._x.array, self._root)
 
     @_lazy
     def factor_sum_zero(self):
@@ -283,23 +297,19 @@ class Clauses:
         return (first + int(j) for first in self._firsts
                 for j in np.flatnonzero(self._quadratic_zeros(first)))
 
-    def _settle(self, open_, clause):
-        """open_ less the matrices at which clause() is true.  clause runs only
-        while some matrix is open, and then on the whole stack."""
-        if isinstance(open_, bool):  # one matrix
-            return open_ and not clause()
-        return open_ & ~clause() if open_.any() else open_
-
     @_lazy
     def holds(self):
-        open_ = self.equation  # the roots whose implication is not settled yet
-        if self.sentence == 1:
-            open_ = self._settle(open_, lambda: self.simple_root)
-            open_ = self._settle(open_, lambda: self.factor_sum_zero)
-        else:
-            for first in self._firsts:
-                open_ = self._settle(open_, lambda: self._quadratic_zeros(first).any(axis=0))
-        return not open_ if isinstance(open_, bool) else ~open_
+        if isinstance(self.equation, bool):  # one matrix: the implication, short-circuited
+            if self.sentence == 1:
+                return not self.equation or self.simple_root or self.factor_sum_zero
+            return not self.equation or any(self._quadratic_zeros(f).any() for f in self._firsts)
+        # a stack: each clause runs on the whole stack, while some root's implication is open
+        clauses = ((lambda: self.simple_root, lambda: self.factor_sum_zero) if self.sentence == 1
+                   else ((lambda f=f: self._quadratic_zeros(f).any(axis=0)) for f in self._firsts))
+        open_ = self.equation
+        for clause in clauses:
+            open_ = open_ & ~clause() if open_.any() else open_
+        return ~open_
 
 
 def evaluate(x: Matrix, inst, tol: Tolerance = DEFAULT_TOLERANCE) -> Clauses:
@@ -345,23 +355,20 @@ def sentence2_holds_for(x: Matrix, inst: ProblemInstance,
 
 # The unit witnesses of the 256 latest (tag, k, n) with k^2 <= _RETAINED_ENTRIES,
 # about 2 MB at most: a witness is immutable, so every decide may share it.  An
-# exact one keeps its float64 form too, which a scale with no rational n-th root
-# lifts (cases i and ii at most |a|): about 2 MB more.
+# exact one (cases i and ii, the shifts) keeps its float64 form in its matrix for
+# the matrix's lifetime (``core._float_form``), made when it is first evaluated or
+# lifted to a scale with no rational n-th root: about 2 MB more at most.
 _unit_witness = lru_cache(maxsize=256)(construct)
-_unit_floats = lru_cache(maxsize=256)(
-    lambda tag, k, n: as_backend(_unit_witness(tag, k, n).matrix, REAL))
 _RETAINED_ENTRIES = 1024
 
 
 def _witness(inst: ProblemInstance, tag) -> Witness:
     """The refuted cell's witness of family tag: a nilpotent shift, or a unit case lifted to |a|."""
     k, n, a = inst.k, inst.n, inst.a
-    retained = k * k <= _RETAINED_ENTRIES
-    w = (_unit_witness if retained else construct)(tag, k, n)
+    w = (_unit_witness if k * k <= _RETAINED_ENTRIES else construct)(tag, k, n)
     if a == 0:
         return w
-    floats = (lambda: _unit_floats(tag, k, n)) if retained else None
-    matrix = w.matrix if abs(a) == 1 else _scale(w.matrix, n, a, 1, floats)
+    matrix = w.matrix if abs(a) == 1 else _scale(w.matrix, n, a, 1)
     return Witness(matrix, tag, k, n, a, w.refutes_sentence)
 
 

@@ -546,6 +546,15 @@ def test_factor_beyond_the_float_range(capsys, tmp_path):
     assert parse_line(out)["is_zero"] is False
 
 
+@pytest.mark.parametrize("command", ["verify", "factor"])
+def test_a_matrix_beyond_the_float_range_exits_2_where_it_must_be_lifted(capsys, tmp_path, command):
+    # at a = 2 the matrix is scaled or summed in floats, and 10^400 is no float
+    path = write_matrix(tmp_path, Matrix([[10**400, 0], [0, 1]]))
+    k = ("--k", "2") if command == "verify" else ()
+    code, out, err = run_cli(capsys, command, path, *k, "--n", "3", "--a", "2")
+    assert code == 2 and out == "" and "beyond the float range" in err
+
+
 def test_factor_squares_x_once(capsys, tmp_path, monkeypatch):
     calls = []
 

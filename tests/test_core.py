@@ -818,9 +818,22 @@ def test_matrix_from_json_rejects_malformed_payloads(broken):
         matrix_from_json(broken)
 
 
+_TO_FLOATS = {  # each call takes an exact entry to the float backend, or raises
+    "constructor": lambda entry, backend: Matrix([[entry]], backend=backend),
+    "as_backend": lambda entry, backend: as_backend(Matrix([[entry]]), backend),
+    "scalar_mul": lambda entry, backend: scalar_mul(0.5 if backend == "real" else 0.5j,
+                                                    Matrix([[entry]])),
+    "geometric_factor_sum": lambda entry, backend: geometric_factor_sum(
+        Matrix([[entry, 0], [0, 1]]), 3,
+        RootConvention.real(3, 2) if backend == "real" else RootConvention.principal(3, 2j)),
+}
+
+
+@pytest.mark.parametrize("call", list(_TO_FLOATS))
 @pytest.mark.parametrize("backend", ["real", "complex"])
 @pytest.mark.parametrize("entry", [10**400, -(10**400), Fraction(10**400, 3)],
                          ids=["10**400", "-10**400", "10**400/3"])
-def test_matrix_rejects_entries_beyond_the_float_range(backend, entry):
-    with pytest.raises(MatrixError):
-        Matrix([[entry]], backend=backend)
+def test_matrix_rejects_entries_beyond_the_float_range(backend, entry, call):
+    # a lift to floats raises the constructor's MatrixError, never a bare OverflowError
+    with pytest.raises(MatrixError, match="beyond the float range"):
+        _TO_FLOATS[call](entry, backend)

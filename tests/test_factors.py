@@ -507,6 +507,14 @@ def test_quadratic_factor_argument_validation():
         quadratic_factor_eval(r, 3, -1, 1)
     with pytest.raises(ConventionError):
         quadratic_factor_eval(r, 4, 1, 1)
+    for n in (4.0, True, "4"):  # n and i are integers, each checked once
+        with pytest.raises(ConventionError):
+            quadratic_factor_eval(r, n, -1, 1)
+    for i in (1.0, True, "1"):
+        with pytest.raises(ValueError):
+            quadratic_factor_eval(r, 4, -1, i)
+    value = quadratic_factor_eval(r, np.int64(4), -1, np.int64(2))
+    assert value == quadratic_factor_eval(r, 4, -1, 2)
 
 
 # --- odd factorization ------------------------------------------------------------
@@ -537,6 +545,11 @@ def test_odd_factorization_annihilates_seventh_root_rotation():
 def test_odd_factorization_rejects_even_n():
     with pytest.raises(ConventionError):
         odd_factorization_product(identity(2, "real"), 4)
+    for n in (3.0, True, 1, "3"):  # n is an odd integer >= 3
+        with pytest.raises(ConventionError):
+            odd_factorization_product(identity(2, "real"), n)
+    value = odd_factorization_product(identity(2, "real"), np.int64(3))
+    assert value == odd_factorization_product(identity(2, "real"), 3)
 
 
 @pytest.mark.parametrize("backend", ["rational", "real", "complex"])
@@ -584,6 +597,13 @@ def test_triangular_params_validation():
         TriangularParams(1, 1, 1, 1)
     with pytest.raises(TypeError):
         TriangularParams("x", 1, 1, 3)
+    for n in (2.5, 3.0, True, "3"):  # n is an integer >= 2
+        with pytest.raises(ValueError):
+            triangular_power_formula(TriangularParams(1, 1, 1, n))
+    params = TriangularParams(2, 1, 3, np.int64(3))  # a numpy integer n is kept as an int
+    assert type(params.n) is int
+    want = triangular_power_formula(TriangularParams(2, 1, 3, 3))
+    assert triangular_power_formula(params) == want
 
 
 # --- the classifier ------------------------------------------------------------------

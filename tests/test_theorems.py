@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import numbers
 import re
+import sys
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +105,30 @@ def test_instance_stores_numpy_integers_as_ints(k, n):
     assert json.dumps(verdict_to_json(decide(inst))) == json.dumps(verdict_to_json(decide(plain)))
 
 
+class _Whole:
+    """An Integral that is no int, as a gmpy2.mpz or a sympy.Integer is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __int__(self):
+        return self.value
+
+    def __lt__(self, other):
+        return self.value < other
+
+
+numbers.Integral.register(_Whole)
+
+
+def test_instance_takes_any_integral_as_an_int():
+    inst = ProblemInstance(_Whole(4), _Whole(3), 1)
+    assert type(inst.k) is int and type(inst.n) is int and inst == ProblemInstance(4, 3, 1)
+    with pytest.raises(ValueError, match="k must be an integer >= 2"):
+        ProblemInstance(_Whole(1), 3, 1)
+    assert minus_identity_root_exists(_Whole(4), _Whole(4)) is True  # the same check
+
+
 @pytest.mark.parametrize(
     "name, value",
     [("k", True), ("k", 4.0), ("k", np.float64(4.0)), ("k", np.int64(1)), ("k", "4"),
@@ -142,6 +170,10 @@ def test_minus_identity_root_existence():
         minus_identity_root_exists(3, 3)
     with pytest.raises(ValueError, match="need k, n >= 2, got k = 1, n = 4"):
         minus_identity_root_exists(1, 4)
+    for k, n in ((4.0, 4), (4, 4.0), (True, 4), (4, "4")):  # k and n are integers
+        with pytest.raises(ValueError, match="must be an integer"):
+            minus_identity_root_exists(k, n)
+    assert minus_identity_root_exists(np.int64(4), np.int64(4)) is True
 
 
 def test_minus_identity_root_witnesses():
@@ -1083,16 +1115,17 @@ def test_no_clause_of_a_decide_witness_reaches_the_entrywise_test(monkeypatch):
 
 def test_float_forms_of_exact_unit_witnesses_are_retained_as_the_witnesses_are():
     _clear_decide_caches()
-    theorems._unit_floats.cache_clear()
-    assert theorems._unit_floats.cache_info().maxsize == 256
     for k in (40, 32):  # 1600 entries: built, not retained; 1024: retained
         w = decide(ProblemInstance(k, 2, 2)).witness  # |a|^(1/2) is irrational: floats
         exact = constructions.construct(CaseTag.CASE_I, k, 2).matrix
         assert exact.backend == "rational" and w.matrix.backend == "real"
         assert w.matrix.array.tobytes() == scale_from_unit(exact, 2, 2).array.tobytes()
-        assert theorems._unit_floats.cache_info().currsize == (k == 32)
+    # the retained unit witness keeps the float form decide made in its own matrix
+    unit = theorems._unit_witness(CaseTag.CASE_I, 32, 2).matrix
+    real = unit._real[0]
+    assert real.backend == "real" and not real.array.flags.writeable
+    assert real.array.tobytes() == unit.array.astype(np.float64).tobytes()
     assert decide(ProblemInstance(32, 2, 4)).witness.matrix.backend == "rational"
-    assert theorems._unit_floats.cache_info().currsize == 1
 
 
 def test_a_scale_outside_the_float_range_raises_on_every_call():
@@ -1676,6 +1709,151 @@ def test_a_unit_matrix_is_carried_only_while_n_fits():
     wide = Matrix._wrap(np.array([[2**62, 0], [0, 1]]), "rational")  # int64: to Python ints
     assert _carried(wide, 2).array.tolist() == [[2**62, 0], [0, 1]]
     assert {type(e) for e in _carried(wide, 2).array.flat} == {int}
+
+
+# --- the float form an exact matrix keeps --------------------------------------------
+
+
+def _counted_conversions(monkeypatch):
+    """The shapes of the exact matrices whose float form is made (converted, or summed) from
+    here on, in order: the calls of ``core._float_form`` that find it missing from the slot."""
+    calls, made = [], core._float_form
+
+    def spy(m, summed):
+        form = getattr(m, "_real", None)
+        if form is None or summed and form[1] is None:
+            calls.append(m.array.shape)
+        return made(m, summed)
+
+    monkeypatch.setattr(core, "_float_form", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cell", [(8, 6, 1), (16, 12, 0), (8, 6, 2), (9, 4, 5)], ids=str)
+def test_an_exact_witness_is_converted_to_floats_once_in_its_lifetime(cell, monkeypatch):
+    # decide verifies its witness, and the caller verifies it twice more: one conversion of
+    # the unit witness (lifted to |a| where its root is irrational); an equal matrix, again
+    _clear_decide_caches()
+    calls = _counted_conversions(monkeypatch)
+    w = decide(ProblemInstance(*cell)).witness
+    assert verify_witness(w) and verify_witness(w)
+    assert decide(ProblemInstance(*cell)).witness.matrix.array.tobytes() == w.matrix.array.tobytes()
+    k = cell[0]
+    assert calls == [(k, k)]
+    unit = theorems._unit_witness(w.tag, k, cell[1]).matrix
+    assert unit.backend == "rational"
+    again = Matrix(unit.rows())
+    assert again == unit and again is not unit
+    assert verify_witness(Witness(again, w.tag, k, cell[1], 1 if cell[2] else 0, 1))
+    assert calls == [(k, k)] * 2
+
+
+def test_a_lift_converts_and_only_an_evaluation_sums_the_rows(monkeypatch):
+    # a one-shot lift pays for the conversion alone; the first evaluation adds the row sum
+    sums, row_sum = [], core._row_sum
+    monkeypatch.setattr(core, "_row_sum", lambda arr: sums.append(arr.shape) or row_sum(arr))
+    m = Matrix(case_counterexample(CaseTag.CASE_I, 8, 6).matrix.rows())
+    real = as_backend(m, "real")
+    assert sums == [] and m._real == (real, None)
+    for _ in range(2):
+        assert evaluate(m, ProblemInstance(8, 6, 1)).holds is False
+        assert sums == [(8, 8)] and m._real[0] is real and m._real[1] >= 1
+    assert as_backend(m, "real") is real  # the same immutable matrix, wrapped once
+
+
+@pytest.mark.parametrize("rows", [
+    [[Fraction(1, 2), 0], [0, 1]],
+    [[2**53 + 1, 0], [0, 1]],
+    [[2**53, 2**53], [0, 1]],
+    [[10**400, 0], [0, 1]],
+    [[10**308, 10**308], [0, 1]],  # each entry floats, but the row sum is beyond the range
+], ids=["fraction", "above-2^53", "row-sum-2^54", "beyond-the-floats", "row-sum-beyond"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the row sum's inf
+def test_a_matrix_the_carrier_cannot_hold_exactly_is_never_carried(rows):
+    if rows[0][0] == 10**308:  # a lift converts the entries and sums no row: no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = np.array(rows, float)
+            assert as_backend(Matrix(rows), "real").array.tobytes() == want.tobytes()
+            assert scalar_mul(0.5, Matrix(rows)).array.tobytes() == (want * 0.5).tobytes()
+    m = Matrix(rows)
+    for n in (2, 3, 2**60):
+        assert _carried(m, n) is m
+    for n, a in ((2, 1), (3, 1), (3, 0), (4, -1)):
+        clauses = evaluate(m, ProblemInstance(2, n, a))
+        assert clauses._x is m and clauses.holds is True  # no root of aI, on Python ints
+
+
+def test_a_matrix_beyond_the_float_range_is_evaluated_at_unit_scale_on_python_ints():
+    m = Matrix([[10**400, 0], [0, 1]])
+    clauses = evaluate(m, ProblemInstance(2, 2, 1))
+    assert clauses._x is m and clauses.holds is True and clauses.equation is False
+    with pytest.raises(core.MatrixError, match="beyond the float range"):
+        evaluate(m, ProblemInstance(2, 2, 2))  # scaled to unit: a lift to floats
+
+
+@pytest.mark.parametrize("cell", [(8, 6, 1), (16, 12, 0), (8, 5, 3), (8, 6, 2)], ids=str)
+def test_every_evaluation_forms_its_own_powers(cell, monkeypatch):
+    # the float form holds entries only: each evaluation runs its own ladder of squares
+    calls, ladder = [], _pow_ladder
+    monkeypatch.setattr(theorems, "_pow_ladder", lambda x, n: calls.append(n) or ladder(x, n))
+    w = decide(ProblemInstance(*cell)).witness
+    assert len(calls) == 1
+    for count in (2, 3):
+        assert verify_witness(w) and len(calls) == count
+
+
+def _clause_tuple(c):
+    return c.equation, c.simple_root, c.factor_sum_zero, c.holds
+
+
+@pytest.mark.parametrize("a", [1, 2], ids=["unit", "lifted"])
+def test_threads_that_evaluate_one_fresh_exact_matrix_agree_with_one_thread(a):
+    # four threads race to make one matrix's float form; at a = 2 each lifts it to floats to
+    # scale it to |a| = 1.  Two that race each make an equal form.
+    x, inst = case_counterexample(CaseTag.CASE_I, 8, 6).matrix, ProblemInstance(8, 6, a)
+    want = _clause_tuple(evaluate(Matrix(x.rows()), inst))
+    floats = x.array.astype(np.float64).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            fresh, got = Matrix(x.rows()), []  # no float form yet
+            barrier = threading.Barrier(4)
+
+            def run():
+                barrier.wait(timeout=10)
+                got.append(_clause_tuple(evaluate(fresh, inst)))
+
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 4
+            assert as_backend(fresh, "real").array.tobytes() == floats
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("rows", [
+    case_counterexample(CaseTag.CASE_II, 5, 4).matrix.rows(),
+    [[2**53 + 1, -3], [7, 0]],
+    [[-(2**70), 1], [0, 2**1000]],
+    [[Fraction(1, 3), 2], [0, -1]],
+], ids=["case-ii", "above-2^53", "wide", "fraction"])
+def test_the_float_form_is_the_entries_astype_float64_before_and_after_an_evaluation(rows):
+    for evaluated_first in (False, True):
+        m = Matrix(rows)
+        want = m.array.astype(np.float64).tobytes()
+        k = m.order
+        if evaluated_first:
+            evaluate(m, ProblemInstance(k, 3, 2))
+        assert as_backend(m, "real").array.tobytes() == want
+        evaluate(m, ProblemInstance(k, 4, 1))
+        assert as_backend(m, "real").array.tobytes() == want
+        assert as_backend(m, "real").backend == "real"
 
 
 def test_a_huge_n_with_an_a_of_no_rational_root_decides_promptly():

@@ -11,6 +11,12 @@ operation is timed by its fastest repeat, as ``bench/run.py`` does, and each
 side's ``ops_per_s``, ``op_ms_p50`` and ``op_ms_p90`` are read from those
 times.  Every result is checked against the benchmark's oracle.  Only the
 in-process workloads (not ``cli-cold``) can be timed this way.
+
+It then prints, per family of operations, each side's operation count, summed
+time and median time (fastest repeats).  An operation's family is its witness's
+tag and backend, as the new side's ``decide`` gives it; else "search, a = 0" or
+"search, a != 0" where the workload searches the cell, else "holds" (or
+"quarantined").
 """
 
 from __future__ import annotations
@@ -69,6 +75,31 @@ def measure(workloads: list, repeats: int, seed: int) -> tuple:
     return best, failed
 
 
+def family(lib, cell, exp, searches: bool) -> str:
+    """The family of the operation on cell (see the module docstring)."""
+    try:
+        witness = lib.decide(lib.ProblemInstance(*cell)).witness
+    except Exception:  # a cell that raises: its own family
+        return "raises"
+    if witness is not None:
+        return f"{witness.tag.value}, {witness.matrix.backend}"
+    if searches and exp.searched:
+        return "search, a = 0" if cell[2] == 0 else "search, a != 0"
+    return "holds" if exp.holds else "quarantined"
+
+
+def by_family(best: list, families: dict) -> None:
+    """Print each side's count, summed ms and median ms per family, and new/old of the sums."""
+    print(f"{'family':<28}{'count':>6}{'old sum':>10}{'new sum':>10}{'new/old':>9}"
+          f"{'old p50':>10}{'new p50':>10}")
+    for name in sorted(set(families.values())):
+        keys = [key for key, fam in families.items() if fam == name]
+        old, new = ([side[key] / 1e6 for key in keys] for side in best)
+        print(f"{name:<28}{len(keys):>6}{sum(old):>10.3f}{sum(new):>10.3f}"
+              f"{sum(new) / sum(old):>9.3f}{statistics.median(old):>10.4f}"
+              f"{statistics.median(new):>10.4f}")
+
+
 def summary(times_ns: dict) -> dict:
     times = list(times_ns.values())
     return {
@@ -98,6 +129,8 @@ def main(argv=None) -> int:
                 for root, side in ((args.old_root, "old"), (args.new_root, "new"))]
         sides = [cls(lib, args.seed, BENCH.parent) for lib in libs]
         best, failed = measure(sides, args.repeats, args.seed)
+        searches = args.workload == "grid-crosscheck"
+        families = {cell: family(libs[1], cell, exp, searches) for cell, exp in sides[1].cells}
     rows = [summary(b) for b in best]
     print(f"{args.workload}: {len(best[0])} operations x {args.repeats} repeats, "
           f"seed {args.seed}, fastest repeat per operation")
@@ -106,6 +139,7 @@ def main(argv=None) -> int:
         print(f"{name:<8}{row['ops_per_s']:>12.1f}{row['op_ms_p50']:>12.4f}"
               f"{row['op_ms_p90']:>12.4f}{bad:>8}")
     print(f"{'new/old':<8}" + "".join(f"{rows[1][m] / rows[0][m]:>12.3f}" for m in rows[0]))
+    by_family(best, families)
     return 0
 
 
